@@ -48,7 +48,7 @@ class ArtifactUnreadable(ValueError):
 # ---------------------------------------------------------------------------
 
 _DEFAULTS = {
-    "domain": {"shape": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0},
+    "domain": {"shape": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0, "semi_axes": None},
     "medium": {"absorption": 0.0, "scattering": 0.0, "kernel": "isotropic"},
     "boundary": {"kind": "zero"},
     "grids": {
@@ -550,7 +550,8 @@ def main(argv=None) -> int:
         description="Stationary temperature of a convex body heated by radiation",
     )
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads inside solver sweeps (default: all cores)")
+                        help="thread count recorded in the report only; it does not change "
+                             "how many threads run")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
 

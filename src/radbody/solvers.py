@@ -274,7 +274,8 @@ def solve_spectral(
         domain, grid, g, alphas, angular, sgrid,
         mass_fields=mass_fields if g.is_isotropic else None,
     )
-    b = (sgrid.weights * alphas) @ b_freq.T
+    qa = sgrid.weights * alphas
+    b = qa @ b_freq.T
     if np.any(b < 0.0):
         raise NegativeSource("boundary sink term is negative at some node")
     theta = max((float(np.max(mass_fields[j])) for j in np.flatnonzero(live)), default=0.0)
@@ -288,9 +289,7 @@ def solve_spectral(
     for _ in range(max_iter):
         T = spectral.invert_emission_many(profile, w, sgrid, t_guess=T)
         B = spectral.planck(sgrid.nodes, T[:, None])  # (M, J)
-        conv = transport.apply_attenuation_batch(grid, alphas, B.T)
-        kern = (sgrid.weights * alphas) @ conv
-        w_new = kern + b
+        w_new = transport.apply_attenuation_batch(grid, alphas, B.T, weights=qa) + b
         if float(np.max(w_new)) > cap:
             report.status = "invariant_violation"
             raise CapExceeded(f"iterate max {np.max(w_new):.3e} exceeded bound {cap:.3e}")

@@ -273,31 +273,36 @@ class AttenuationOperator:
                         stencil += np.exp(-self.beta * np.sqrt(r2)) / r2
         stencil *= self.beta / FOUR_PI * h**3 / 8.0
         # Near-field refinement: composite two-point Gauss on subcells, with
-        # the subcell count graded by distance from the singularity.
-        for ox in range(-near_range, near_range + 1):
-            for oy in range(-near_range, near_range + 1):
-                for oz in range(-near_range, near_range + 1):
-                    if ox == 0 and oy == 0 and oz == 0:
-                        continue
-                    dist = max(abs(ox), abs(oy), abs(oz))
-                    q = max(2, int(np.ceil(near_subdiv / (2 * dist))))
-                    cell = ((np.arange(q) + 0.5) / q - 0.5) * h
-                    pts = (cell[:, None] + np.array([-1.0, 1.0]) * (h / (2 * q * np.sqrt(3.0)))).ravel()
-                    px = ox * h + pts[:, None, None]
-                    py = oy * h + pts[None, :, None]
-                    pz = oz * h + pts[None, None, :]
-                    rr2 = px**2 + py**2 + pz**2
-                    val = np.mean(np.exp(-self.beta * np.sqrt(rr2)) / rr2)
-                    stencil[nx - 1 + ox, ny - 1 + oy, nz - 1 + oz] = (
-                        self.beta / FOUR_PI * val * h**3
-                    )
+        # the subcell count graded by the Chebyshev distance d of the offset.
+        # Offsets beyond the box extent (thin bodies) have no stencil entry.
+        reach = np.minimum(near_range, np.array(grid.box_shape) - 1)
+        offsets = np.stack(np.meshgrid(*(np.arange(-r, r + 1) for r in reach),
+                                       indexing="ij"), axis=-1).reshape(-1, 3)
+        cheb = np.max(np.abs(offsets), axis=1)
+        for d in range(1, near_range + 1):
+            o = offsets[cheb == d]
+            q = max(2, int(np.ceil(near_subdiv / (2 * d))))
+            cell = ((np.arange(q) + 0.5) / q - 0.5) * h
+            pts = (cell[:, None] + np.array([-1.0, 1.0]) * (h / (2 * q * np.sqrt(3.0)))).ravel()
+            p = o[:, :, None] * h + pts  # (K, 3, points per axis)
+            rr2 = (p[:, 0, :, None, None] ** 2 + p[:, 1, None, :, None] ** 2
+                   + p[:, 2, None, None, :] ** 2)
+            # In place, to bound transient memory: the d = 1 shell alone
+            # holds 26 x 16^3 points.
+            kern = np.sqrt(rr2)
+            kern *= -self.beta
+            np.exp(kern, out=kern)
+            kern /= rr2
+            val = np.mean(kern, axis=(1, 2, 3))
+            stencil[nx - 1 + o[:, 0], ny - 1 + o[:, 1], nz - 1 + o[:, 2]] = (
+                self.beta / FOUR_PI * val * h**3
+            )
         stencil[nx - 1, ny - 1, nz - 1] = _cube_self_weight(self.beta, h)
         self.stencil = stencil
-        # FFT of the stencil at the padded shape, computed once.
-        self.fshape = tuple(
-            sfft.next_fast_len(b + s - 1)
-            for b, s in zip(grid.box_shape, stencil.shape)
-        )
+        # FFT of the stencil at the cyclic shape, computed once.  A cyclic
+        # length of 2n - 1 per axis holds every stencil offset, so the crop
+        # [n - 1, 2n - 1) of the cyclic convolution sees no wrapped terms.
+        self.fshape = tuple(sfft.next_fast_len(2 * n - 1) for n in grid.box_shape)
         self.kernel_hat = sfft.rfftn(stencil, self.fshape)
 
     def apply_box(self, box: np.ndarray) -> np.ndarray:
@@ -306,9 +311,8 @@ class AttenuationOperator:
             return np.zeros(box.shape)
         axes = (-3, -2, -1)
         fhat = sfft.rfftn(box, s=self.fshape, axes=axes)
-        full = sfft.irfftn(fhat * self.kernel_hat, s=self.fshape, axes=axes)
-        nx, ny, nz = self.grid.box_shape
-        return full[..., nx - 1:2 * nx - 1, ny - 1:2 * ny - 1, nz - 1:2 * nz - 1]
+        return _crop(sfft.irfftn(fhat * self.kernel_hat, s=self.fshape, axes=axes),
+                     self.grid.box_shape)
 
     def apply(self, node_values: np.ndarray) -> np.ndarray:
         box = self.grid.node_values_to_box(node_values)
@@ -318,6 +322,12 @@ class AttenuationOperator:
     def row_mass(self) -> np.ndarray:
         """Discrete mass (beta/4pi) * integral of the kernel over the body."""
         return self.apply(np.ones(self.grid.n_nodes))
+
+
+def _crop(full: np.ndarray, box_shape: tuple) -> np.ndarray:
+    """The box part [n - 1, 2n - 1) of a cyclic convolution with the stencil."""
+    nx, ny, nz = box_shape
+    return full[..., nx - 1:2 * nx - 1, ny - 1:2 * ny - 1, nz - 1:2 * nz - 1]
 
 
 _OPERATOR_CACHE: "OrderedDict[tuple, AttenuationOperator]" = OrderedDict()
@@ -339,15 +349,23 @@ def attenuation_operator(grid: SpatialGrid, beta: float,
 
 
 def apply_attenuation_batch(grid: SpatialGrid, betas: np.ndarray,
-                            fields: np.ndarray) -> np.ndarray:
+                            fields: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     """Apply the per-channel attenuation operator to nodal fields (C, M).
 
-    Channels sharing a decay rate share one cached stencil; transforms are
-    batched in chunks sized to bound transient FFT memory.
+    With ``weights`` (C,) the weighted channel sum  sum_c w_c conv_c(f_c),
+    shape (M,), is returned instead: channels sharing a decay rate (and so
+    a cached stencil) are summed before their transform, the others in
+    Fourier space, so one inverse transform serves all channels.
+    Transforms are batched in chunks sized to bound transient FFT memory.
     """
     betas = np.asarray(betas, dtype=float)
     C, M = fields.shape
-    out = np.zeros((C, M))
+    if weights is not None:
+        betas, group = np.unique(betas, return_inverse=True)
+        summed = np.zeros((betas.size, M))
+        np.add.at(summed, group, np.asarray(weights, dtype=float)[:, None] * fields)
+        fields, C = summed, betas.size
+    out = np.zeros((C, M) if weights is None else M)
     live = [c for c in range(C) if betas[c] > 0.0]
     if not live:
         return out
@@ -356,18 +374,23 @@ def apply_attenuation_batch(grid: SpatialGrid, betas: np.ndarray,
     # ~16 bytes/complex sample; keep the batch under ~128 MB.
     per_channel = 16 * np.prod(fshape)
     chunk = max(1, int((128 << 20) / max(per_channel, 1)))
-    nx, ny, nz = grid.box_shape
+    axes = (-3, -2, -1)
+    acc = 0.0
     for lo in range(0, len(live), chunk):
         sel = live[lo:lo + chunk]
-        boxes = np.zeros((len(sel), nx, ny, nz))
+        boxes = np.zeros((len(sel),) + grid.box_shape)
         boxes.reshape(len(sel), -1)[:, grid.flat_index] = fields[sel]
-        axes = (-3, -2, -1)
         fhat = sfft.rfftn(boxes, s=fshape, axes=axes)
         for k, c in enumerate(sel):
             fhat[k] *= ops[c].kernel_hat
-        full = sfft.irfftn(fhat, s=fshape, axes=axes)
-        crop = full[:, nx - 1:2 * nx - 1, ny - 1:2 * ny - 1, nz - 1:2 * nz - 1]
-        out[sel] = crop.reshape(len(sel), -1)[:, grid.flat_index]
+        if weights is None:
+            crop = _crop(sfft.irfftn(fhat, s=fshape, axes=axes), grid.box_shape)
+            out[sel] = crop.reshape(len(sel), -1)[:, grid.flat_index]
+        else:
+            acc += fhat.sum(axis=0)
+    if weights is not None:
+        crop = _crop(sfft.irfftn(acc, s=fshape, axes=axes), grid.box_shape)
+        out = crop.reshape(-1)[grid.flat_index]
     return out
 
 
@@ -406,13 +429,8 @@ def spectral_kernel_field(
     w_values = np.asarray(w_values, dtype=float)
     T = spectral.invert_emission_many(profile, w_values, spectral_grid, t_guess=T_guess)
     alphas = profile(spectral_grid.nodes)
-    out = np.zeros(grid.n_nodes)
-    for j in range(spectral_grid.n_nodes):
-        if alphas[j] == 0.0:
-            continue
-        Bj = spectral.planck(spectral_grid.nodes[j], T)
-        out += spectral_grid.weights[j] * alphas[j] * attenuation_operator(grid, alphas[j]).apply(Bj)
-    return out
+    B = spectral.planck(spectral_grid.nodes, T[:, None])  # (M, J)
+    return apply_attenuation_batch(grid, alphas, B.T, weights=spectral_grid.weights * alphas)
 
 
 def apply_spectral_kernel(
@@ -732,13 +750,8 @@ def conservation_residual(
             mass_fields=mass if g.is_isotropic else None,
         )
         if not has_scattering:
-            rhs = np.zeros(grid.n_nodes)
-            for j in range(spectral_grid.n_nodes):
-                if alphas_a[j] == 0.0:
-                    continue
-                rhs += q[j] * alphas_a[j] * (
-                    attenuation_operator(grid, beta[j]).apply(B[:, j]) + b_field[:, j]
-                )
+            qa = q * alphas_a
+            rhs = apply_attenuation_batch(grid, beta, B.T, weights=qa) + b_field @ qa
         else:
             if not medium.is_isotropic:
                 raise NotImplementedError(

@@ -53,6 +53,17 @@ def test_solve_equilibrium(tmp_path, capsys):
     assert report["entropy_report"]["production_volume_integral"] <= 1e-8 * scale
 
 
+def test_solve_ellipsoid(tmp_path):
+    cfg = json.loads(json.dumps(BASE_EQ))
+    cfg["domain"] = {"shape": "ellipsoid", "center": [0.0, 0.0, 0.0],
+                     "semi_axes": [1.0, 0.8, 0.6]}
+    cfg["output"] = {"dir": str(tmp_path / "out_el"), "dump_field": False, "entropy": False}
+    code = cli.main(["--quiet", "solve", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 0
+    nodes = read_nodes(tmp_path / "out_el" / "nodes.csv")
+    assert np.max(np.abs(nodes["T"] - 1.0)) <= 1e-2
+
+
 def test_solve_mode_compatibility_error(tmp_path, capsys):
     cfg = json.loads(json.dumps(BASE_EQ))
     cfg["medium"]["absorption"] = {"table": [[0.5, 1.0], [5.0, 0.5]]}

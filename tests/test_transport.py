@@ -168,20 +168,85 @@ def test_grey_kernel_mass_bound(unit_ball):
     assert np.min(mass) > 0.0
 
 
-def test_fft_matches_direct_sum(unit_ball):
-    # The FFT application must reproduce the literal stencil sum exactly.
-    grid = build_spatial(unit_ball, 0.31)
-    op = attenuation_operator(grid, 1.3)
+def thin_ellipsoid():
+    """A body only three nodes thick at h = 0.125: box (17, 17, 3)."""
+    return ConvexDomain.ellipsoid([0.0, 0.0, 0.0], [1.0, 1.0, 0.1])
+
+
+def test_fft_matches_direct_sum(unit_ball, ellipsoid_211):
+    # The FFT application must reproduce the literal stencil sum exactly,
+    # also on non-cubic and thin boxes.
     rng = np.random.default_rng(1)
-    vals = rng.random(grid.n_nodes)
-    out = op.apply(vals)
-    nx, ny, nz = grid.box_shape
-    idx = np.array(np.unravel_index(grid.flat_index, grid.box_shape)).T
-    direct = np.empty(grid.n_nodes)
-    for a in range(grid.n_nodes):
-        d = idx[a] - idx
-        direct[a] = np.sum(op.stencil[d[:, 0] + nx - 1, d[:, 1] + ny - 1, d[:, 2] + nz - 1] * vals)
-    assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
+    for domain, h in ((unit_ball, 0.31), (ellipsoid_211, 0.31), (thin_ellipsoid(), 0.125)):
+        grid = build_spatial(domain, h)
+        op = attenuation_operator(grid, 1.3)
+        assert all(f >= 2 * n - 1 for f, n in zip(op.fshape, grid.box_shape))
+        vals = rng.random(grid.n_nodes)
+        out = op.apply(vals)
+        nx, ny, nz = grid.box_shape
+        idx = np.array(np.unravel_index(grid.flat_index, grid.box_shape)).T
+        direct = np.empty(grid.n_nodes)
+        for a in range(grid.n_nodes):
+            d = idx[a] - idx
+            entries = op.stencil[d[:, 0] + nx - 1, d[:, 1] + ny - 1, d[:, 2] + nz - 1]
+            direct[a] = np.sum(entries * vals)
+        assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def _near_field_reference(grid, beta, near_range=transport.NEAR_RANGE,
+                          near_subdiv=transport.NEAR_SUBDIV):
+    """Per-offset loop over the near-field entries that lie inside the stencil."""
+    h = grid.h
+    n = np.array(grid.box_shape)
+    out = {}
+    for o in np.ndindex(*(2 * near_range + 1,) * 3):
+        o = np.array(o) - near_range
+        dist = int(np.max(np.abs(o)))
+        if dist == 0 or np.any(np.abs(o) > n - 1):
+            continue
+        q = max(2, int(np.ceil(near_subdiv / (2 * dist))))
+        cell = ((np.arange(q) + 0.5) / q - 0.5) * h
+        pts = (cell[:, None] + np.array([-1.0, 1.0]) * (h / (2 * q * np.sqrt(3.0)))).ravel()
+        px = o[0] * h + pts[:, None, None]
+        py = o[1] * h + pts[None, :, None]
+        pz = o[2] * h + pts[None, None, :]
+        rr2 = px**2 + py**2 + pz**2
+        val = np.mean(np.exp(-beta * np.sqrt(rr2)) / rr2)
+        out[tuple(n - 1 + o)] = beta / transport.FOUR_PI * val * h**3
+    return out
+
+
+def test_near_field_matches_loop_reference(unit_ball):
+    for domain in (unit_ball, thin_ellipsoid()):
+        grid = build_spatial(domain, 0.125)
+        op = transport.AttenuationOperator(grid, 1.3)
+        ref = _near_field_reference(grid, 1.3)
+        assert len(ref) > 0
+        for index, value in ref.items():
+            assert op.stencil[index] == value
+
+
+def test_thin_body_operator():
+    # Regression: a box axis with fewer than NEAR_RANGE + 1 nodes used to
+    # raise IndexError while writing near-field entries.
+    grid = build_spatial(thin_ellipsoid(), 0.125)
+    assert tuple(grid.box_shape) == (17, 17, 3)
+    mass = transport.AttenuationOperator(grid, 1.0).row_mass()
+    assert np.max(mass) < 1.0
+    assert np.min(mass) > 0.0
+
+
+def test_batch_weights_equal_weighted_channel_sum(ellipsoid_211):
+    grid = build_spatial(ellipsoid_211, 0.25)
+    rng = np.random.default_rng(5)
+    betas = np.array([0.4, 1.3, 0.0, 2.2, 1.3])
+    fields = rng.random((betas.size, grid.n_nodes))
+    weights = rng.random(betas.size)
+    per_channel = transport.apply_attenuation_batch(grid, betas, fields)
+    fused = transport.apply_attenuation_batch(grid, betas, fields, weights=weights)
+    expected = weights @ per_channel
+    assert fused.shape == (grid.n_nodes,)
+    assert np.max(np.abs(fused - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_positivity_preservation(unit_ball):
