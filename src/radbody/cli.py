@@ -113,16 +113,27 @@ def _profile_from(value, key: str) -> AbsorptionProfile:
     raise ConfigInvalid(f"'{key}' must be a number or a {{table: [[nu, value], ...]}} mapping")
 
 
+def _check_numbers(value, key: str, shape: tuple, what: str, positive: bool = False):
+    """Reject a config value that is not a finite float array of ``shape``."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.full(1, np.nan)
+    if arr.shape != shape or not np.all(np.isfinite(arr)) or (positive and np.any(arr <= 0.0)):
+        raise ConfigInvalid(f"'{key}' must be {what}")
+
+
 def validate_config(cfg: dict):
     dom = cfg["domain"]
     if dom.get("shape") not in ("ball", "ellipsoid"):
         raise ConfigInvalid("'domain.shape' must be 'ball' or 'ellipsoid'")
-    if dom["shape"] == "ball" and float(dom.get("radius", 0.0)) <= 0.0:
-        raise ConfigInvalid("'domain.radius' must be positive")
-    if dom["shape"] == "ellipsoid":
-        axes = dom.get("semi_axes")
-        if not axes or len(axes) != 3 or min(axes) <= 0:
-            raise ConfigInvalid("'domain.semi_axes' must be three positive lengths")
+    _check_numbers(dom.get("center"), "domain.center", (3,), "three finite coordinates")
+    if dom["shape"] == "ball":
+        _check_numbers(dom.get("radius"), "domain.radius", (), "a finite positive length",
+                       positive=True)
+    else:
+        _check_numbers(dom.get("semi_axes"), "domain.semi_axes", (3,),
+                       "three finite positive lengths", positive=True)
     mode = cfg["solver"].get("mode")
     if mode not in ("scattering", "grey", "spectral", "combined"):
         raise ConfigInvalid("'solver.mode' must be one of scattering|grey|spectral|combined")
@@ -270,28 +281,39 @@ def run_solver(cfg: dict, quiet: bool = False) -> Solution:
 
 def _node_residual(sol: Solution) -> np.ndarray:
     grids = sol.grids
+    angular_sweep = sol.mode == "scattering" or (
+        sol.mode == "combined" and not sol.medium.is_isotropic)
+    if not angular_sweep:
+        residual, _ = transport.conservation_residual(
+            sol.T, sol.source, sol.medium, sol.domain,
+            grids.spatial, grids.angular, grids.spectral, representation="kernel")
+        return residual.values
+    # One more source-iteration sweep of the stored radiance.  Scattering
+    # mode reports the sup over frequencies of the angular L1 change; with a
+    # tabulated kernel (combined mode) the per-node energy defect
+    # 4pi f(T) - sum_i w_i sum_j q_j alpha_a,j I_new.
+    ang, sgrid = grids.angular, grids.spectral
+    K, _ = sol.medium.kernel_matrix(ang)
+    Kw = K * ang.weights[None, :]
+    alphas_a, alphas_s = sol.emission_rates()
+    beta = alphas_a + alphas_s
+    sweeper = transport.RaySweeper(sol.domain, grids.spatial, ang, grids.ray_h, cache_bytes=0)
+    gvals = sol.source.evaluate(ang.nodes, sgrid.nodes)
+    I = sol.radiation.values
+    Phi = np.einsum("ik,mkj->mij", Kw, I) * alphas_s
+    if sol.mode != "scattering":
+        B = spectral.planck(sgrid.nodes, sol.T.values[:, None])
+        Phi += (alphas_a * B)[:, None, :]
+    acc = np.zeros((grids.spatial.n_nodes, sgrid.n_nodes))
+    for i in range(ang.n_nodes):
+        box = grids.spatial.embed(Phi[:, i, :])
+        contrib, s = sweeper.line_integrals(i, box, beta)
+        I_new = np.exp(-np.outer(s, beta)) * gvals[i] + contrib
+        acc += ang.weights[i] * (np.abs(I_new - I[:, i, :]) if sol.mode == "scattering" else I_new)
     if sol.mode == "scattering":
-        # Per-node defect of one extra sweep, sup over frequencies of the
-        # angular L1 change.
-        medium, g, domain = sol.medium, sol.source, sol.domain
-        K, _ = medium.kernel_matrix(grids.angular)
-        Kw = K * grids.angular.weights[None, :]
-        beta = medium.scattering(grids.spectral.nodes)
-        sweeper = transport.RaySweeper(domain, grids.spatial, grids.angular, grids.ray_h)
-        gvals = g.evaluate(grids.angular.nodes, grids.spectral.nodes)
-        I = sol.radiation.values
-        Phi = np.einsum("ik,mkj->mij", Kw, I)
-        defect = np.zeros((grids.spatial.n_nodes, grids.spectral.n_nodes))
-        for i in range(grids.angular.n_nodes):
-            box = grids.spatial.embed(Phi[:, i, :])
-            contrib, s = sweeper.line_integrals(i, box, beta)
-            I_new = np.exp(-np.outer(s, beta)) * gvals[i] + contrib * beta
-            defect += grids.angular.weights[i] * np.abs(I_new - I[:, i, :])
-        return np.max(defect, axis=1)
-    residual, _ = transport.conservation_residual(
-        sol.T, sol.source, sol.medium, sol.domain,
-        grids.spatial, grids.angular, grids.spectral, representation="kernel")
-    return residual.values
+        return np.max(acc, axis=1)
+    qa = sgrid.weights * alphas_a
+    return FOUR_PI * (B @ qa) - acc @ qa
 
 
 def write_node_table(path: str, sol: Solution):

@@ -136,7 +136,8 @@ def solution_entropy_report(solution, diag_angular=None, diag_ray_h=None,
     residual_term = 0.0
     if solution.T is not None and np.max(alphas_a) > 0.0:
         T = solution.T.values
-        sweeper = RaySweeper(solution.domain, grid, angular, diag_ray_h)
+        # One pass over the directions: a design cache would never be reread.
+        sweeper = RaySweeper(solution.domain, grid, angular, diag_ray_h, cache_bytes=0)
         absorbed = np.zeros(grid.n_nodes)
         for i in range(angular.n_nodes):
             I_i = solution.interior_radiance(i, angular=angular, _sweeper=sweeper)

@@ -496,7 +496,7 @@ def _reconstruct_radiation(domain, grids, medium, g, T, J0):
     B = spectral.planck(sgrid.nodes, np.asarray(T, dtype=float)[:, None])
     src = alphas_a * B + (alphas_s / FOUR_PI) * J0
     box = grid.embed(src)
-    sweeper = RaySweeper(domain, grid, angular, grids.ray_h)
+    sweeper = RaySweeper(domain, grid, angular, grids.ray_h, cache_bytes=0)
     gvals = g.evaluate(angular.nodes, sgrid.nodes)
     I = np.empty((grid.n_nodes, angular.n_nodes, sgrid.n_nodes))
     for i in range(angular.n_nodes):

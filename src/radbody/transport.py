@@ -250,6 +250,7 @@ class AttenuationOperator:
                  near_range: int = NEAR_RANGE, near_subdiv: int = NEAR_SUBDIV):
         self.grid = grid
         self.beta = float(beta)
+        self._row_mass = None
         h = grid.h
         nx, ny, nz = grid.box_shape
         if self.beta == 0.0:
@@ -320,8 +321,15 @@ class AttenuationOperator:
         return out.reshape(-1)[self.grid.flat_index]
 
     def row_mass(self) -> np.ndarray:
-        """Discrete mass (beta/4pi) * integral of the kernel over the body."""
-        return self.apply(np.ones(self.grid.n_nodes))
+        """Discrete mass (beta/4pi) * integral of the kernel over the body.
+
+        Computed once per operator; the array is read-only because every
+        caller shares it.
+        """
+        if self._row_mass is None:
+            self._row_mass = self.apply(np.ones(self.grid.n_nodes))
+            self._row_mass.flags.writeable = False
+        return self._row_mass
 
 
 def _crop(full: np.ndarray, box_shape: tuple) -> np.ndarray:
@@ -556,31 +564,38 @@ class RaySweeper:
 
         ``box`` has shape (nx, ny, nz) or (nx, ny, nz, C); ``rates`` has one
         decay rate per channel.  Returns ``(values (M, C) or (M,), s (M,))``.
+
+        The sweep is linear in the box: for each distinct rate u it is the
+        sparse (M, N_box) matrix  W_u = R diag(base_w e^{-u depth}) G,  with
+        G the trilinear interpolation onto the ray samples and R the sum
+        over each node's samples.  Rows of W_u are the node's samples times
+        their 8 corners; CSR sums the repeated corner columns in the product.
         """
+        from scipy import sparse
+
         s, starts, flat, t, base_w, depth = self._design(i)
         ny, nz = self.grid.box_shape[1], self.grid.box_shape[2]
-        multi = box.ndim == 4
-        flat_box = box.reshape(-1, box.shape[3]) if multi else box.reshape(-1)
-        tx, ty, tz = t[:, 0], t[:, 1], t[:, 2]
-        if multi:
-            tx, ty, tz = tx[:, None], ty[:, None], tz[:, None]
+        n_box = int(np.prod(self.grid.box_shape))
+        # Corner (dx, dy, dz) in {0, 1}^3, numbered 4 dx + 2 dy + dz, has flat
+        # offset dx ny nz + dy nz + dz and weight prod over axes of t or 1 - t.
+        d = np.arange(2)
+        offsets = (d[:, None, None] * (ny * nz) + d[None, :, None] * nz + d).reshape(-1)
+        index_dtype = np.int32 if max(n_box, 8 * flat.size) < 2**31 else np.int64
+        indices = (flat[:, None] + offsets).astype(index_dtype).reshape(-1)
+        indptr = (8 * np.append(starts, flat.size)).astype(index_dtype)
+        # Built as (8, P) so every product runs over contiguous samples.
+        tt = np.stack([1.0 - t.T, t.T])  # (2, 3, P)
+        corner_w = (tt[:, None, None, 0] * tt[None, :, None, 1]
+                    * tt[None, None, :, 2]).reshape(8, -1).T  # (P, 8)
 
-        def gather(offset):
-            return flat_box[flat + offset]
-
-        c00 = gather(0) * (1 - tz) + gather(1) * tz
-        c01 = gather(nz) * (1 - tz) + gather(nz + 1) * tz
-        c10 = gather(ny * nz) * (1 - tz) + gather(ny * nz + 1) * tz
-        c11 = gather(ny * nz + nz) * (1 - tz) + gather(ny * nz + nz + 1) * tz
-        vals = ((c00 * (1 - ty) + c01 * ty) * (1 - tx)
-                + (c10 * (1 - ty) + c11 * ty) * tx)
-        rates_arr = np.atleast_1d(np.asarray(rates, dtype=float))
-        # Channels often share a decay rate; exponentiate unique rates once.
-        uniq, inv = np.unique(rates_arr, return_inverse=True)
-        att = np.exp(-np.outer(depth, uniq))[:, inv]
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        contrib = np.add.reduceat(vals * att * base_w[:, None], starts, axis=0)
+        flat_box = box.reshape(n_box, -1)
+        rates_arr = np.broadcast_to(np.asarray(rates, dtype=float), flat_box.shape[1:])
+        contrib = np.empty((s.size, flat_box.shape[1]))
+        for u in np.unique(rates_arr):
+            data = (corner_w * (base_w * np.exp(-u * depth))[:, None]).reshape(-1)
+            W_u = sparse.csr_matrix((data, indices, indptr), shape=(s.size, n_box))
+            sel = rates_arr == u
+            contrib[:, sel] = W_u @ flat_box[:, sel]
         if np.isscalar(rates) or np.asarray(rates).ndim == 0:
             return contrib[:, 0], s
         return contrib, s
@@ -744,11 +759,10 @@ def conservation_residual(
     has_scattering = float(np.max(alphas_s)) > 0.0
 
     if representation == "kernel":
-        mass = [attenuation_operator(grid, b).row_mass() for b in beta]
-        b_field = boundary_attenuation_nodes(
-            domain, grid, g, beta, angular, spectral_grid,
-            mass_fields=mass if g.is_isotropic else None,
-        )
+        mass = ([attenuation_operator(grid, b).row_mass() for b in beta]
+                if g.is_isotropic else None)
+        b_field = boundary_attenuation_nodes(domain, grid, g, beta, angular, spectral_grid,
+                                             mass_fields=mass)
         if not has_scattering:
             qa = q * alphas_a
             rhs = apply_attenuation_batch(grid, beta, B.T, weights=qa) + b_field @ qa
@@ -762,17 +776,16 @@ def conservation_residual(
             )
             rhs = np.sum(q * alphas_a * J0, axis=1) / FOUR_PI
     elif representation == "ray":
-        sweeper = RaySweeper(domain, grid, angular, ray_h)
+        sweeper = RaySweeper(domain, grid, angular, ray_h, cache_bytes=0)
         if has_scattering:
             if not medium.is_isotropic:
                 raise NotImplementedError(
                     "ray-representation residual supports isotropic scattering only"
                 )
-            mass = [attenuation_operator(grid, b).row_mass() for b in beta]
-            b_field = boundary_attenuation_nodes(
-                domain, grid, g, beta, angular, spectral_grid,
-                mass_fields=mass if g.is_isotropic else None,
-            )
+            mass = ([attenuation_operator(grid, b).row_mass() for b in beta]
+                    if g.is_isotropic else None)
+            b_field = boundary_attenuation_nodes(domain, grid, g, beta, angular, spectral_grid,
+                                                 mass_fields=mass)
             J0, _ = scattered_mean_intensity(
                 grid, spectral_grid, alphas_a, alphas_s, B, FOUR_PI * b_field
             )

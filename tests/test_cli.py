@@ -101,6 +101,56 @@ def test_solve_scattering_constant(tmp_path):
     assert np.max(np.abs(arrays["I"] - 3.0)) <= 1e-6
 
 
+def test_solve_combined_phase_table(tmp_path):
+    # Regression: the node-table residual of combined mode with a tabulated
+    # kernel raised NotImplementedError after the solve, so no report.json.
+    cfg = {
+        "domain": {"shape": "ball", "radius": 1.0},
+        "medium": {"absorption": 1.0, "scattering": 0.5,
+                   "kernel": {"phase_table": [[-1.0, 0.5], [0.0, 1.0], [1.0, 2.0]]}},
+        "boundary": {"kind": "equilibrium", "temperature": 1.0},
+        "grids": {
+            "spatial": {"h": 0.25},
+            "angular": {"n_polar": 4, "n_azimuth": 8},
+            "spectral": {"n_nodes": 8, "t_ref": 1.0},
+            "ray": {"h": 0.125},
+        },
+        "solver": {"mode": "combined", "tol": 1.0e-7, "max_iter": 200},
+        "output": {"dir": str(tmp_path / "out_pt"), "dump_field": False, "entropy": False},
+    }
+    code = cli.main(["--quiet", "solve", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 0
+    report = json.loads((tmp_path / "out_pt" / "report.json").read_text())
+    assert report["solver_report"]["status"] == "converged"
+    nodes = read_nodes(tmp_path / "out_pt" / "nodes.csv")
+    assert np.all(np.isfinite(nodes["conservation_residual"]))
+    # The energy defect of one more sweep is small against 4 pi f(T).
+    assert np.max(np.abs(nodes["conservation_residual"])) <= 1e-4 * 4 * np.pi * np.max(nodes["w"])
+
+
+@pytest.mark.parametrize("domain, key", [
+    ({"shape": "ball", "radius": float("nan")}, "domain.radius"),
+    ({"shape": "ball", "radius": float("inf")}, "domain.radius"),
+    ({"shape": "ball", "radius": 0.0}, "domain.radius"),
+    ({"shape": "ball", "radius": -1.0}, "domain.radius"),
+    ({"shape": "ellipsoid", "semi_axes": [1.0, float("nan"), 1.0]}, "domain.semi_axes"),
+    ({"shape": "ellipsoid", "semi_axes": [1.0, 0.0, 1.0]}, "domain.semi_axes"),
+    ({"shape": "ellipsoid", "semi_axes": [1.0, 1.0]}, "domain.semi_axes"),
+    ({"shape": "ball", "radius": 1.0, "center": [0.0, float("inf"), 0.0]}, "domain.center"),
+    ({"shape": "ball", "radius": 1.0, "center": [0.0, "x", 0.0]}, "domain.center"),
+])
+def test_solve_bad_domain_size_rejected(tmp_path, capsys, domain, key):
+    # Regression: a NaN radius passed validation and failed inside the
+    # operator build with a message that named no config key.
+    cfg = json.loads(json.dumps(BASE_EQ))
+    cfg["domain"] = domain
+    cfg["output"]["dir"] = str(tmp_path / "out_bad")
+    code = cli.main(["solve", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out_bad").exists()
+
+
 def test_solve_non_convergence_exit_code(tmp_path):
     cfg = json.loads(json.dumps(BASE_EQ))
     cfg["output"]["dir"] = str(tmp_path / "out2")

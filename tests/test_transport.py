@@ -249,6 +249,61 @@ def test_batch_weights_equal_weighted_channel_sum(ellipsoid_211):
     assert np.max(np.abs(fused - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
+def _gather_line_integrals_reference(sweeper, i, box, rates):
+    """The eight-gather trilinear sweep that the sparse operators replaced."""
+    s, starts, flat, t, base_w, depth = sweeper._design(i)
+    ny, nz = sweeper.grid.box_shape[1], sweeper.grid.box_shape[2]
+    multi = box.ndim == 4
+    flat_box = box.reshape(-1, box.shape[3]) if multi else box.reshape(-1)
+    tx, ty, tz = t[:, 0], t[:, 1], t[:, 2]
+    if multi:
+        tx, ty, tz = tx[:, None], ty[:, None], tz[:, None]
+
+    def gather(offset):
+        return flat_box[flat + offset]
+
+    c00 = gather(0) * (1 - tz) + gather(1) * tz
+    c01 = gather(nz) * (1 - tz) + gather(nz + 1) * tz
+    c10 = gather(ny * nz) * (1 - tz) + gather(ny * nz + 1) * tz
+    c11 = gather(ny * nz + nz) * (1 - tz) + gather(ny * nz + nz + 1) * tz
+    vals = ((c00 * (1 - ty) + c01 * ty) * (1 - tx)
+            + (c10 * (1 - ty) + c11 * ty) * tx)
+    rates_arr = np.atleast_1d(np.asarray(rates, dtype=float))
+    uniq, inv = np.unique(rates_arr, return_inverse=True)
+    att = np.exp(-np.outer(depth, uniq))[:, inv]
+    if vals.ndim == 1:
+        vals = vals[:, None]
+    contrib = np.add.reduceat(vals * att * base_w[:, None], starts, axis=0)
+    if np.isscalar(rates) or np.asarray(rates).ndim == 0:
+        return contrib[:, 0], s
+    return contrib, s
+
+
+def test_line_integrals_match_gather_reference(unit_ball, ellipsoid_211):
+    # Same samples and weights as the gather sweep; only the summation
+    # order differs, so agreement is to rounding.
+    rng = np.random.default_rng(11)
+    ang = build_angular(4, 8)
+    cases = [
+        (4, np.full(5, 1.0)),                            # one shared rate
+        (4, np.array([0.3, 1.0, 2.5, 0.0, 4.0])),        # distinct rates
+        (4, np.array([0.7, 2.0, 0.7, 0.7, 2.0, 0.1])),   # repeated, mixed
+        (3, 1.7),                                        # scalar rate, 3-D box
+    ]
+    for domain in (unit_ball, ellipsoid_211):
+        grid = build_spatial(domain, 0.25)
+        sweeper = transport.RaySweeper(domain, grid, ang, ray_h=0.1)
+        for ndim, rates in cases:
+            channels = () if ndim == 3 else (np.size(rates),)
+            box = grid.embed(rng.random((grid.n_nodes,) + channels))
+            for i in (0, 5, ang.n_nodes - 1):
+                got, s = sweeper.line_integrals(i, box, rates)
+                ref, s_ref = _gather_line_integrals_reference(sweeper, i, box, rates)
+                assert got.shape == ref.shape == (grid.n_nodes,) + channels
+                assert np.array_equal(s, s_ref)
+                np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+
+
 def test_positivity_preservation(unit_ball):
     grid = build_spatial(unit_ball, 0.15)
     rng = np.random.default_rng(4)
