@@ -1,8 +1,8 @@
-"""Quadrature rules: unit sphere, frequency half-line, rays, and the volume.
+"""Quadrature rules: unit sphere, frequency half-line, and the volume.
 
-Every integral in the model becomes a weighted sum over one of four node
-sets.  Grids are immutable after construction and safe to share across
-workers.
+Every integral in the model becomes a weighted sum over one of these node
+sets; line integrals along rays are ``transport.RaySweeper``'s.  Grids are
+immutable after construction and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -152,35 +152,34 @@ class SpatialGrid:
         box[np.isnan(box)] = 0.0
         return box
 
-    def sample(self, box: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Trilinear interpolation of a box array at arbitrary points.
+    def sample(self, points: np.ndarray):
+        """Trilinear sampling operator at arbitrary points.
 
-        Fractional indices are clamped to the box hull.  ``box`` may carry
-        trailing channel axes: shape (nx, ny, nz) or (nx, ny, nz, C).
+        Returns the sparse (P, box size) CSR matrix whose product with a
+        flattened box array, shape (box size,) or (box size, C), is its
+        trilinear interpolant at the P points.  Fractional indices are
+        clamped to the box hull.  Row p holds the 8 corners of its cell in
+        the order 4 dx + 2 dy + dz, corner (dx, dy, dz) in {0, 1}^3.
         """
-        pts = np.asarray(points, dtype=float)
-        f = (pts - self.origin) / self.h
-        n = np.array(self.box_shape)
-        f = np.clip(f, 0.0, n - 1.0)
-        i0 = np.minimum(f.astype(int), n - 2)
+        from scipy import sparse
+
+        shape = np.array(self.box_shape)
+        n_box = int(np.prod(shape))
+        f = np.clip((np.asarray(points, dtype=float) - self.origin) / self.h, 0.0, shape - 1.0)
+        i0 = np.minimum(f.astype(np.int64), shape - 2)
         t = f - i0
-        ix, iy, iz = i0[..., 0], i0[..., 1], i0[..., 2]
-        tx, ty, tz = t[..., 0], t[..., 1], t[..., 2]
-        if box.ndim == 4:
-            tx = tx[..., None]
-            ty = ty[..., None]
-            tz = tz[..., None]
-
-        def g(dx, dy, dz):
-            return box[ix + dx, iy + dy, iz + dz]
-
-        c00 = g(0, 0, 0) * (1 - tz) + g(0, 0, 1) * tz
-        c01 = g(0, 1, 0) * (1 - tz) + g(0, 1, 1) * tz
-        c10 = g(1, 0, 0) * (1 - tz) + g(1, 0, 1) * tz
-        c11 = g(1, 1, 0) * (1 - tz) + g(1, 1, 1) * tz
-        c0 = c00 * (1 - ty) + c01 * ty
-        c1 = c10 * (1 - ty) + c11 * ty
-        return c0 * (1 - tx) + c1 * tx
+        ny, nz = self.box_shape[1], self.box_shape[2]
+        flat = (i0[:, 0] * ny + i0[:, 1]) * nz + i0[:, 2]
+        d = np.arange(2)
+        offsets = (d[:, None, None] * (ny * nz) + d[None, :, None] * nz + d).reshape(-1)
+        index_dtype = np.int32 if max(n_box, 8 * flat.size) < 2**31 else np.int64
+        indices = (flat[:, None] + offsets).astype(index_dtype).reshape(-1)
+        # Built as (8, P) so every product runs over contiguous points.
+        tt = np.stack([1.0 - t.T, t.T])  # (2, 3, P)
+        weights = (tt[:, None, None, 0] * tt[None, :, None, 1]
+                   * tt[None, None, :, 2]).reshape(8, -1).T.reshape(-1)
+        indptr = np.arange(0, 8 * flat.size + 1, 8, dtype=index_dtype)
+        return sparse.csr_matrix((weights, indices, indptr), shape=(flat.size, n_box))
 
 
 def build_spatial(domain: ConvexDomain, h: float) -> SpatialGrid:
@@ -224,31 +223,3 @@ def scaled_spatial(grid: SpatialGrid, factor: float) -> SpatialGrid:
         flat_index=grid.flat_index,
         token=grid.token + f"*{factor!r}",
     )
-
-
-def simpson_weights(n_intervals: int, length: float) -> np.ndarray:
-    """Composite Simpson weights for n_intervals (made even) on [0, length]."""
-    n = int(n_intervals)
-    if n % 2 == 1:
-        n += 1
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (length / n / 3.0)
-
-
-def ray_nodes(hit, n_steps: int):
-    """Uniform nodes and weights for line integrals on [0, s(x, n)].
-
-    Returns ``(xi, weights)`` with composite Simpson weights on uniformly
-    spaced nodes (the interval count is rounded up to even), exact for
-    constants and cubic in the step for smooth integrands.
-    """
-    if n_steps < 2:
-        raise ValueError("n_steps must be at least 2")
-    s = float(hit.path_length)
-    n = int(n_steps)
-    if n % 2 == 1:
-        n += 1
-    xi = np.linspace(0.0, s, n + 1)
-    return xi, simpson_weights(n, s)

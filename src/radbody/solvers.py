@@ -38,10 +38,6 @@ from radbody.transport import (
 )
 
 
-class MaxIterExceeded(RuntimeError):
-    """A solver hit its iteration cap without reaching tolerance."""
-
-
 class InnerDiverged(RuntimeError):
     """The inner linear-transport solve of the combined regime stalled."""
 
@@ -154,26 +150,13 @@ def solve_scattering(
         raise ValueError("scattering coefficient must be positive on the grid")
     K, _ = medium.kernel_matrix(angular)
     sweeper = RaySweeper(domain, grid, angular, grids.ray_h)
-    A, J, M = angular.n_nodes, sgrid.n_nodes, grid.n_nodes
     gvals = g.evaluate(angular.nodes, sgrid.nodes)  # (A, J)
-
-    # Precompute per-angle boundary terms and path lengths.
-    s_all = np.empty((A, M))
-    for i in range(A):
-        s_all[i] = geometry.exit_lengths(domain, grid.centers, angular.nodes[i])
-    bterm = np.exp(-s_all[:, :, None] * beta) * gvals[:, None, :]  # (A, M, J)
-
-    I = np.transpose(bterm, (1, 0, 2)).copy()  # start from the boundary-only term
+    I = sweeper.boundary_term(beta, gvals)  # start from the boundary-only term
     Kw = K * angular.weights[None, :]  # K[i, i'] w_i'
     report = SolverReport(tolerance=tol, norm="sup_x L1_n (per frequency)")
     converged = False
     for _ in range(max_iter):
-        Phi = np.einsum("ik,mkj->mij", Kw, I)
-        I_new = np.empty_like(I)
-        for i in range(A):
-            box = grid.embed(Phi[:, i, :])
-            contrib, _ = sweeper.line_integrals(i, box, beta)
-            I_new[:, i, :] = bterm[i] + contrib * beta
+        I_new = sweeper.sweep(np.einsum("ik,mkj->mij", Kw, I) * beta, beta, gvals)
         change = float(np.max(np.einsum("i,mij->mj", angular.weights, np.abs(I_new - I))))
         I = I_new
         _push_residual(report, change, float(np.max(np.abs(I))) + 1e-300)
@@ -215,11 +198,10 @@ def solve_grey(
         sdomain = ConvexDomain(domain.shape, domain.center * alpha, domain.semi_axes * alpha)
         sgrid_sp = scaled_spatial(grid, alpha)
     op = attenuation_operator(sgrid_sp, 1.0)
-    mass = op.row_mass()
     rates = np.ones(sgrid.n_nodes)
     b_freq = boundary_attenuation_nodes(
         sdomain, sgrid_sp, g, rates, angular, sgrid,
-        mass_fields=[mass] * sgrid.n_nodes if g.is_isotropic else None,
+        mass_fields=[op.row_mass()] * sgrid.n_nodes if g.is_isotropic else None,
     )
     b = b_freq @ sgrid.weights
     if np.any(b < 0.0):
@@ -323,29 +305,11 @@ def solve_combined(
 ):
     """Nested iteration for scattering plus emission-absorption.
 
-    Returns (w, T, radiation, report); ``radiation`` is None when
-    ``return_radiation`` is False (large runs).
-    """
-    return solve_combined_full(domain, medium, g, grids, tol, max_iter,
-                               inner_max_iter, return_radiation)[:4]
-
-
-def solve_combined_full(
-    domain: ConvexDomain,
-    medium: MediumSpec,
-    g: BoundarySource,
-    grids: Grids,
-    tol: float = 1e-8,
-    max_iter: int = 500,
-    inner_max_iter: int = 800,
-    return_radiation: bool = True,
-):
-    """Nested iteration for scattering plus emission-absorption.
-
     Outer Picard step on w = f(T); each step solves the linear transport
     problem at frozen temperature (warm-started, tolerance tied to the outer
-    residual).  Returns (w, T, radiation or None, report, J0) where J0 holds
-    the angle-integrated radiance per frequency.
+    residual).  Returns (w, T, radiation, report, J0) where J0 holds the
+    angle-integrated radiance per frequency; ``radiation`` is None when
+    ``return_radiation`` is False (large runs).
     """
     t0 = time.perf_counter()
     grid, angular, sgrid = grids.spatial, grids.angular, grids.spectral
@@ -437,16 +401,10 @@ def _solve_combined_angular(domain, medium, g, grids, tol, max_iter, inner_max_i
     K, _ = medium.kernel_matrix(angular)
     Kw = K * angular.weights[None, :]
     sweeper = RaySweeper(domain, grid, angular, grids.ray_h)
-    A, J, M = angular.n_nodes, sgrid.n_nodes, grid.n_nodes
     gvals = g.evaluate(angular.nodes, sgrid.nodes)
-    s_all = np.empty((A, M))
-    for i in range(A):
-        s_all[i] = geometry.exit_lengths(domain, grid.centers, angular.nodes[i])
-    bterm = np.exp(-s_all[:, :, None] * beta) * gvals[:, None, :]  # (A, M, J)
-
-    w = np.zeros(M)
-    T = np.zeros(M)
-    I = np.transpose(bterm, (1, 0, 2)).copy()
+    w = np.zeros(grid.n_nodes)
+    T = np.zeros(grid.n_nodes)
+    I = sweeper.boundary_term(beta, gvals)
     report = SolverReport(tolerance=tol, norm="L1(Omega), relative")
     converged = False
     inner_tol = 1e-2
@@ -457,11 +415,7 @@ def _solve_combined_angular(domain, medium, g, grids, tol, max_iter, inner_max_i
         i_scale = float(np.max(np.abs(I))) + float(np.max(np.abs(emit))) + 1e-300
         for inner in range(inner_max_iter):
             Phi = np.einsum("ik,mkj->mij", Kw, I) * alphas_s + emit[:, None, :]
-            I_new = np.empty_like(I)
-            for i in range(A):
-                box = grid.embed(Phi[:, i, :])
-                contrib, _ = sweeper.line_integrals(i, box, beta)
-                I_new[:, i, :] = bterm[i] + contrib
+            I_new = sweeper.sweep(Phi, beta, gvals)
             delta = float(np.max(np.abs(I_new - I)))
             I = I_new
             if delta <= inner_tol * i_scale:
@@ -500,8 +454,7 @@ def _reconstruct_radiation(domain, grids, medium, g, T, J0):
     gvals = g.evaluate(angular.nodes, sgrid.nodes)
     I = np.empty((grid.n_nodes, angular.n_nodes, sgrid.n_nodes))
     for i in range(angular.n_nodes):
-        contrib, s = sweeper.line_integrals(i, box, beta)
-        I[:, i, :] = np.exp(-np.outer(s, beta)) * gvals[i] + contrib
+        I[:, i, :] = sweeper.radiance(i, box, beta, gvals[i])
     return I
 
 
@@ -562,14 +515,11 @@ def compute_H(
     sweeper = RaySweeper(domain, grid, angular, grids.ray_h)
     A, J, M = angular.n_nodes, sgrid.n_nodes, grid.n_nodes
 
-    s_all = np.empty((A, M))
-    for i in range(A):
-        s_all[i] = geometry.exit_lengths(domain, grid.centers, angular.nodes[i])
-
     # Term 0: (alpha_a / (4 pi beta)) (1 - e^{-beta s}).
     term = np.empty((M, A, J))
     for i in range(A):
-        term[:, i, :] = (alphas_a / (FOUR_PI * beta)) * (-np.expm1(-np.outer(s_all[i], beta)))
+        term[:, i, :] = (alphas_a / (FOUR_PI * beta)) * (
+            -np.expm1(-np.outer(sweeper.path_lengths(i), beta)))
     H = term.copy()
     angint = np.einsum("i,mij->mj", angular.weights, H)
     reach = 1.0 - np.exp(-beta * D)
@@ -579,13 +529,8 @@ def compute_H(
         next_bound = alphas_a * alphas_s**terms / beta ** (terms + 1) * reach ** (terms + 1)
         if float(np.max(next_bound)) <= eps_trunc:
             break
-        Phi = np.einsum("ik,mkj->mij", Kw, term)
-        new_term = np.empty_like(term)
-        for i in range(A):
-            box = grid.embed(Phi[:, i, :])
-            contrib, _ = sweeper.line_integrals(i, box, beta)
-            new_term[:, i, :] = contrib * alphas_s
-        term = new_term
+        term = sweeper.sweep(np.einsum("ik,mkj->mij", Kw, term) * alphas_s, beta,
+                             np.zeros((A, J)))
         H += term
         new_angint = np.einsum("i,mij->mj", angular.weights, H)
         if np.any(new_angint < angint - 1e-12):
@@ -644,10 +589,6 @@ def oracle_solve(
     Kw = K * angular.weights[None, :]
     sweeper = RaySweeper(domain, grid, angular, grids.ray_h)
     gvals = g.evaluate(angular.nodes, sgrid.nodes)
-    s_all = np.empty((A, M))
-    for i in range(A):
-        s_all[i] = geometry.exit_lengths(domain, grid.centers, angular.nodes[i])
-    bterm = np.exp(-s_all[:, :, None] * beta) * gvals[:, None, :]
 
     I = np.zeros((M, A, J))
     w = np.zeros(M)
@@ -659,11 +600,7 @@ def oracle_solve(
             T = spectral.invert_emission_many(medium.absorption, w, sgrid, t_guess=T)
         B = spectral.planck(sgrid.nodes, T[:, None]) if emitting else np.zeros((M, J))
         Phi = alphas_a * B[:, None, :] + alphas_s * np.einsum("ik,mkj->mij", Kw, I)
-        I_new = np.empty_like(I)
-        for i in range(A):
-            box = grid.embed(Phi[:, i, :])
-            contrib, _ = sweeper.line_integrals(i, box, beta)
-            I_new[:, i, :] = bterm[i] + contrib
+        I_new = sweeper.sweep(Phi, beta, gvals)
         delta_I = float(np.max(np.abs(I_new - I)))
         I = I_new
         scale = float(np.max(np.abs(I))) + 1e-300
@@ -710,7 +647,7 @@ class Solution:
         return self.medium.absorption(sgrid.nodes), self.medium.scattering(sgrid.nodes)
 
     def source_box_for_angle(self, i: int, angular: AngularGrid | None = None):
-        """(box (nx,ny,nz,J), rates (J,), post_factor (J,)) for ray integrals.
+        """(box (nx,ny,nz,J), rates (J,)): the ray source for direction i.
 
         For temperature modes the emission source is direction independent
         and cached; for the scattering mode the in-scattered source depends
@@ -727,14 +664,14 @@ class Solution:
             K, _ = self.medium.kernel_matrix(self.grids.angular)
             Kw = K * self.grids.angular.weights[None, :]
             Phi = np.einsum("k,mkj->mj", Kw[i], self.radiation.values)
-            return grid.embed(Phi), beta, beta
+            return grid.embed(Phi * beta), beta
         if self._shared_box_cache is None:
             B = spectral.planck(sgrid.nodes, self.T.values[:, None])
             src = alphas_a * B
             if self.J0 is not None:
                 src = src + (alphas_s / FOUR_PI) * self.J0
             self._shared_box_cache = grid.embed(src)
-        return self._shared_box_cache, beta, np.ones(sgrid.n_nodes)
+        return self._shared_box_cache, beta
 
     def diagnostic_angular(self, angular: AngularGrid | None) -> AngularGrid:
         if angular is None or self.mode == "scattering":
@@ -745,14 +682,12 @@ class Solution:
                           ray_h: float | None = None,
                           _sweeper: RaySweeper | None = None) -> np.ndarray:
         """Radiance (M, J) for direction i of an angular grid (native default)."""
-        grid, sgrid = self.grids.spatial, self.grids.spectral
         ang = self.diagnostic_angular(angular)
-        box, rates, post = self.source_box_for_angle(i, ang)
-        sweeper = _sweeper or RaySweeper(self.domain, grid, ang,
+        box, rates = self.source_box_for_angle(i, ang)
+        sweeper = _sweeper or RaySweeper(self.domain, self.grids.spatial, ang,
                                          ray_h if ray_h is not None else self.grids.ray_h)
-        contrib, s = sweeper.line_integrals(i, box, rates)
-        gvals = self.source.evaluate(ang.nodes, sgrid.nodes)
-        return np.exp(-np.outer(s, rates)) * gvals[i] + contrib * post
+        gvals = self.source.evaluate(ang.nodes, self.grids.spectral.nodes)
+        return sweeper.radiance(i, box, rates, gvals[i])
 
     def boundary_radiance(self, points: np.ndarray, normals: np.ndarray,
                           angular: AngularGrid | None = None,
@@ -762,47 +697,16 @@ class Solution:
         Incoming directions carry the boundary source; outgoing directions
         integrate the formal solution along the full chord.
         """
-        grid, sgrid = self.grids.spatial, self.grids.spectral
         ang = self.diagnostic_angular(angular)
-        S = points.shape[0]
-        A, J = ang.n_nodes, sgrid.n_nodes
-        out = np.empty((S, A, J))
-        gvals = self.source.evaluate(ang.nodes, sgrid.nodes)
-        if ray_h is None:
-            ray_h = self.grids.ray_h or geometry.diameter(self.domain) / 128.0
-        for i in range(A):
-            n = ang.nodes[i]
-            mu = normals @ n
-            incoming = mu <= 0.0
-            out[incoming, i, :] = gvals[i]
-            idx = np.flatnonzero(~incoming)
-            if idx.size == 0:
-                continue
-            box, rates, post = self.source_box_for_angle(i, ang)
-            chords = geometry.boundary_chord(self.domain, points[idx], n)
-            contrib = _chord_integrals(grid, box, points[idx], chords, n, rates, ray_h)
-            out[idx, i, :] = np.exp(-np.outer(chords, rates)) * gvals[i] + contrib * post
+        out = np.empty((points.shape[0], ang.n_nodes, self.grids.spectral.n_nodes))
+        gvals = self.source.evaluate(ang.nodes, self.grids.spectral.nodes)
+        sweeper = RaySweeper(self.domain, self.grids.spatial, ang,
+                             ray_h if ray_h is not None else self.grids.ray_h)
+        for i in range(ang.n_nodes):
+            outgoing = normals @ ang.nodes[i] > 0.0
+            out[~outgoing, i, :] = gvals[i]
+            if np.any(outgoing):
+                box, rates = self.source_box_for_angle(i, ang)
+                out[outgoing, i, :] = sweeper.chord_radiance(i, points[outgoing], box, rates,
+                                                             gvals[i])
         return out
-
-
-def _chord_integrals(grid, box, end_points, lengths, direction, rates, ray_h):
-    """integral_0^L e^{-rate (L - xi)} f(end - (L - xi) * direction) d xi."""
-    N = end_points.shape[0]
-    n_int = np.maximum(np.ceil(np.asarray(lengths) / ray_h).astype(int), 2)
-    n_int += n_int % 2
-    counts = n_int + 1
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    ray_of = np.repeat(np.arange(N), counts)
-    k = np.arange(int(np.sum(counts))) - starts[ray_of]
-    nn = n_int[ray_of]
-    L = np.asarray(lengths)[ray_of]
-    xi = L * (k / nn)
-    coeff = np.where((k == 0) | (k == nn), 1.0, np.where(k % 2 == 1, 4.0, 2.0))
-    base_w = coeff * L / (3.0 * nn)
-    pos = end_points[ray_of] - (L - xi)[:, None] * direction
-    vals = grid.sample(box, pos)
-    rates_arr = np.atleast_1d(np.asarray(rates, dtype=float))
-    att = np.exp(-np.outer(L - xi, rates_arr))
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    return np.add.reduceat(vals * att * base_w[:, None], starts, axis=0)

@@ -7,11 +7,14 @@ balance and used deliberately side by side:
   ``(beta/4pi) exp(-beta r)/r^2`` is tabulated as a stencil (with the
   integrable singularity replaced by its exact integral over the
   volume-equivalent ball) and applied with FFT convolutions;
-* a ray route: formal solutions are accumulated by marching along backward
-  rays with Simpson weights and trilinear interpolation of nodal fields.
+* a ray route: ``RaySweeper`` evaluates the formal solution
+  g e^{-beta s} + integral of the attenuated source along backward rays,
+  with Simpson weights and trilinear interpolation of nodal fields.  It is
+  the only code that does: per direction, over all directions at once, and
+  along boundary chords (rays that start on the boundary).
 
-Solvers iterate the convolution route; the ray route reconstructs radiance
-fields and serves as a consistency diagnostic.
+Solvers iterate the convolution route; the angular solvers, the oracle and
+the diagnostics sweep rays, and the ray route serves as a consistency check.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from scipy import fft as sfft
 
 from radbody import geometry, spectral
 from radbody.geometry import ConvexDomain
-from radbody.quadrature import AngularGrid, SpatialGrid, SpectralGrid, simpson_weights
+from radbody.quadrature import AngularGrid, SpatialGrid, SpectralGrid
 from radbody.spectral import AbsorptionProfile
 
 FOUR_PI = 4.0 * np.pi
@@ -416,53 +419,9 @@ def _node_index(grid: SpatialGrid, x) -> int:
     return int(pos)
 
 
-def grey_kernel_field(w_values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    """Unit-rate attenuated kernel applied to a nodal field (all nodes)."""
-    return attenuation_operator(grid, 1.0).apply(np.asarray(w_values, dtype=float))
-
-
-def apply_grey_kernel(w: ScalarField, x, grid: SpatialGrid) -> float:
-    """Unit-rate kernel sum at one node, self cell handled analytically."""
-    return float(grey_kernel_field(w.values, grid)[_node_index(grid, x)])
-
-
-def spectral_kernel_field(
-    w_values: np.ndarray,
-    grid: SpatialGrid,
-    profile: AbsorptionProfile,
-    spectral_grid: SpectralGrid,
-    T_guess: np.ndarray | None = None,
-) -> np.ndarray:
-    """(1/4pi) * integral of the frequency-summed kernel against f(T) data."""
-    w_values = np.asarray(w_values, dtype=float)
-    T = spectral.invert_emission_many(profile, w_values, spectral_grid, t_guess=T_guess)
-    alphas = profile(spectral_grid.nodes)
-    B = spectral.planck(spectral_grid.nodes, T[:, None])  # (M, J)
-    return apply_attenuation_batch(grid, alphas, B.T, weights=spectral_grid.weights * alphas)
-
-
-def apply_spectral_kernel(
-    w: ScalarField, x, profile: AbsorptionProfile, grid: SpatialGrid, spectral_grid: SpectralGrid
-) -> float:
-    return float(spectral_kernel_field(w.values, grid, profile, spectral_grid)[_node_index(grid, x)])
-
-
 # ---------------------------------------------------------------------------
 # Boundary attenuation terms
 # ---------------------------------------------------------------------------
-
-
-def neg_div_S(domain: ConvexDomain, x, g: BoundarySource, profile: AbsorptionProfile,
-              angular: AngularGrid, spectral_grid: SpectralGrid) -> float:
-    """Divergence sink of the boundary term: quadrature of
-    alpha_nu g_nu(n) exp(-alpha_nu s(x, n)) over directions and frequencies.
-    """
-    x = np.asarray(x, dtype=float).reshape(3)
-    s = geometry.exit_lengths(domain, x, angular.nodes)  # (A,)
-    alphas = profile(spectral_grid.nodes)  # (J,)
-    gvals = g.evaluate(angular.nodes, spectral_grid.nodes)  # (A, J)
-    att = np.exp(-np.outer(s, alphas))
-    return float(np.einsum("j,j,ij,i->", spectral_grid.weights, alphas, gvals * att, angular.weights))
 
 
 def boundary_attenuation_nodes(
@@ -505,13 +464,19 @@ def boundary_attenuation_nodes(
 
 
 class RaySweeper:
-    """Backward-ray line integrals from every node, one direction at a time.
+    """Formal solutions of the transfer equation along backward rays.
 
-    For direction n and node x the geometry is the entry point y = x - s n
-    and uniform Simpson nodes xi on [0, s]; sources are sampled by trilinear
-    interpolation of box arrays.  Rays are static across iterations, so the
-    interpolation design per direction (corner indices, fractions, weights)
-    is cached up to a memory budget.
+    A ray ending at x (a node, or a boundary point for a chord) in direction
+    n enters the body at y = x - s n, and the radiance there is
+
+        I(x, n) = g e^{-rate s} + integral_0^s e^{-rate (s - xi)} source(y + xi n) dxi,
+
+    one value per channel with its own decay rate.  The integral uses
+    uniform Simpson nodes xi on [0, s]; sources are box arrays read through
+    the grid's trilinear sampling operator.  Rays from the nodes are static
+    across iterations, so their design per direction (path lengths, Simpson
+    weights, depths and the sampling operator at the samples) is cached up
+    to a memory budget.
     """
 
     def __init__(self, domain: ConvexDomain, grid: SpatialGrid, angular: AngularGrid,
@@ -524,120 +489,123 @@ class RaySweeper:
         self._cache_budget = int(cache_bytes)
         self._cache_used = 0
 
+    def path_lengths(self, i: int) -> np.ndarray:
+        """Backward path length s(x, n_i) to the boundary from every node, (M,)."""
+        return geometry.exit_lengths(self.domain, self.grid.centers, self.angular.nodes[i])
+
     def _design(self, i: int):
         cached = self._cache.get(i)
         if cached is not None:
             return cached
-        grid = self.grid
-        n = self.angular.nodes[i]
-        s = geometry.exit_lengths(self.domain, grid.centers, n)  # (M,)
+        design = self._ray_design(self.grid.centers, self.path_lengths(i), self.angular.nodes[i])
+        s, starts, G, base_w, depth = design
+        nbytes = sum(a.nbytes for a in (s, starts, G.data, G.indices, G.indptr, base_w, depth))
+        if self._cache_used + nbytes <= self._cache_budget:
+            self._cache[i] = design
+            self._cache_used += nbytes
+        return design
+
+    def _ray_design(self, end_points: np.ndarray, s: np.ndarray, direction: np.ndarray):
+        """Simpson samples of the rays of lengths ``s`` ending at ``end_points``.
+
+        Returns ``(s, starts, G, base_w, depth)``: the lengths, the first
+        sample of each ray, the trilinear sampling operator at the samples,
+        and per sample its Simpson weight and distance to the ray's end.
+        """
         n_int = np.maximum(np.ceil(s / self.ray_h).astype(int), 2)
         n_int += n_int % 2
         counts = n_int + 1
         starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
         total = int(np.sum(counts))
-        node_of = np.repeat(np.arange(grid.n_nodes), counts)
-        k = np.arange(total) - starts[node_of]
-        nn = n_int[node_of]
-        xi = s[node_of] * (k / nn)
+        ray_of = np.repeat(np.arange(s.size), counts)
+        k = np.arange(total) - starts[ray_of]
+        nn = n_int[ray_of]
+        xi = s[ray_of] * (k / nn)
         # Composite Simpson coefficients 1,4,2,...,4,1 scaled by s/(3n).
         coeff = np.where((k == 0) | (k == nn), 1.0, np.where(k % 2 == 1, 4.0, 2.0))
-        base_w = coeff * s[node_of] / (3.0 * nn)
-        depth = s[node_of] - xi
-        pos = grid.centers[node_of] - depth[:, None] * n
-        # Trilinear design: flat corner index plus axis fractions.
-        shape = np.array(grid.box_shape)
-        f = np.clip((pos - grid.origin) / grid.h, 0.0, shape - 1.0)
-        i0 = np.minimum(f.astype(np.int64), shape - 2)
-        t = (f - i0).astype(np.float64)
-        ny, nz = grid.box_shape[1], grid.box_shape[2]
-        flat = ((i0[:, 0] * ny + i0[:, 1]) * nz + i0[:, 2]).astype(np.int64)
-        design = (s, starts, flat, t, base_w, depth)
-        nbytes = sum(a.nbytes for a in design)
-        if self._cache_used + nbytes <= self._cache_budget:
-            self._cache[i] = design
-            self._cache_used += nbytes
-        return design
+        base_w = coeff * s[ray_of] / (3.0 * nn)
+        depth = s[ray_of] - xi
+        pos = end_points[ray_of] - depth[:, None] * direction
+        return s, starts, self.grid.sample(pos), base_w, depth
+
+    def _integrate(self, design, box: np.ndarray, rates):
+        """Per-ray integral of exp(-rate depth) * source over the design's samples.
+
+        The sweep is linear in the box: for each distinct rate u it is the
+        sparse (rays, N_box) matrix  W_u = R diag(base_w e^{-u depth}) G,  with
+        G the trilinear sampling operator at the ray samples and R the sum
+        over each ray's samples.  W_u keeps G's column indices and entries,
+        scaled per sample, under a row pointer per ray; CSR sums the
+        repeated corner columns in the product.
+        """
+        from scipy import sparse
+
+        s, starts, G, base_w, depth = design
+        n_box = G.shape[1]
+        indptr = (8 * np.append(starts, base_w.size)).astype(G.indices.dtype)
+        corner_w = G.data.reshape(-1, 8)
+        flat_box = box.reshape(n_box, -1)
+        rates_arr = np.broadcast_to(np.asarray(rates, dtype=float), flat_box.shape[1:])
+        contrib = np.empty((s.size, flat_box.shape[1]))
+        for u in np.unique(rates_arr):
+            data = (corner_w * (base_w * np.exp(-u * depth))[:, None]).reshape(-1)
+            W_u = sparse.csr_matrix((data, G.indices, indptr), shape=(s.size, n_box))
+            sel = rates_arr == u
+            contrib[:, sel] = W_u @ flat_box[:, sel]
+        if np.isscalar(rates) or np.asarray(rates).ndim == 0:
+            return contrib[:, 0]
+        return contrib
 
     def line_integrals(self, i: int, box: np.ndarray, rates: np.ndarray):
         """Per-node integral of exp(-rate (s - xi)) * source(xi) per channel.
 
         ``box`` has shape (nx, ny, nz) or (nx, ny, nz, C); ``rates`` has one
         decay rate per channel.  Returns ``(values (M, C) or (M,), s (M,))``.
-
-        The sweep is linear in the box: for each distinct rate u it is the
-        sparse (M, N_box) matrix  W_u = R diag(base_w e^{-u depth}) G,  with
-        G the trilinear interpolation onto the ray samples and R the sum
-        over each node's samples.  Rows of W_u are the node's samples times
-        their 8 corners; CSR sums the repeated corner columns in the product.
         """
-        from scipy import sparse
+        design = self._design(i)
+        return self._integrate(design, box, rates), design[0]
 
-        s, starts, flat, t, base_w, depth = self._design(i)
-        ny, nz = self.grid.box_shape[1], self.grid.box_shape[2]
-        n_box = int(np.prod(self.grid.box_shape))
-        # Corner (dx, dy, dz) in {0, 1}^3, numbered 4 dx + 2 dy + dz, has flat
-        # offset dx ny nz + dy nz + dz and weight prod over axes of t or 1 - t.
-        d = np.arange(2)
-        offsets = (d[:, None, None] * (ny * nz) + d[None, :, None] * nz + d).reshape(-1)
-        index_dtype = np.int32 if max(n_box, 8 * flat.size) < 2**31 else np.int64
-        indices = (flat[:, None] + offsets).astype(index_dtype).reshape(-1)
-        indptr = (8 * np.append(starts, flat.size)).astype(index_dtype)
-        # Built as (8, P) so every product runs over contiguous samples.
-        tt = np.stack([1.0 - t.T, t.T])  # (2, 3, P)
-        corner_w = (tt[:, None, None, 0] * tt[None, :, None, 1]
-                    * tt[None, None, :, 2]).reshape(8, -1).T  # (P, 8)
+    def radiance(self, i: int, box: np.ndarray, rates: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Formal solution at every node for direction i, (M, C).
 
-        flat_box = box.reshape(n_box, -1)
-        rates_arr = np.broadcast_to(np.asarray(rates, dtype=float), flat_box.shape[1:])
-        contrib = np.empty((s.size, flat_box.shape[1]))
-        for u in np.unique(rates_arr):
-            data = (corner_w * (base_w * np.exp(-u * depth))[:, None]).reshape(-1)
-            W_u = sparse.csr_matrix((data, indices, indptr), shape=(s.size, n_box))
-            sel = rates_arr == u
-            contrib[:, sel] = W_u @ flat_box[:, sel]
-        if np.isscalar(rates) or np.asarray(rates).ndim == 0:
-            return contrib[:, 0], s
-        return contrib, s
+        ``g`` is the boundary radiance entering along the direction, one
+        value per channel; ``box`` holds the source.
+        """
+        contrib, s = self.line_integrals(i, box, rates)
+        return _attenuated(g, s, rates) + contrib
+
+    def sweep(self, Phi: np.ndarray, rates: np.ndarray, gvals: np.ndarray) -> np.ndarray:
+        """Formal solution for every direction, (M, A, J).
+
+        Direction i reads its source from ``Phi[:, i, :]`` (nodal values,
+        embedded into a box) and its boundary radiance from ``gvals[i]``.
+        """
+        out = np.empty(Phi.shape)
+        for i in range(self.angular.n_nodes):
+            out[:, i, :] = self.radiance(i, self.grid.embed(Phi[:, i, :]), rates, gvals[i])
+        return out
+
+    def boundary_term(self, rates: np.ndarray, gvals: np.ndarray) -> np.ndarray:
+        """Formal solution without sources, g_i e^{-rate s}, for every direction, (M, A, J)."""
+        return np.stack([_attenuated(gvals[i], self.path_lengths(i), rates)
+                         for i in range(self.angular.n_nodes)], axis=1)
+
+    def chord_radiance(self, i: int, points: np.ndarray, box: np.ndarray,
+                       rates: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Formal solution at boundary points where direction i leaves the body.
+
+        Each ray starts on the boundary and spans the full chord ending at
+        its point; returns (points, C).
+        """
+        n = self.angular.nodes[i]
+        chords = geometry.boundary_chord(self.domain, points, n)
+        contrib = self._integrate(self._ray_design(points, chords, n), box, rates)
+        return _attenuated(g, chords, rates) + contrib
 
 
-def formal_solution_absorption(
-    domain: ConvexDomain,
-    grid: SpatialGrid,
-    x,
-    n,
-    nu: float,
-    T_field: ScalarField,
-    g: BoundarySource,
-    profile: AbsorptionProfile,
-    ray_h: float | None = None,
-) -> float:
-    """Radiance at (x, n, nu) from the formal solution with emission only:
-
-    g exp(-alpha s) + alpha * integral_0^s exp(-alpha (s - xi)) B(T(ray)) dxi,
-
-    with T along the ray taken from trilinear interpolation of the nodal
-    temperatures (clamped to the node hull near the boundary).
-    """
-    x = np.asarray(x, dtype=float).reshape(3)
-    n = np.asarray(n, dtype=float).reshape(3)
-    hit = geometry.backward_exit(domain, x, n)
-    alpha = float(profile(nu))
-    gval = float(g.evaluate(n[None, :], np.array([nu]))[0, 0])
-    if ray_h is None:
-        ray_h = geometry.diameter(domain) / 128.0
-    n_steps = max(2, int(np.ceil(hit.path_length / ray_h)))
-    from radbody.quadrature import ray_nodes
-
-    xi, w = ray_nodes(hit, n_steps)
-    out = gval * np.exp(-alpha * hit.path_length)
-    if alpha > 0.0:
-        pts = hit.entry_point + xi[:, None] * n
-        box = grid.embed(np.asarray(T_field.values, dtype=float))
-        T_ray = grid.sample(box, pts)
-        B_ray = spectral.planck(np.full(xi.shape, nu), T_ray)
-        out += alpha * np.sum(w * np.exp(-alpha * (hit.path_length - xi)) * B_ray)
-    return float(out)
+def _attenuated(g, s: np.ndarray, rates) -> np.ndarray:
+    """Boundary radiance g carried a path s with decay rates: g e^{-rate s}."""
+    return np.exp(-np.outer(s, rates)) * g
 
 
 def flux(I: RadiationField, m: int, angular: AngularGrid, spectral_grid: SpectralGrid) -> np.ndarray:
@@ -796,9 +764,7 @@ def conservation_residual(
         gvals = g.evaluate(angular.nodes, nus)  # (A, J)
         absorbed = np.zeros(grid.n_nodes)
         for i in range(angular.n_nodes):
-            contrib, s = sweeper.line_integrals(i, boxes, beta)
-            att = np.exp(-np.outer(s, beta))
-            I_i = att * gvals[i] + contrib
+            I_i = sweeper.radiance(i, boxes, beta, gvals[i])
             absorbed += angular.weights[i] * np.sum(q * alphas_a * I_i, axis=1)
         rhs = absorbed / FOUR_PI
     else:

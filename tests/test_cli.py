@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from radbody import cli, spectral
+from radbody import cli, spectral, transport
 
 SIGMA = spectral.stefan_sigma()
 
@@ -195,7 +195,10 @@ def test_validate_passes(capsys):
 
 
 def test_validate_fault_injection(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_TEST_KERNEL_MASS_SCALE", 1.01)
+    # A kernel whose mass is 1 % too large must fail the normalization check.
+    row_mass = transport.AttenuationOperator.row_mass
+    monkeypatch.setattr(transport.AttenuationOperator, "row_mass",
+                        lambda self: 1.01 * row_mass(self))
     assert cli.main(["validate"]) == 3
     out = capsys.readouterr().out
     assert "FAIL" in out and "kernel_normalization" in out

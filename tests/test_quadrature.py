@@ -1,21 +1,15 @@
 import numpy as np
 import pytest
 
-from radbody import geometry, quadrature, spectral
+from radbody import geometry, quadrature, spectral, transport
 from radbody.quadrature import (
     TooCoarse,
     build_angular,
     build_spatial,
     build_spectral,
-    ray_nodes,
 )
 
 SIGMA = spectral.stefan_sigma()
-
-
-class _Hit:
-    def __init__(self, s):
-        self.path_length = s
 
 
 def test_angular_weight_sum_and_symmetry():
@@ -91,19 +85,22 @@ def test_spatial_interior_and_bounds(unit_ball):
         build_spatial(unit_ball, 0.6)
 
 
-def test_ray_nodes_examples():
-    # near-zero path
-    xi, w = ray_nodes(_Hit(1e-9), 8)
-    assert np.sum(w * np.exp(-(1e-9 - xi))) <= 2e-9
-    # attenuation integral at the documented resolution
-    xi, w = ray_nodes(_Hit(1.0), 200)
-    val = np.sum(w * np.exp(-(1.0 - xi)))
-    assert abs(val - (1.0 - np.exp(-1.0))) <= 1e-6
-    # constants are exact
-    assert np.sum(w) * 3.0 == pytest.approx(3.0, abs=1e-10)
-    assert np.all(w > 0)
-    with pytest.raises(ValueError):
-        ray_nodes(_Hit(1.0), 1)
+def test_ray_nodes_examples(unit_ball):
+    # The Simpson ray rule of the sweeper, read through a constant box: the
+    # trilinear sampling of a constant is the constant.
+    grid = build_spatial(unit_ball, 0.25)
+    ang = build_angular(4, 8)
+    sweeper = transport.RaySweeper(unit_ball, grid, ang, ray_h=0.005)
+    box = np.ones(grid.box_shape)
+    for i in (0, 9, ang.n_nodes - 1):
+        s = sweeper.path_lengths(i)
+        # constants are exact
+        length, s_out = sweeper.line_integrals(i, box, 0.0)
+        assert np.array_equal(s_out, s)
+        np.testing.assert_allclose(length, s, rtol=1e-12, atol=0.0)
+        # attenuation integral at the documented resolution
+        att, _ = sweeper.line_integrals(i, box, 1.0)
+        assert np.max(np.abs(att - (1.0 - np.exp(-s)))) <= 1e-6
 
 
 def test_embed_and_sample(unit_ball):
@@ -114,13 +111,18 @@ def test_embed_and_sample(unit_ball):
     pts = rng.normal(size=(500, 3))
     pts = 0.999 * pts / np.linalg.norm(pts, axis=1, keepdims=True)
     pts *= rng.random((500, 1)) ** (1 / 3)
-    assert np.max(np.abs(g.sample(box, pts) - 7.0)) <= 1e-12
+    assert np.max(np.abs(g.sample(pts) @ box.reshape(-1) - 7.0)) <= 1e-12
     # linear fields are reproduced in the interior
     c = np.array([1.0, -2.0, 0.5])
     box = g.embed(g.centers @ c)
     inner = pts * 0.5
-    assert np.max(np.abs(g.sample(box, inner) - inner @ c)) <= 1e-12
-    # sampling at nodes returns node values exactly
-    vals = rng.random(g.n_nodes)
+    assert np.max(np.abs(g.sample(inner) @ box.reshape(-1) - inner @ c)) <= 1e-12
+    # sampling at nodes returns node values exactly, for every channel
+    vals = rng.random((g.n_nodes, 3))
     box = g.embed(vals)
-    assert np.max(np.abs(g.sample(box, g.centers) - vals)) <= 1e-12
+    assert np.max(np.abs(g.sample(g.centers) @ box.reshape(-1, 3) - vals)) <= 1e-12
+    # every row holds one cell's 8 corners with weights summing to one
+    op = g.sample(pts)
+    assert np.array_equal(op.indptr, 8 * np.arange(pts.shape[0] + 1))
+    assert np.all(op.data >= 0.0)
+    np.testing.assert_allclose(op.sum(axis=1).A.ravel(), 1.0, rtol=1e-14)

@@ -177,7 +177,7 @@ def test_combined_refuses_pure_scattering(unit_ball, eq_grids):
 def test_combined_equilibrium(unit_ball, eq_grids):
     med = MediumSpec(AbsorptionProfile.constant(1.0), AbsorptionProfile.constant(0.5))
     g = BoundarySource.equilibrium(1.0)
-    w, T, I, report = solvers.solve_combined(unit_ball, med, g, eq_grids, tol=1e-9)
+    w, T, I, report, _ = solvers.solve_combined(unit_ball, med, g, eq_grids, tol=1e-9)
     assert np.max(np.abs(T.values - 1.0)) <= 1e-6
     # the reconstructed radiance is the blackbody field
     B = spectral.planck(eq_grids.spectral.nodes, 1.0)
@@ -187,16 +187,16 @@ def test_combined_equilibrium(unit_ball, eq_grids):
 
 def test_combined_zero_boundary(unit_ball, eq_grids):
     med = MediumSpec(AbsorptionProfile.constant(0.3), AbsorptionProfile.constant(0.4))
-    w, T, I, report = solvers.solve_combined(unit_ball, med, BoundarySource.zero(),
-                                             eq_grids, tol=1e-10)
+    w, T, I, report, _ = solvers.solve_combined(unit_ball, med, BoundarySource.zero(),
+                                                eq_grids, tol=1e-10)
     assert np.max(np.abs(w.values)) == 0.0
 
 
 def test_combined_reduces_to_spectral(unit_ball, eq_grids, beam_source):
     prof = AbsorptionProfile.table([0.01, 1.0, 5.0, 20.0, 60.0], [1.2, 1.0, 0.5, 0.1, 0.02])
     med = MediumSpec(prof, AbsorptionProfile.constant(0.0))
-    w_c, T_c, _, _ = solvers.solve_combined(unit_ball, med, beam_source, eq_grids,
-                                            tol=1e-10, return_radiation=False)
+    w_c, T_c, _, _, _ = solvers.solve_combined(unit_ball, med, beam_source, eq_grids,
+                                               tol=1e-10, return_radiation=False)
     w_s, T_s, _ = solvers.solve_spectral(unit_ball, prof, beam_source, eq_grids, tol=1e-10)
     assert np.max(np.abs(T_c.values - T_s.values)) <= 1e-4
 
@@ -210,10 +210,10 @@ def test_combined_tabulated_isotropic_kernel_matches_fast_path(unit_ball):
     med_iso = MediumSpec(AbsorptionProfile.constant(1.0), AbsorptionProfile.constant(0.5))
     med_tab = MediumSpec(AbsorptionProfile.constant(1.0), AbsorptionProfile.constant(0.5),
                          kernel=(np.array([-1.0, 1.0]), np.array([1.0, 1.0])))
-    w_i, T_i, _, _ = solvers.solve_combined(unit_ball, med_iso, g, grids, tol=1e-10,
-                                            return_radiation=False)
-    w_t, T_t, _, _ = solvers.solve_combined(unit_ball, med_tab, g, grids, tol=1e-10,
-                                            return_radiation=False)
+    w_i, T_i, _, _, _ = solvers.solve_combined(unit_ball, med_iso, g, grids, tol=1e-10,
+                                               return_radiation=False)
+    w_t, T_t, _, _, _ = solvers.solve_combined(unit_ball, med_tab, g, grids, tol=1e-10,
+                                               return_radiation=False)
     assert np.max(np.abs(T_i.values - 1.0)) <= 1e-6
     assert np.max(np.abs(T_t.values - 1.0)) <= 1e-6
 

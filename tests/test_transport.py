@@ -18,14 +18,11 @@ from radbody.transport import (
     MediumSpec,
     RadiationField,
     ScalarField,
-    apply_grey_kernel,
-    apply_spectral_kernel,
+    RaySweeper,
+    apply_attenuation_batch,
     attenuation_operator,
+    boundary_attenuation_nodes,
     conservation_residual,
-    formal_solution_absorption,
-    grey_kernel_field,
-    neg_div_S,
-    spectral_kernel_field,
 )
 
 SIGMA = spectral.stefan_sigma()
@@ -87,44 +84,56 @@ def test_boundary_source_variants():
 # ---------------------------------------------------------------------------
 
 
+def _emission_radiance(domain, grid, ang, nu, T, g, alpha):
+    """Formal solution with emission only at every node and direction, (M, A)."""
+    sgrid = single_frequency_grid(nu)
+    box = grid.embed(alpha * spectral.planck(nu, T)[:, None])
+    gvals = g.evaluate(ang.nodes, sgrid.nodes)
+    sweeper = RaySweeper(domain, grid, ang)
+    rates = np.array([alpha])
+    return np.stack([sweeper.radiance(i, box, rates, gvals[i])[:, 0]
+                     for i in range(ang.n_nodes)], axis=1)
+
+
 def test_formal_solution_examples(unit_ball):
     grid = build_spatial(unit_ball, 0.125)
-    prof = AbsorptionProfile.constant(1.0)
-    zeroT = ScalarField(np.zeros(grid.n_nodes), "temperature")
-    val = formal_solution_absorption(unit_ball, grid, [0.2, 0.1, -0.3], [0, 0, 1.0],
-                                     1.0, zeroT, BoundarySource.zero(), prof)
-    assert val == 0.0
+    ang = build_angular(3, 6)
+    zeroT = np.zeros(grid.n_nodes)
+    val = _emission_radiance(unit_ball, grid, ang, 1.0, zeroT, BoundarySource.zero(), 1.0)
+    assert np.all(val == 0.0)
 
     # constant temperature with matching equilibrium boundary reproduces the
-    # blackbody radiance at every sampled state
+    # blackbody radiance at every node and direction
     T0 = 1.3
-    eqT = ScalarField(np.full(grid.n_nodes, T0), "temperature")
+    eqT = np.full(grid.n_nodes, T0)
     g = BoundarySource.equilibrium(T0)
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        x = rng.uniform(-0.4, 0.4, 3)
-        n = rng.normal(size=3)
-        n /= np.linalg.norm(n)
-        nu = rng.uniform(0.3, 5.0)
-        val = formal_solution_absorption(unit_ball, grid, x, n, nu, eqT, g, prof)
-        assert val == pytest.approx(spectral.planck(nu, T0), rel=1e-8)
+    for nu in np.random.default_rng(8).uniform(0.3, 5.0, 4):
+        val = _emission_radiance(unit_ball, grid, ang, nu, eqT, g, 1.0)
+        np.testing.assert_allclose(val, spectral.planck(nu, T0), rtol=1e-8, atol=0.0)
 
     # transparent limit returns the boundary radiance
-    g3 = BoundarySource.constant(3.0)
-    val = formal_solution_absorption(unit_ball, grid, [0.0, 0.0, 0.0], [1.0, 0, 0],
-                                     1.0, eqT, g3, AbsorptionProfile.constant(0.0))
-    assert val == pytest.approx(3.0, abs=1e-14)
+    val = _emission_radiance(unit_ball, grid, ang, 1.0, eqT, BoundarySource.constant(3.0), 0.0)
+    np.testing.assert_allclose(val, 3.0, rtol=0.0, atol=1e-14)
+
+
+def _boundary_sink(domain, grid, g, prof, ang, sgrid):
+    """Divergence sink of the boundary term at every node: the quadrature of
+    alpha_nu g_nu(n) exp(-alpha_nu s(x, n)) over directions and frequencies."""
+    alphas = prof(sgrid.nodes)
+    b = boundary_attenuation_nodes(domain, grid, g, alphas, ang, sgrid)
+    return transport.FOUR_PI * b @ (sgrid.weights * alphas)
 
 
 def test_neg_div_S_examples(unit_ball):
     ang = build_angular(8, 16)
     sgrid = build_spectral(1.0, 64)
     prof = AbsorptionProfile.constant(1.0)
-    assert neg_div_S(unit_ball, [0.1, 0.0, 0.0], BoundarySource.zero(), prof, ang, sgrid) == 0.0
+    grid = build_spatial(unit_ball, 0.25)
+    assert np.all(_boundary_sink(unit_ball, grid, BoundarySource.zero(), prof, ang, sgrid) == 0.0)
     # center of the unit ball with blackbody inflow: 4 pi sigma / e
-    val = neg_div_S(unit_ball, [0.0, 0.0, 0.0], BoundarySource.equilibrium(1.0),
-                    prof, ang, sgrid)
-    assert val == pytest.approx(60.041787000677478, rel=1e-6)
+    val = _boundary_sink(unit_ball, grid, BoundarySource.equilibrium(1.0), prof, ang, sgrid)
+    center = transport._node_index(grid, [0.0, 0.0, 0.0])
+    assert val[center] == pytest.approx(60.041787000677478, rel=1e-6)
 
 
 def test_neg_div_S_positivity(unit_ball):
@@ -132,12 +141,8 @@ def test_neg_div_S_positivity(unit_ball):
     sgrid = build_spectral(1.0, 16)
     prof = AbsorptionProfile.constant(0.7)
     g = BoundarySource.constant(0.2)
-    rng = np.random.default_rng(12)
-    from conftest import random_interior
-
-    pts = random_interior(unit_ball, rng, 1000, margin=0.01)
-    vals = [neg_div_S(unit_ball, p, g, prof, ang, sgrid) for p in pts[:50]]
-    assert min(vals) > 0.0
+    grid = build_spatial(unit_ball, 0.1)
+    assert np.min(_boundary_sink(unit_ball, grid, g, prof, ang, sgrid)) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -147,17 +152,15 @@ def test_neg_div_S_positivity(unit_ball):
 
 def test_grey_kernel_examples(unit_ball):
     grid = build_spatial(unit_ball, 0.125)
-    zero = ScalarField(np.zeros(grid.n_nodes))
-    center = grid.centers[np.argmin(np.linalg.norm(grid.centers, axis=1))]
-    assert apply_grey_kernel(zero, center, grid) == 0.0
+    center = transport._node_index(grid, [0.0, 0.0, 0.0])
+    assert attenuation_operator(grid, 1.0).apply(np.zeros(grid.n_nodes))[center] == 0.0
 
     # w = 1 on a large ball approaches 1 - e^{-R} at the center
     ball5 = ConvexDomain.ball([0, 0, 0], 5.0)
     g5 = build_spatial(ball5, 0.2)
-    ones = ScalarField(np.ones(g5.n_nodes))
-    val = apply_grey_kernel(ones, [0.0, 0.0, 0.0], g5)
+    field = attenuation_operator(g5, 1.0).apply(np.ones(g5.n_nodes))
+    val = field[transport._node_index(g5, [0.0, 0.0, 0.0])]
     assert val == pytest.approx(1.0 - np.exp(-5.0), abs=2e-2)
-    field = grey_kernel_field(np.ones(g5.n_nodes), g5)
     assert np.max(field) < 1.0
 
 
@@ -249,25 +252,33 @@ def test_batch_weights_equal_weighted_channel_sum(ellipsoid_211):
     assert np.max(np.abs(fused - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
-def _gather_line_integrals_reference(sweeper, i, box, rates):
-    """The eight-gather trilinear sweep that the sparse operators replaced."""
-    s, starts, flat, t, base_w, depth = sweeper._design(i)
-    ny, nz = sweeper.grid.box_shape[1], sweeper.grid.box_shape[2]
-    multi = box.ndim == 4
-    flat_box = box.reshape(-1, box.shape[3]) if multi else box.reshape(-1)
+def _sample_reference(grid, box, points):
+    """Eight-gather trilinear interpolation of a box array, clamped to the hull."""
+    n = np.array(grid.box_shape)
+    f = np.clip((points - grid.origin) / grid.h, 0.0, n - 1.0)
+    i0 = np.minimum(f.astype(int), n - 2)
+    t = f - i0
+    ix, iy, iz = i0[:, 0], i0[:, 1], i0[:, 2]
     tx, ty, tz = t[:, 0], t[:, 1], t[:, 2]
-    if multi:
+    if box.ndim == 4:
         tx, ty, tz = tx[:, None], ty[:, None], tz[:, None]
 
-    def gather(offset):
-        return flat_box[flat + offset]
+    def g(dx, dy, dz):
+        return box[ix + dx, iy + dy, iz + dz]
 
-    c00 = gather(0) * (1 - tz) + gather(1) * tz
-    c01 = gather(nz) * (1 - tz) + gather(nz + 1) * tz
-    c10 = gather(ny * nz) * (1 - tz) + gather(ny * nz + 1) * tz
-    c11 = gather(ny * nz + nz) * (1 - tz) + gather(ny * nz + nz + 1) * tz
-    vals = ((c00 * (1 - ty) + c01 * ty) * (1 - tx)
-            + (c10 * (1 - ty) + c11 * ty) * tx)
+    c00 = g(0, 0, 0) * (1 - tz) + g(0, 0, 1) * tz
+    c01 = g(0, 1, 0) * (1 - tz) + g(0, 1, 1) * tz
+    c10 = g(1, 0, 0) * (1 - tz) + g(1, 0, 1) * tz
+    c11 = g(1, 1, 0) * (1 - tz) + g(1, 1, 1) * tz
+    return (c00 * (1 - ty) + c01 * ty) * (1 - tx) + (c10 * (1 - ty) + c11 * ty) * tx
+
+
+def _gather_line_integrals_reference(sweeper, i, box, rates):
+    """The eight-gather trilinear sweep that the sparse operators replaced."""
+    s, starts, _, base_w, depth = sweeper._design(i)
+    ray_of = np.repeat(np.arange(s.size), np.diff(np.append(starts, depth.size)))
+    pos = sweeper.grid.centers[ray_of] - depth[:, None] * sweeper.angular.nodes[i]
+    vals = _sample_reference(sweeper.grid, box, pos)
     rates_arr = np.atleast_1d(np.asarray(rates, dtype=float))
     uniq, inv = np.unique(rates_arr, return_inverse=True)
     att = np.exp(-np.outer(depth, uniq))[:, inv]
@@ -304,26 +315,93 @@ def test_line_integrals_match_gather_reference(unit_ball, ellipsoid_211):
                 np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
 
 
+def test_sweep_matches_direction_loop(unit_ball, ellipsoid_211):
+    rng = np.random.default_rng(17)
+    ang = build_angular(4, 8)
+    rates = np.array([0.4, 1.3, 1.3])
+    for domain in (unit_ball, ellipsoid_211):
+        grid = build_spatial(domain, 0.25)
+        sweeper = RaySweeper(domain, grid, ang, ray_h=0.1)
+        Phi = rng.random((grid.n_nodes, ang.n_nodes, rates.size))
+        gvals = rng.random((ang.n_nodes, rates.size))
+        got = sweeper.sweep(Phi, rates, gvals)
+        for i in range(ang.n_nodes):
+            contrib, s = sweeper.line_integrals(i, grid.embed(Phi[:, i, :]), rates)
+            assert np.array_equal(got[:, i, :], np.exp(-np.outer(s, rates)) * gvals[i] + contrib)
+        # without sources only the boundary term remains
+        assert np.array_equal(sweeper.sweep(np.zeros_like(Phi), rates, gvals),
+                              sweeper.boundary_term(rates, gvals))
+
+
+def _chord_integrals_reference(grid, box, end_points, lengths, direction, rates, ray_h):
+    """The chord integrator that chord_radiance replaced: its own Simpson
+    rule, gathers and reduceat over integral_0^L e^{-rate (L - xi)} f dxi."""
+    N = end_points.shape[0]
+    n_int = np.maximum(np.ceil(np.asarray(lengths) / ray_h).astype(int), 2)
+    n_int += n_int % 2
+    counts = n_int + 1
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    ray_of = np.repeat(np.arange(N), counts)
+    k = np.arange(int(np.sum(counts))) - starts[ray_of]
+    nn = n_int[ray_of]
+    L = np.asarray(lengths)[ray_of]
+    xi = L * (k / nn)
+    coeff = np.where((k == 0) | (k == nn), 1.0, np.where(k % 2 == 1, 4.0, 2.0))
+    base_w = coeff * L / (3.0 * nn)
+    pos = end_points[ray_of] - (L - xi)[:, None] * direction
+    vals = _sample_reference(grid, box, pos)
+    att = np.exp(-np.outer(L - xi, rates))
+    return np.add.reduceat(vals * att * base_w[:, None], starts, axis=0)
+
+
+def test_chord_radiance_matches_reference(unit_ball, ellipsoid_211):
+    # Boundary chords are rays that start on the boundary: same samples and
+    # weights as the old chord integrator, summed by the sparse operator.
+    rng = np.random.default_rng(13)
+    ang = build_angular(4, 8)
+    rates = np.array([0.7, 2.0, 0.7, 0.0])
+    for domain in (unit_ball, ellipsoid_211):
+        grid = build_spatial(domain, 0.25)
+        sweeper = RaySweeper(domain, grid, ang, ray_h=0.1)
+        pts, _, normals = geometry.surface_quadrature(domain, ang.nodes, ang.weights)
+        box = grid.embed(rng.random((grid.n_nodes, rates.size)))
+        g = rng.random(rates.size)
+        for i in range(ang.n_nodes):
+            n = ang.nodes[i]
+            out = normals @ n > 0.0
+            chords = geometry.boundary_chord(domain, pts[out], n)
+            ref = (np.exp(-np.outer(chords, rates)) * g
+                   + _chord_integrals_reference(grid, box, pts[out], chords, n, rates, 0.1))
+            got = sweeper.chord_radiance(i, pts[out], box, rates, g)
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+
+
 def test_positivity_preservation(unit_ball):
     grid = build_spatial(unit_ball, 0.15)
     rng = np.random.default_rng(4)
     w = rng.random(grid.n_nodes)
-    assert np.min(grey_kernel_field(w, grid)) >= 0.0
+    assert np.min(attenuation_operator(grid, 1.0).apply(w)) >= 0.0
+
+
+def _spectral_kernel(w, grid, prof, sgrid):
+    """Frequency-summed kernel term sum_j q_j alpha_j conv_j(B_j(T)) at w = f(T)."""
+    T = spectral.invert_emission_many(prof, w, sgrid)
+    alphas = prof(sgrid.nodes)
+    B = spectral.planck(sgrid.nodes, T[:, None])
+    return apply_attenuation_batch(grid, alphas, B.T, weights=sgrid.weights * alphas)
 
 
 def test_spectral_kernel_examples(unit_ball):
     grid = build_spatial(unit_ball, 0.2)
     sgrid = build_spectral(1.0, 24)
     prof = AbsorptionProfile.table([0.1, 10.0, 50.0], [1.0, 0.6, 0.2])
-    zero = ScalarField(np.zeros(grid.n_nodes))
-    center = grid.centers[np.argmin(np.linalg.norm(grid.centers, axis=1))]
-    assert apply_spectral_kernel(zero, center, prof, grid, sgrid) == 0.0
+    center = transport._node_index(grid, [0.0, 0.0, 0.0])
+    assert _spectral_kernel(np.zeros(grid.n_nodes), grid, prof, sgrid)[center] == 0.0
 
     # constant w: the result stays strictly below w (kernel mass bound)
     T0 = 1.2
     w0 = spectral.emission_integral(prof, T0, sgrid)
-    const = ScalarField(np.full(grid.n_nodes, w0))
-    val = apply_spectral_kernel(const, center, prof, grid, sgrid)
+    val = _spectral_kernel(np.full(grid.n_nodes, w0), grid, prof, sgrid)[center]
     assert 0.0 < val < w0
 
 
@@ -337,9 +415,9 @@ def test_spectral_kernel_reduces_to_grey(unit_ball):
     rng = np.random.default_rng(9)
     T = rng.uniform(0.5, 1.5, grid.n_nodes)
     w = spectral.emission_integral(prof, T, sgrid)
-    lhs = spectral_kernel_field(w, grid, prof, sgrid)
+    lhs = _spectral_kernel(w, grid, prof, sgrid)
     a_field = np.sum(sgrid.weights * spectral.planck(sgrid.nodes, T[:, None]), axis=1)
-    rhs = alpha0 * grey_kernel_field(a_field, scaled_spatial(grid, alpha0))
+    rhs = alpha0 * attenuation_operator(scaled_spatial(grid, alpha0), 1.0).apply(a_field)
     assert np.max(np.abs(lhs - rhs)) <= 1e-6 * np.max(np.abs(rhs))
 
 
