@@ -30,6 +30,11 @@ from radbody.transport import FOUR_PI, BoundarySource, MediumSpec
 
 DUMP_MAGIC = b"RBFLD001"
 
+# The emission cut off above the spectral grid, bounded by
+# spectral.emission_tail_bound at the hottest node, must stay below this
+# fraction of f(T) there; the README promises it for temperatures up to t_ref.
+SPECTRAL_TAIL_LIMIT = 1e-8
+
 
 class ConfigInvalid(ValueError):
     """Configuration rejected; the message names the offending key."""
@@ -307,6 +312,22 @@ def _node_residual(sol: Solution) -> np.ndarray:
     return FOUR_PI * (B @ qa) - np.einsum("i,mij->mj", ang.weights, I_new) @ qa
 
 
+def _spectral_tail(sol: Solution) -> dict | None:
+    """The truncated emission tail at the hottest node, relative to f(T) there.
+
+    None for scattering runs, which determine no temperature.
+    """
+    if sol.T is None:
+        return None
+    t_max = float(np.max(sol.T.values))
+    relative = 0.0
+    if t_max > 0.0:
+        absorption, sgrid = sol.medium.absorption, sol.grids.spectral
+        tail = spectral.emission_tail_bound(absorption.max_value(), sgrid.nu_max, t_max)
+        relative = tail / spectral.emission_integral(absorption, t_max, sgrid)
+    return {"t_max": t_max, "relative_tail": float(relative), "limit": SPECTRAL_TAIL_LIMIT}
+
+
 def write_node_table(path: str, sol: Solution):
     grids = sol.grids
     centers = grids.spatial.centers
@@ -425,10 +446,12 @@ def cmd_solve(args) -> int:
     ent_report = None
     if cfg["output"].get("entropy", True):
         ent_report = entropy_mod.solution_entropy_report(sol)
+    tail = _spectral_tail(sol)
     report = {
         "config": cfg,
         "solver_report": sol.report.as_dict(),
         "entropy_report": ent_report.as_dict() if ent_report else None,
+        "spectral_truncation": tail,
         "n_nodes": sol.grids.spatial.n_nodes,
         "n_angles": sol.grids.angular.n_nodes,
         "n_frequencies": sol.grids.spectral.n_nodes,
@@ -439,6 +462,12 @@ def cmd_solve(args) -> int:
         write_field_dump(os.path.join(outdir, "solution.rbf"), sol, cfg)
     if not args.quiet:
         print(f"[radbody] wrote {outdir}/nodes.csv and {outdir}/report.json")
+    if tail is not None and tail["relative_tail"] > SPECTRAL_TAIL_LIMIT:
+        print(f"error: the emission cut off above nu_max = {sol.grids.spectral.nu_max:g} at "
+              f"the hottest node (T = {tail['t_max']:.6g}) is {tail['relative_tail']:.3g} of "
+              f"f(T), above {SPECTRAL_TAIL_LIMIT:g}; raise 'grids.spectral.t_ref' to at least "
+              f"the largest temperature", file=sys.stderr)
+        return 2
     return 0 if sol.report.status == "converged" else 2
 
 

@@ -64,12 +64,14 @@ def entropy_density(nu, I):
     return out
 
 
-def production_density(nu, T, I, kappa):
+def production_density(nu, T, I, kappa, B_T=None):
     """Local entropy production kappa (1/T_nu - 1/T)(B(T) - B(T_nu)) >= 0.
 
     Both factors share their sign, so the product is nonnegative up to
     rounding; it vanishes exactly when the radiance is the local blackbody
     value.  T = 0 is admitted only together with I = 0 (zero production).
+    ``B_T``, if given, is ``planck(nu, T)`` evaluated beforehand, so that
+    callers sweeping many radiances at one temperature field compute it once.
     """
     nu_arr = np.asarray(nu, dtype=float)
     T_arr = np.asarray(T, dtype=float)
@@ -80,7 +82,10 @@ def production_density(nu, T, I, kappa):
     Tnu = spectral.brightness_temperature(nu_b, I_b)
     live = (T_b > 0.0) & (Tnu > 0.0)
     if np.any(live):
-        BT = spectral.planck(nu_b[live], T_b[live])
+        if B_T is None:
+            BT = spectral.planck(nu_b[live], T_b[live])
+        else:
+            BT = np.broadcast_to(B_T, nu_b.shape)[live]
         Bnu = spectral.planck(nu_b[live], Tnu[live])
         out[live] = k_b[live] * (1.0 / Tnu[live] - 1.0 / T_b[live]) * (BT - Bnu)
     # Emission into exact vacuum (I = 0, T > 0): the limit diverges.
@@ -136,20 +141,20 @@ def solution_entropy_report(solution, diag_angular=None, diag_ray_h=None,
     residual_term = 0.0
     if solution.T is not None and np.max(alphas_a) > 0.0:
         T = solution.T.values
+        B = spectral.planck(sgrid.nodes, T[:, None])  # (M, J), shared by every direction
         # One pass over the directions: a design cache would never be reread.
         sweeper = RaySweeper(solution.domain, grid, angular, diag_ray_h, cache_bytes=0)
         absorbed = np.zeros(grid.n_nodes)
         for i in range(angular.n_nodes):
             I_i = solution.interior_radiance(i, angular=angular, _sweeper=sweeper)
             dens = production_density(sgrid.nodes[None, :], T[:, None], I_i,
-                                      alphas_a[None, :])
+                                      alphas_a[None, :], B_T=B)
             min_pointwise = min(min_pointwise, float(np.min(dens)))
             production += angular.weights[i] * float(
                 np.sum(sgrid.weights * dens) * grid.cell_volume
             )
             absorbed += angular.weights[i] * (I_i @ (sgrid.weights * alphas_a))
-        emission = FOUR_PI * np.sum(sgrid.weights * alphas_a
-                                    * spectral.planck(sgrid.nodes, T[:, None]), axis=1)
+        emission = FOUR_PI * np.sum(sgrid.weights * alphas_a * B, axis=1)
         live = T > 0.0
         residual_term = float(
             np.sum((emission[live] - absorbed[live]) / T[live]) * grid.cell_volume

@@ -1,10 +1,12 @@
 """Fixed-point solvers for the four radiative regimes.
 
-All temperature solvers iterate monotone maps from zero initial data, so
-residuals decay monotonically; a violated decay aborts the run.  Convergence
-norms follow the contraction proofs: sup-over-position of the angular L1
-change for the scattering sweep, and the volume L1 norm for the temperature
-maps.
+The temperature solvers share one driver, ``_fixed_point``: Picard iteration
+of a monotone contraction from zero, accelerated by safeguarded Anderson
+mixing.  Every recorded residual is the true residual of the map, recomputed
+with the operator, so the recorded history decays monotonically; a Picard
+step that raises it aborts the run.  Convergence norms follow the
+contraction proofs: sup-over-position of the angular L1 change for the
+scattering sweep, and the volume L1 norm for the temperature maps.
 
 The combined regime is organized as a nested iteration: the outer loop
 updates the emission field w = f(T); each outer step solves the linear
@@ -78,8 +80,13 @@ class SolverReport:
     status: str = "converged"
     tolerance: float = 0.0
     norm: str = ""
-    truncation_terms: int | None = None
+    rejected_steps: int = 0
     extra: dict = field(default_factory=dict)
+
+    @property
+    def operator_applies(self) -> int:
+        """Evaluations of the map: every recorded iterate plus every rejected one."""
+        return self.iterations + self.rejected_steps
 
     def as_dict(self) -> dict:
         return {
@@ -91,7 +98,8 @@ class SolverReport:
             "status": self.status,
             "tolerance": float(self.tolerance),
             "norm": self.norm,
-            "truncation_terms": self.truncation_terms,
+            "operator_applies": self.operator_applies,
+            "rejected_steps": self.rejected_steps,
             "extra": self.extra,
         }
 
@@ -120,6 +128,58 @@ def _finish(report: SolverReport, converged: bool, t0: float):
     report.wall_time = time.perf_counter() - t0
     report.iterations = len(report.residual_history)
     report.status = "converged" if converged else "max_iter"
+
+
+# Anderson depth: the number of residual differences in the mixing.
+ANDERSON_DEPTH = 5
+
+
+def _fixed_point(step, x0, report: SolverReport, tol: float, max_iter: int,
+                 cell_volume: float, t0: float) -> np.ndarray:
+    """Solve x = step(x) for x >= 0; returns step(x*) at the accepted x*.
+
+    Picard iteration accelerated by Anderson mixing (Walker & Ni, SIAM J.
+    Numer. Anal. 49, 2011) over the last ``ANDERSON_DEPTH`` residual
+    differences, projected onto x >= 0.  Each residual |step(x) - x| (volume
+    L1) is computed with the operator.  A mixed iterate whose residual
+    exceeds the last accepted one is rejected unrecorded; the history is
+    cleared and the Picard step from the last accepted point is taken
+    instead, which must not raise the residual (``_push_residual``).  Stops
+    when the residual is at most ``tol`` times |step(x)|, or after
+    ``max_iter`` applications of ``step``, rejected ones included.
+    """
+    g, f = x0, None  # step(x) and step(x) - x at the last accepted x
+    G, F = [], []  # accepted (g, f) pairs, oldest first
+    applies = 0
+    converged = False
+    while applies < max_iter:
+        mixed = len(F) > 1
+        if mixed:
+            dF = np.diff(np.array(F), axis=0).T
+            gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
+            x_new = np.maximum(g - np.diff(np.array(G), axis=0).T @ gamma, 0.0)
+        else:
+            x_new = g
+        g_new = step(x_new)
+        applies += 1
+        f_new = g_new - x_new
+        change = float(np.sum(np.abs(f_new))) * cell_volume
+        if mixed and change > report.residual_history[-1]:
+            report.rejected_steps += 1
+            G.clear()
+            F.clear()
+            continue
+        scale = float(np.sum(np.abs(g_new))) * cell_volume
+        _push_residual(report, change, scale + 1e-300)
+        g, f = g_new, f_new
+        if change <= tol * max(scale, 1e-300):
+            converged = True
+            break
+        G.append(g)
+        F.append(f)
+        del G[:-ANDERSON_DEPTH - 1], F[:-ANDERSON_DEPTH - 1]
+    _finish(report, converged, t0)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -207,19 +267,9 @@ def solve_grey(
     if np.any(b < 0.0):
         raise NegativeSource("boundary sink term is negative at some node")
 
-    a = np.zeros(grid.n_nodes)
     report = SolverReport(tolerance=tol, norm="L1(Omega), relative")
-    converged = False
-    for _ in range(max_iter):
-        a_new = op.apply(a) + b
-        change = float(np.sum(np.abs(a_new - a))) * grid.cell_volume
-        scale = float(np.sum(np.abs(a_new))) * grid.cell_volume
-        a = a_new
-        _push_residual(report, change, scale + 1e-300)
-        if change <= tol * max(scale, 1e-300):
-            converged = True
-            break
-    _finish(report, converged, t0)
+    a = _fixed_point(lambda x: op.apply(x) + b, np.zeros(grid.n_nodes), report, tol,
+                     max_iter, grid.cell_volume, t0)
     report.conservation_norm = float(np.max(np.abs(FOUR_PI * (a - op.apply(a) - b))))
     T = (a / spectral.stefan_sigma()) ** 0.25
     return ScalarField(a, "sigma_T4"), ScalarField(T, "temperature"), report
@@ -263,26 +313,22 @@ def solve_spectral(
     theta = max((float(np.max(mass_fields[j])) for j in np.flatnonzero(live)), default=0.0)
     cap = float(np.max(b)) / max(1.0 - theta, 1e-12) * (1.0 + 1e-6) + 1e-300
 
-    w = np.zeros(grid.n_nodes)
     T = np.zeros(grid.n_nodes)
     report = SolverReport(tolerance=tol, norm="L1(Omega), relative",
                           extra={"kernel_row_mass_max": theta, "iterate_cap": cap})
-    converged = False
-    for _ in range(max_iter):
+
+    def step(w):
+        nonlocal T
         T = spectral.invert_emission_many(profile, w, sgrid, t_guess=T)
         B = spectral.planck(sgrid.nodes, T[:, None])  # (M, J)
         w_new = transport.apply_attenuation_batch(grid, alphas, B.T, weights=qa) + b
         if float(np.max(w_new)) > cap:
             report.status = "invariant_violation"
             raise CapExceeded(f"iterate max {np.max(w_new):.3e} exceeded bound {cap:.3e}")
-        change = float(np.sum(np.abs(w_new - w))) * grid.cell_volume
-        scale = float(np.sum(np.abs(w_new))) * grid.cell_volume
-        w = w_new
-        _push_residual(report, change, scale + 1e-300)
-        if change <= tol * max(scale, 1e-300):
-            converged = True
-            break
-    _finish(report, converged, t0)
+        return w_new
+
+    w = _fixed_point(step, np.zeros(grid.n_nodes), report, tol, max_iter,
+                     grid.cell_volume, t0)
     T = spectral.invert_emission_many(profile, w, sgrid, t_guess=T)
     report.conservation_norm = float(report.residual_history[-1]) if report.residual_history else 0.0
     return ScalarField(w, "f_of_T"), ScalarField(T, "temperature"), report
@@ -335,7 +381,6 @@ def solve_combined(
         raise NegativeSource("boundary term is negative at some node")
 
     M, J = grid.n_nodes, sgrid.n_nodes
-    w = np.zeros(M)
     T = np.zeros(M)
     report = SolverReport(tolerance=tol, norm="L1(Omega), relative")
     report.extra["certificate_bound"] = float(np.max(duhamel_theta(alphas_a, alphas_s,
@@ -345,9 +390,10 @@ def solve_combined(
     collapsed = medium.absorption.is_constant and medium.scattering.is_constant
     J0 = None if collapsed else np.zeros((M, J))
     U = np.zeros(M)
-    converged = False
     inner_tol = 1e-2
-    for _ in range(max_iter):
+
+    def step(w):
+        nonlocal T, J0, U, inner_tol
         T = spectral.invert_emission_many(medium.absorption, w, sgrid, t_guess=T)
         if collapsed:
             fT = spectral.emission_integral(medium.absorption, T, sgrid)
@@ -365,16 +411,10 @@ def solve_combined(
             w_new = (sgrid.weights * alphas_a) @ J0.T / FOUR_PI
         if inner_its >= inner_max_iter:
             raise InnerDiverged("inner transport solve hit its iteration cap")
-        change = float(np.sum(np.abs(w_new - w))) * grid.cell_volume
-        scale = float(np.sum(np.abs(w_new))) * grid.cell_volume
-        w = w_new
-        rel = change / max(scale, 1e-300)
-        inner_tol = max(min(0.05 * rel, 1e-2), 0.02 * tol)
-        _push_residual(report, change, scale + 1e-300)
-        if change <= tol * max(scale, 1e-300):
-            converged = True
-            break
-    _finish(report, converged, t0)
+        inner_tol = _inner_tolerance(w, w_new, tol)
+        return w_new
+
+    w = _fixed_point(step, np.zeros(M), report, tol, max_iter, grid.cell_volume, t0)
     T = spectral.invert_emission_many(medium.absorption, w, sgrid, t_guess=T)
     if J0 is None:
         # Recover the per-frequency mean intensities at the converged state
@@ -402,13 +442,13 @@ def _solve_combined_angular(domain, medium, g, grids, tol, max_iter, inner_max_i
     Kw = K * angular.weights[None, :]
     sweeper = RaySweeper(domain, grid, angular, grids.ray_h)
     gvals = g.evaluate(angular.nodes, sgrid.nodes)
-    w = np.zeros(grid.n_nodes)
     T = np.zeros(grid.n_nodes)
     I = sweeper.boundary_term(beta, gvals)
     report = SolverReport(tolerance=tol, norm="L1(Omega), relative")
-    converged = False
     inner_tol = 1e-2
-    for _ in range(max_iter):
+
+    def step(w):
+        nonlocal T, I, inner_tol
         T = spectral.invert_emission_many(medium.absorption, w, sgrid, t_guess=T)
         B = spectral.planck(sgrid.nodes, T[:, None])
         emit = alphas_a * B  # (M, J)
@@ -424,21 +464,22 @@ def _solve_combined_angular(domain, medium, g, grids, tol, max_iter, inner_max_i
             raise InnerDiverged("angular inner solve hit its iteration cap")
         absorbed = np.einsum("i,mij->mj", angular.weights, I)
         w_new = (sgrid.weights * alphas_a) @ absorbed.T / FOUR_PI
-        change = float(np.sum(np.abs(w_new - w))) * grid.cell_volume
-        scale = float(np.sum(np.abs(w_new))) * grid.cell_volume
-        w = w_new
-        rel = change / max(scale, 1e-300)
-        inner_tol = max(min(0.05 * rel, 1e-2), 0.02 * tol)
-        _push_residual(report, change, scale + 1e-300)
-        if change <= tol * max(scale, 1e-300):
-            converged = True
-            break
-    _finish(report, converged, t0)
+        inner_tol = _inner_tolerance(w, w_new, tol)
+        return w_new
+
+    w = _fixed_point(step, np.zeros(grid.n_nodes), report, tol, max_iter,
+                     grid.cell_volume, t0)
     T = spectral.invert_emission_many(medium.absorption, w, sgrid, t_guess=T)
     report.conservation_norm = float(report.residual_history[-1]) if report.residual_history else 0.0
     J0 = np.einsum("i,mij->mj", angular.weights, I)
     return (ScalarField(w, "f_of_T"), ScalarField(T, "temperature"), RadiationField(I),
             report, J0)
+
+
+def _inner_tolerance(w, w_new, tol):
+    """Inner-solve tolerance for the next outer step, tied to this step's change."""
+    rel = float(np.sum(np.abs(w_new - w))) / max(float(np.sum(np.abs(w_new))), 1e-300)
+    return max(min(0.05 * rel, 1e-2), 0.02 * tol)
 
 
 def _reconstruct_radiation(domain, grids, medium, g, T, J0):

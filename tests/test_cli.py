@@ -51,6 +51,9 @@ def test_solve_equilibrium(tmp_path, capsys):
     # entropy production vanishes at equilibrium
     scale = 4 * np.pi * SIGMA * (4 * np.pi / 3)
     assert report["entropy_report"]["production_volume_integral"] <= 1e-8 * scale
+    solver = report["solver_report"]
+    assert solver["operator_applies"] == solver["iterations"] + solver["rejected_steps"]
+    assert report["spectral_truncation"]["relative_tail"] <= 1e-8
 
 
 def test_solve_ellipsoid(tmp_path):
@@ -149,6 +152,21 @@ def test_solve_bad_domain_size_rejected(tmp_path, capsys, domain, key):
     assert code == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out_bad").exists()
+
+
+def test_solve_spectral_truncation_exit_code(tmp_path, capsys):
+    # Regression: a boundary far above t_ref reported "converged" although the
+    # spectral grid cut off a large share of the emission.
+    cfg = json.loads(json.dumps(BASE_EQ))
+    cfg["boundary"]["temperature"] = 8.0
+    cfg["grids"]["spatial"]["h"] = 0.25
+    cfg["output"] = {"dir": str(tmp_path / "out_tail"), "dump_field": False, "entropy": False}
+    code = cli.main(["--quiet", "solve", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 2
+    assert "grids.spectral.t_ref" in capsys.readouterr().err
+    report = json.loads((tmp_path / "out_tail" / "report.json").read_text())
+    assert report["solver_report"]["status"] == "converged"
+    assert report["spectral_truncation"]["relative_tail"] > 1e-8
 
 
 def test_solve_non_convergence_exit_code(tmp_path):

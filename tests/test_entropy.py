@@ -77,6 +77,8 @@ def test_production_density_nonnegative_random():
     kappa = rng.uniform(0.0, 2.0, 10_000)
     dens = production_density(nu, T, I, kappa)
     assert np.min(dens) >= -1e-15
+    # A precomputed blackbody table gives the same values bit for bit.
+    assert np.array_equal(production_density(nu, T, I, kappa, B_T=spectral.planck(nu, T)), dens)
 
 
 def test_boundary_flows_zero_and_symmetric(unit_ball):

@@ -164,6 +164,79 @@ def test_spectral_rejects_zero_profile(unit_ball, eq_grids):
 
 
 # ---------------------------------------------------------------------------
+# Fixed-point driver
+# ---------------------------------------------------------------------------
+
+MILD_PROFILE = AbsorptionProfile.table([0.01, 5.0, 60.0], [1.25, 1.0, 0.75])
+
+
+def _picard(step, x0, report, tol, max_iter, cell_volume, t0):
+    """Reference: the plain Picard loop, with the driver's signature."""
+    x = x0
+    converged = False
+    for _ in range(max_iter):
+        x_new = step(x)
+        change = float(np.sum(np.abs(x_new - x))) * cell_volume
+        scale = float(np.sum(np.abs(x_new))) * cell_volume
+        x = x_new
+        solvers._push_residual(report, change, scale + 1e-300)
+        if change <= tol * max(scale, 1e-300):
+            converged = True
+            break
+    solvers._finish(report, converged, t0)
+    return x
+
+
+def _thick_grids(unit_ball, h=0.2):
+    return Grids(build_spatial(unit_ball, h), build_angular(4, 8), build_spectral(1.0, 32))
+
+
+def test_fixed_point_matches_picard_reference(unit_ball, beam_source, monkeypatch):
+    def solve_both():
+        _, T_g, rep_g = solvers.solve_grey(unit_ball, 20.0, beam_source,
+                                           _thick_grids(unit_ball), tol=1e-11, max_iter=5000)
+        _, T_s, rep_s = solvers.solve_spectral(unit_ball, MILD_PROFILE, beam_source,
+                                               _thick_grids(unit_ball, 0.25), tol=1e-11)
+        return T_g.values, T_s.values, rep_g, rep_s
+
+    T_g, T_s, rep_g, rep_s = solve_both()
+    monkeypatch.setattr(solvers, "_fixed_point", _picard)
+    T_g_ref, T_s_ref, rep_g_ref, rep_s_ref = solve_both()
+    assert rep_g.status == rep_s.status == rep_g_ref.status == rep_s_ref.status == "converged"
+    assert np.max(np.abs(T_g - T_g_ref) / T_g_ref) <= 1e-8
+    assert np.max(np.abs(T_s - T_s_ref) / T_s_ref) <= 1e-8
+    assert rep_g.operator_applies < rep_g_ref.operator_applies
+    assert rep_s.operator_applies < rep_s_ref.operator_applies
+
+
+def test_fixed_point_safeguard_thick_grey(unit_ball):
+    # At alpha R = 50 plain Picard stops at its cap far from the fixed point;
+    # the mixed iteration converges within the default cap, and it needs the
+    # safeguard: some mixed iterates raise the residual and are rejected.
+    a, T, report = solvers.solve_grey(unit_ball, 50.0, BoundarySource.equilibrium(1.0),
+                                      _thick_grids(unit_ball))
+    assert report.status == "converged"
+    assert report.operator_applies <= 500
+    assert report.rejected_steps > 0
+    assert report.operator_applies == report.iterations + report.rejected_steps
+    hist = report.residual_history
+    assert all(b <= a_ * 1.0001 + 1e-12 for a_, b in zip(hist, hist[1:]))
+    assert np.min(a.values) >= 0.0
+    assert np.max(np.abs(T.values - 1.0)) <= 1e-4
+
+
+def test_fixed_point_cap_counts_rejected_applies(unit_ball):
+    grids = _thick_grids(unit_ball)
+    g = BoundarySource.equilibrium(1.0)
+    _, _, full = solvers.solve_grey(unit_ball, 50.0, g, grids)
+    assert full.rejected_steps > 0
+    for cap in range(1, full.operator_applies):
+        _, _, report = solvers.solve_grey(unit_ball, 50.0, g, grids, max_iter=cap)
+        assert report.status == "max_iter"
+        assert report.operator_applies == cap
+
+
+# ---------------------------------------------------------------------------
 # Combined regime
 # ---------------------------------------------------------------------------
 
