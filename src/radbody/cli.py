@@ -62,7 +62,6 @@ _DEFAULTS = {
     "oracle": {"tolerance": 5e-3},
     "output": {"dir": "out", "dump_field": False, "entropy": True},
     "seed": 0,
-    "threads": None,
 }
 
 
@@ -100,11 +99,14 @@ def load_config(path: str) -> dict:
 
 def _profile_from(value, key: str) -> AbsorptionProfile:
     if isinstance(value, (int, float)):
+        what = "a finite number >= 0"
+        _check_numbers(value, key, (), what)
         if value < 0:
-            raise ConfigInvalid(f"'{key}' must be >= 0")
+            raise ConfigInvalid(f"'{key}' must be {what}")
         return AbsorptionProfile.constant(float(value))
     if isinstance(value, dict) and "table" in value:
         rows = value["table"]
+        _check_numbers(rows, f"{key}.table", (None, 2), "a list of finite [nu, value] rows")
         try:
             nus = [r[0] for r in rows]
             als = [r[1] for r in rows]
@@ -114,17 +116,33 @@ def _profile_from(value, key: str) -> AbsorptionProfile:
     raise ConfigInvalid(f"'{key}' must be a number or a {{table: [[nu, value], ...]}} mapping")
 
 
-def _check_numbers(value, key: str, shape: tuple, what: str, positive: bool = False):
-    """Reject a config value that is not a finite float array of ``shape``."""
+def _check_numbers(value, key: str, shape: tuple, what: str,
+                   positive: bool = False) -> np.ndarray:
+    """The config value as a float array; rejected unless it is finite and of
+    ``shape``, where a ``None`` entry stands for any length."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         arr = np.full(1, np.nan)
-    if arr.shape != shape or not np.all(np.isfinite(arr)) or (positive and np.any(arr <= 0.0)):
+    if (arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape))
+            or not np.all(np.isfinite(arr)) or (positive and np.any(arr <= 0.0))):
         raise ConfigInvalid(f"'{key}' must be {what}")
+    return arr
+
+
+# Boundary values checked where their kind reads them: (kind, key, shape, what).
+_BOUNDARY_NUMBERS = (
+    ("constant", "value", (), "a finite radiance"),
+    ("equilibrium", "temperature", (), "a finite temperature"),
+    ("tabulated", "spectrum", (None, 2), "a list of finite [nu, g] rows"),
+    ("tabulated", "angular_profile", (None, 2), "a list of finite [mu, a] rows"),
+)
 
 
 def validate_config(cfg: dict):
+    for section in ("medium", "boundary"):
+        if not isinstance(cfg[section], dict):
+            raise ConfigInvalid(f"config key '{section}' must be a mapping")
     dom = cfg["domain"]
     if dom.get("shape") not in ("ball", "ellipsoid"):
         raise ConfigInvalid("'domain.shape' must be 'ball' or 'ellipsoid'")
@@ -138,12 +156,24 @@ def validate_config(cfg: dict):
     mode = cfg["solver"].get("mode")
     if mode not in ("scattering", "grey", "spectral", "combined"):
         raise ConfigInvalid("'solver.mode' must be one of scattering|grey|spectral|combined")
-    if float(cfg["solver"].get("tol", 0.0)) <= 0.0:
-        raise ConfigInvalid("'solver.tol' must be positive")
+    _check_numbers(cfg["solver"].get("tol"), "solver.tol", (), "a finite positive tolerance",
+                   positive=True)
     if int(cfg["solver"].get("max_iter", 0)) < 1:
         raise ConfigInvalid("'solver.max_iter' must be at least 1")
     absorption = _profile_from(cfg["medium"].get("absorption", 0.0), "medium.absorption")
     scattering = _profile_from(cfg["medium"].get("scattering", 0.0), "medium.scattering")
+    kernel = cfg["medium"].get("kernel")
+    if isinstance(kernel, dict) and "phase_table" in kernel:
+        _check_numbers(kernel["phase_table"], "medium.kernel.phase_table", (None, 2),
+                       "a list of finite [cos_theta, p] rows")
+    bnd = cfg["boundary"]
+    for kind, name, shape, what in _BOUNDARY_NUMBERS:
+        if bnd.get("kind") == kind and name in bnd:
+            _check_numbers(bnd[name], f"boundary.{name}", shape, what)
+    if bnd.get("kind") == "tabulated" and bnd.get("axis") is not None:
+        what = "three finite coordinates, not all zero"
+        if not np.any(_check_numbers(bnd["axis"], "boundary.axis", (3,), what)):
+            raise ConfigInvalid(f"'boundary.axis' must be {what}")
     # Mode compatibility.
     if mode == "grey":
         if not absorption.is_constant or absorption.value <= 0.0:
@@ -168,14 +198,17 @@ def validate_config(cfg: dict):
             f"mode-compatibility: 'solver.mode: {mode}' requires nonzero 'medium.absorption'"
         )
     gr = cfg["grids"]
-    if float(gr["spatial"].get("h", 0.0)) <= 0.0:
-        raise ConfigInvalid("'grids.spatial.h' must be positive")
+    _check_numbers(gr["spatial"].get("h"), "grids.spatial.h", (), "a finite positive spacing",
+                   positive=True)
+    if gr["ray"].get("h") is not None:
+        _check_numbers(gr["ray"]["h"], "grids.ray.h", (), "null or a finite positive step",
+                       positive=True)
     if int(gr["angular"].get("n_polar", 0)) < 2 or int(gr["angular"].get("n_azimuth", 0)) < 4:
         raise ConfigInvalid("'grids.angular' needs n_polar >= 2 and n_azimuth >= 4")
     if int(gr["spectral"].get("n_nodes", 0)) < 8:
         raise ConfigInvalid("'grids.spectral.n_nodes' must be at least 8")
-    if float(gr["spectral"].get("t_ref", 0.0)) <= 0.0:
-        raise ConfigInvalid("'grids.spectral.t_ref' must be positive")
+    _check_numbers(gr["spectral"].get("t_ref"), "grids.spectral.t_ref", (),
+                   "a finite positive temperature", positive=True)
 
 
 def build_domain(cfg: dict) -> ConvexDomain:
@@ -238,7 +271,7 @@ def build_grids(cfg: dict, domain: ConvexDomain) -> Grids:
     sgrid = build_spectral(float(gr["spectral"]["t_ref"]), int(gr["spectral"]["n_nodes"]))
     ray_h = gr["ray"].get("h")
     return Grids(spatial=spatial, angular=angular, spectral=sgrid,
-                 ray_h=float(ray_h) if ray_h else None)
+                 ray_h=None if ray_h is None else float(ray_h))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +439,8 @@ def read_field_dump(path: str):
 
 
 def solution_from_dump(header: dict, arrays: dict) -> Solution:
-    cfg = _merge(_DEFAULTS, header["config"])
+    # Dumps written before the no-op 'threads' key was removed still carry it.
+    cfg = _merge(_DEFAULTS, {k: v for k, v in header["config"].items() if k != "threads"})
     domain = build_domain(cfg)
     medium = build_medium(cfg)
     source = build_source(cfg)
@@ -436,8 +470,6 @@ def cmd_solve(args) -> int:
         cfg["seed"] = args.seed
     if args.output is not None:
         cfg["output"]["dir"] = args.output
-    if args.threads is not None:
-        cfg["threads"] = args.threads
     outdir = cfg["output"]["dir"]
     os.makedirs(outdir, exist_ok=True)
     sol = run_solver(cfg, quiet=args.quiet)
@@ -591,9 +623,6 @@ def main(argv=None) -> int:
         prog="radbody",
         description="Stationary temperature of a convex body heated by radiation",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="thread count recorded in the report only; it does not change "
-                             "how many threads run")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -23,7 +23,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sfft
 
 from radbody import geometry, spectral
 from radbody.geometry import ConvexDomain
@@ -240,13 +239,31 @@ def _cube_self_weight(beta: float, h: float) -> float:
     return 6.0 / FOUR_PI * (0.25 * h * h) * float(np.sum(W * vals))
 
 
+# Lattice axes of box arrays; leading axes, if any, are channels.
+_BOX_AXES = (-3, -2, -1)
+
+
+def _next_fast_len(n: int) -> int:
+    """Smallest 11-smooth integer >= n, the value scipy.fft.next_fast_len
+    returns: numpy.fft factors such a length into radix-2 to radix-11 passes."""
+    m = max(int(n), 1)
+    while True:
+        k = m
+        for p in (2, 3, 5, 7, 11):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
+
+
 class AttenuationOperator:
     """f |-> (beta/4pi) * integral over the body of exp(-beta r)/r^2 f.
 
     Tabulated as a stencil over lattice offsets and applied by FFT
     convolution.  Near-singular entries integrate the kernel over the source
     cell by midpoint subdivision; the self entry is the exact integral over
-    the ball of one cell volume, 1 - exp(-beta rho).
+    the cubic cell itself (``_cube_self_weight``).
     """
 
     def __init__(self, grid: SpatialGrid, beta: float,
@@ -259,23 +276,24 @@ class AttenuationOperator:
         if self.beta == 0.0:
             self.stencil = np.zeros((2 * nx - 1, 2 * ny - 1, 2 * nz - 1))
             return
-        dx = np.arange(-(nx - 1), nx) * h
-        dy = np.arange(-(ny - 1), ny) * h
-        dz = np.arange(-(nz - 1), nz) * h
         # Far field: tensor two-point Gauss rule per source cell (4th order).
+        # The Gauss points sit symmetrically in each cell, so the sum depends
+        # on |offset| per axis only: evaluate it on the octant of offsets >= 0
+        # and mirror that into the full box.
         gauss = 0.5 * h / np.sqrt(3.0)
-        stencil = np.zeros((dx.size, dy.size, dz.size))
+        kx, ky, kz = (np.arange(n) * h for n in (nx, ny, nz))
+        octant = np.zeros((nx, ny, nz))
         for sx in (-gauss, gauss):
             for sy in (-gauss, gauss):
                 for sz in (-gauss, gauss):
                     r2 = (
-                        (dx + sx)[:, None, None] ** 2
-                        + (dy + sy)[None, :, None] ** 2
-                        + (dz + sz)[None, None, :] ** 2
+                        (kx + sx)[:, None, None] ** 2
+                        + (ky + sy)[None, :, None] ** 2
+                        + (kz + sz)[None, None, :] ** 2
                     )
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        stencil += np.exp(-self.beta * np.sqrt(r2)) / r2
-        stencil *= self.beta / FOUR_PI * h**3 / 8.0
+                    octant += np.exp(-self.beta * np.sqrt(r2)) / r2
+        octant *= self.beta / FOUR_PI * h**3 / 8.0
+        stencil = octant[np.ix_(*(np.abs(np.arange(1 - n, n)) for n in (nx, ny, nz)))]
         # Near-field refinement: composite two-point Gauss on subcells, with
         # the subcell count graded by the Chebyshev distance d of the offset.
         # Offsets beyond the box extent (thin bodies) have no stencil entry.
@@ -306,16 +324,15 @@ class AttenuationOperator:
         # FFT of the stencil at the cyclic shape, computed once.  A cyclic
         # length of 2n - 1 per axis holds every stencil offset, so the crop
         # [n - 1, 2n - 1) of the cyclic convolution sees no wrapped terms.
-        self.fshape = tuple(sfft.next_fast_len(2 * n - 1) for n in grid.box_shape)
-        self.kernel_hat = sfft.rfftn(stencil, self.fshape)
+        self.fshape = tuple(_next_fast_len(2 * n - 1) for n in grid.box_shape)
+        self.kernel_hat = np.fft.rfftn(stencil, s=self.fshape, axes=_BOX_AXES)
 
     def apply_box(self, box: np.ndarray) -> np.ndarray:
         """Convolve box arrays; trailing grid axes, optional leading channels."""
         if self.beta == 0.0:
             return np.zeros(box.shape)
-        axes = (-3, -2, -1)
-        fhat = sfft.rfftn(box, s=self.fshape, axes=axes)
-        return _crop(sfft.irfftn(fhat * self.kernel_hat, s=self.fshape, axes=axes),
+        fhat = np.fft.rfftn(box, s=self.fshape, axes=_BOX_AXES)
+        return _crop(np.fft.irfftn(fhat * self.kernel_hat, s=self.fshape, axes=_BOX_AXES),
                      self.grid.box_shape)
 
     def apply(self, node_values: np.ndarray) -> np.ndarray:
@@ -385,22 +402,21 @@ def apply_attenuation_batch(grid: SpatialGrid, betas: np.ndarray,
     # ~16 bytes/complex sample; keep the batch under ~128 MB.
     per_channel = 16 * np.prod(fshape)
     chunk = max(1, int((128 << 20) / max(per_channel, 1)))
-    axes = (-3, -2, -1)
     acc = 0.0
     for lo in range(0, len(live), chunk):
         sel = live[lo:lo + chunk]
         boxes = np.zeros((len(sel),) + grid.box_shape)
         boxes.reshape(len(sel), -1)[:, grid.flat_index] = fields[sel]
-        fhat = sfft.rfftn(boxes, s=fshape, axes=axes)
+        fhat = np.fft.rfftn(boxes, s=fshape, axes=_BOX_AXES)
         for k, c in enumerate(sel):
             fhat[k] *= ops[c].kernel_hat
         if weights is None:
-            crop = _crop(sfft.irfftn(fhat, s=fshape, axes=axes), grid.box_shape)
+            crop = _crop(np.fft.irfftn(fhat, s=fshape, axes=_BOX_AXES), grid.box_shape)
             out[sel] = crop.reshape(len(sel), -1)[:, grid.flat_index]
         else:
             acc += fhat.sum(axis=0)
     if weights is not None:
-        crop = _crop(sfft.irfftn(acc, s=fshape, axes=axes), grid.box_shape)
+        crop = _crop(np.fft.irfftn(acc, s=fshape, axes=_BOX_AXES), grid.box_shape)
         out = crop.reshape(-1)[grid.flat_index]
     return out
 

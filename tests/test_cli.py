@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -152,6 +154,90 @@ def test_solve_bad_domain_size_rejected(tmp_path, capsys, domain, key):
     assert code == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out_bad").exists()
+
+
+NAN = float("nan")
+BEAM = {"kind": "tabulated", "spectrum": [[0.5, 0.5], [1.0, 1.0], [10.0, 0.05]],
+        "axis": [0.0, 0.0, 1.0], "angular_profile": [[-1.0, 1.0], [1.0, 2.0]]}
+MILD_TABLE = [[0.01, 1.25], [5.0, 1.0], [60.0, 0.75]]
+
+
+def _edited(cfg, edits):
+    """A copy of ``cfg`` with each dotted key of ``edits`` set to its value."""
+    cfg = json.loads(json.dumps(cfg))
+    for path, value in edits.items():
+        *parents, last = path.split(".")
+        node = cfg
+        for name in parents:
+            node = node[name]
+        node[last] = value
+    return cfg
+
+
+@pytest.mark.parametrize("edits, key", [
+    ({"boundary.temperature": NAN}, "boundary.temperature"),
+    ({"boundary": {"kind": "constant", "value": NAN}}, "boundary.value"),
+    ({"boundary": dict(BEAM, spectrum=[[0.5, NAN], [1.0, 1.0]])}, "boundary.spectrum"),
+    ({"boundary": dict(BEAM, axis=[0.0, 0.0, 0.0])}, "boundary.axis"),
+    ({"boundary": dict(BEAM, axis=[0.0, NAN, 1.0])}, "boundary.axis"),
+    ({"boundary": dict(BEAM, axis=[0.0, 0.0, 1.0, 0.0])}, "boundary.axis"),
+    ({"boundary": dict(BEAM, angular_profile=[[-1.0, NAN], [1.0, 2.0]])},
+     "boundary.angular_profile"),
+    ({"boundary": 5}, "boundary"),
+    ({"grids.ray.h": -1.0}, "grids.ray.h"),
+    ({"grids.ray.h": NAN}, "grids.ray.h"),
+    ({"grids.spatial.h": NAN}, "grids.spatial.h"),
+    ({"grids.spectral.t_ref": NAN}, "grids.spectral.t_ref"),
+    ({"solver.tol": NAN}, "solver.tol"),
+    ({"solver.tol": "tight"}, "solver.tol"),
+    ({"medium.absorption": NAN}, "medium.absorption"),
+    ({"solver.mode": "spectral",
+      "medium.absorption": {"table": [[0.01, NAN], [5.0, 1.0], [60.0, 0.75]]}},
+     "medium.absorption.table"),
+    ({"solver.mode": "combined", "medium.scattering": 0.5,
+      "medium.kernel": {"phase_table": [[-1.0, 1.0], [1.0, NAN]]}},
+     "medium.kernel.phase_table"),
+    ({"threads": 2}, "threads"),
+])
+def test_solve_bad_config_value_rejected(tmp_path, capsys, edits, key):
+    # Regression: each of these used to run on (to a wrong answer or to the
+    # iteration cap), or fail with a numpy message or a traceback that named
+    # no config key.
+    cfg = _edited(BASE_EQ, edits)
+    cfg["output"]["dir"] = str(tmp_path / "out_bad")
+    code = cli.main(["solve", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 1
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out_bad").exists()
+
+
+IMPORT_PROBE = """
+import sys
+from radbody import cli
+for cfg, out in zip(sys.argv[1:3], sys.argv[4:6]):
+    assert cli.main(["--quiet", "solve", "--config", cfg, "--output", out]) == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+print(cli.main(["--quiet", "solve", "--config", sys.argv[3], "--output", sys.argv[6]]))
+"""
+
+
+def test_ray_free_solves_import_no_scipy(tmp_path):
+    # Only the ray sweeps need scipy (scipy.sparse); a grey or spectral solve
+    # without the entropy report loads no scipy module at all.
+    small = _edited(BASE_EQ, {"grids.spatial.h": 0.25, "output.dump_field": False,
+                              "output.entropy": False})
+    cfgs = [small,
+            _edited(small, {"solver.mode": "spectral", "medium.absorption": {"table": MILD_TABLE}}),
+            _edited(small, {"output.entropy": True})]
+    paths = [write_cfg(tmp_path, c, f"run{k}.yaml") for k, c in enumerate(cfgs)]
+    outs = [str(tmp_path / f"out{k}") for k in range(len(cfgs))]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *paths, *outs], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "0"]
 
 
 def test_solve_spectral_truncation_exit_code(tmp_path, capsys):

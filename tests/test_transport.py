@@ -229,6 +229,36 @@ def test_near_field_matches_loop_reference(unit_ball):
             assert op.stencil[index] == value
 
 
+def _far_field_reference(grid, beta):
+    """Two-point Gauss far field evaluated over the full box of offsets."""
+    h = grid.h
+    dx, dy, dz = (np.arange(1 - n, n) * h for n in grid.box_shape)
+    gauss = 0.5 * h / np.sqrt(3.0)
+    out = np.zeros((dx.size, dy.size, dz.size))
+    for sx in (-gauss, gauss):
+        for sy in (-gauss, gauss):
+            for sz in (-gauss, gauss):
+                r2 = ((dx + sx)[:, None, None] ** 2 + (dy + sy)[None, :, None] ** 2
+                      + (dz + sz)[None, None, :] ** 2)
+                out += np.exp(-beta * np.sqrt(r2)) / r2
+    return out * (beta / transport.FOUR_PI * h**3 / 8.0)
+
+
+def test_far_field_octant_matches_full_box_reference(unit_ball, ellipsoid_211):
+    # The stencil evaluates the far field on one octant and mirrors it; only
+    # the order of the eight Gauss terms differs from the full-box sum.
+    for domain, h in ((unit_ball, 0.125), (ellipsoid_211, 0.25), (thin_ellipsoid(), 0.125)):
+        grid = build_spatial(domain, h)
+        shape = np.array(grid.box_shape)
+        offsets = np.abs(np.indices(2 * shape - 1) - (shape - 1)[:, None, None, None])
+        far = np.max(offsets, axis=0) > transport.NEAR_RANGE
+        assert np.count_nonzero(far) > 0
+        for beta in (0.3, 1.0, 20.0):
+            stencil = transport.AttenuationOperator(grid, beta).stencil
+            ref = _far_field_reference(grid, beta)
+            assert np.all(np.abs(stencil[far] - ref[far]) <= 1e-13 * ref[far])
+
+
 def test_thin_body_operator():
     # Regression: a box axis with fewer than NEAR_RANGE + 1 nodes used to
     # raise IndexError while writing near-field entries.
