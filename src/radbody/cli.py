@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import struct
 import sys
@@ -130,6 +131,13 @@ def _check_numbers(value, key: str, shape: tuple, what: str,
     return arr
 
 
+def _check_int(value, key: str, least: int):
+    """Reject the config value unless it is an integer >= ``least``."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral or value < least:
+        raise ConfigInvalid(f"'{key}' must be an integer >= {least}")
+
+
 # Boundary values checked where their kind reads them: (kind, key, shape, what).
 _BOUNDARY_NUMBERS = (
     ("constant", "value", (), "a finite radiance"),
@@ -158,8 +166,7 @@ def validate_config(cfg: dict):
         raise ConfigInvalid("'solver.mode' must be one of scattering|grey|spectral|combined")
     _check_numbers(cfg["solver"].get("tol"), "solver.tol", (), "a finite positive tolerance",
                    positive=True)
-    if int(cfg["solver"].get("max_iter", 0)) < 1:
-        raise ConfigInvalid("'solver.max_iter' must be at least 1")
+    _check_int(cfg["solver"].get("max_iter"), "solver.max_iter", 1)
     absorption = _profile_from(cfg["medium"].get("absorption", 0.0), "medium.absorption")
     scattering = _profile_from(cfg["medium"].get("scattering", 0.0), "medium.scattering")
     kernel = cfg["medium"].get("kernel")
@@ -203,10 +210,9 @@ def validate_config(cfg: dict):
     if gr["ray"].get("h") is not None:
         _check_numbers(gr["ray"]["h"], "grids.ray.h", (), "null or a finite positive step",
                        positive=True)
-    if int(gr["angular"].get("n_polar", 0)) < 2 or int(gr["angular"].get("n_azimuth", 0)) < 4:
-        raise ConfigInvalid("'grids.angular' needs n_polar >= 2 and n_azimuth >= 4")
-    if int(gr["spectral"].get("n_nodes", 0)) < 8:
-        raise ConfigInvalid("'grids.spectral.n_nodes' must be at least 8")
+    _check_int(gr["angular"].get("n_polar"), "grids.angular.n_polar", 2)
+    _check_int(gr["angular"].get("n_azimuth"), "grids.angular.n_azimuth", 4)
+    _check_int(gr["spectral"].get("n_nodes"), "grids.spectral.n_nodes", 8)
     _check_numbers(gr["spectral"].get("t_ref"), "grids.spectral.t_ref", (),
                    "a finite positive temperature", positive=True)
 
@@ -326,23 +332,14 @@ def _node_residual(sol: Solution) -> np.ndarray:
     # mode reports the sup over frequencies of the angular L1 change; with a
     # tabulated kernel (combined mode) the per-node energy defect
     # 4pi f(T) - sum_i w_i sum_j q_j alpha_a,j I_new.
-    ang, sgrid = grids.angular, grids.spectral
-    K, _ = sol.medium.kernel_matrix(ang)
-    Kw = K * ang.weights[None, :]
-    alphas_a, alphas_s = sol.emission_rates()
-    beta = alphas_a + alphas_s
-    sweeper = transport.RaySweeper(sol.domain, grids.spatial, ang, grids.ray_h, cache_bytes=0)
-    gvals = sol.source.evaluate(ang.nodes, sgrid.nodes)
+    sw = solvers.AngularSweep(sol.domain, sol.medium, sol.source, grids, cache_bytes=0)
     I = sol.radiation.values
-    Phi = np.einsum("ik,mkj->mij", Kw, I) * alphas_s
-    if sol.mode != "scattering":
-        B = spectral.planck(sgrid.nodes, sol.T.values[:, None])
-        Phi += (alphas_a * B)[:, None, :]
-    I_new = sweeper.sweep(Phi, beta, gvals)
     if sol.mode == "scattering":
-        return np.max(np.einsum("i,mij->mj", ang.weights, np.abs(I_new - I)), axis=1)
-    qa = sgrid.weights * alphas_a
-    return FOUR_PI * (B @ qa) - np.einsum("i,mij->mj", ang.weights, I_new) @ qa
+        return np.max(sw.angle_integral(np.abs(sw.sweep(I) - I)), axis=1)
+    B = spectral.planck(grids.spectral.nodes, sol.T.values[:, None])
+    qa = grids.spectral.weights * sw.alphas_a
+    I_new = sw.sweep(I, (sw.alphas_a * B)[:, None, :])
+    return FOUR_PI * (B @ qa) - sw.angle_integral(I_new) @ qa
 
 
 def _spectral_tail(sol: Solution) -> dict | None:
@@ -414,9 +411,21 @@ def write_field_dump(path: str, sol: Solution, cfg: dict):
             fh.write(f"array: {item['name']} shape={item['shape']}\n")
 
 
+def _dump_header_ok(header) -> bool:
+    """Whether a parsed dump header has the layout ``write_field_dump`` writes."""
+    return (isinstance(header, dict) and isinstance(header.get("config"), dict)
+            and header.get("mode") in ("scattering", "grey", "spectral", "combined")
+            and isinstance(header.get("arrays"), list)
+            and all(isinstance(item, dict) and isinstance(item.get("name"), str)
+                    and isinstance(item.get("shape"), list)
+                    and all(type(n) is int and n >= 0 for n in item["shape"])
+                    for item in header["arrays"]))
+
+
 def read_field_dump(path: str):
     try:
         with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
             magic = fh.read(len(DUMP_MAGIC))
             if magic != DUMP_MAGIC:
                 raise ArtifactUnreadable(f"bad magic in {path!r}")
@@ -424,15 +433,19 @@ def read_field_dump(path: str):
             if version != 1:
                 raise ArtifactUnreadable(f"unsupported dump version {version}")
             (hlen,) = struct.unpack("<Q", fh.read(8))
+            if hlen > size - fh.tell():
+                raise ArtifactUnreadable(f"header length {hlen} runs past the end of {path!r}")
             header = json.loads(fh.read(hlen).decode())
+            if not _dump_header_ok(header):
+                raise ArtifactUnreadable(
+                    "dump header is not {arrays: [{name, shape}, ...], mode, config}")
             arrays = {}
             for item in header["arrays"]:
-                shape = tuple(item["shape"])
-                count = int(np.prod(shape)) if shape else 1
-                buf = fh.read(8 * count)
-                if len(buf) != 8 * count:
+                nbytes = 8 * math.prod(item["shape"])
+                if nbytes > size - fh.tell():
                     raise ArtifactUnreadable("dump truncated")
-                arrays[item["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+                buf = fh.read(nbytes)
+                arrays[item["name"]] = np.frombuffer(buf, dtype="<f8").reshape(item["shape"]).copy()
         return header, arrays
     except (OSError, json.JSONDecodeError, struct.error) as exc:
         raise ArtifactUnreadable(f"cannot read dump {path!r}: {exc}") from exc
@@ -446,6 +459,8 @@ def solution_from_dump(header: dict, arrays: dict) -> Solution:
     source = build_source(cfg)
     grids = build_grids(cfg, domain)
     mode = header["mode"]
+    if mode != "scattering" and "T" not in arrays:
+        raise ArtifactUnreadable(f"dump of a {mode} run has no 'T' array")
     sol = Solution(mode, domain, grids, medium, source, solvers.SolverReport())
     if "T" in arrays:
         sol.T = transport.ScalarField(arrays["T"], "temperature")

@@ -113,10 +113,6 @@ class SpatialGrid:
     def cell_volume(self) -> float:
         return self.h**3
 
-    @property
-    def volumes(self) -> np.ndarray:
-        return np.full(self.n_nodes, self.cell_volume)
-
     def node_values_to_box(self, values: np.ndarray, outside: float = 0.0) -> np.ndarray:
         """Scatter node values into the bounding box (outside cells filled)."""
         values = np.asarray(values, dtype=float)

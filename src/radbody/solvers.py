@@ -12,8 +12,12 @@ The combined regime is organized as a nested iteration: the outer loop
 updates the emission field w = f(T); each outer step solves the linear
 transport problem at frozen temperature.  For isotropic scattering that
 linear problem closes in the angle-integrated radiance and is solved with
-the lattice kernel; for tabulated kernels an angular source-iteration sweep
-is used instead.
+the lattice kernel (``scattered_mean_intensity``; with constant
+coefficients on one channel, the absorption-weighted frequency sum); for
+tabulated kernels an angular source-iteration sweep is used instead.
+
+The ray-marching loops with in-scattering (scattering solver, tabulated-kernel
+inner solve, ``compute_H``, oracle) share one ``AngularSweep``.
 """
 
 from __future__ import annotations
@@ -183,6 +187,41 @@ def _fixed_point(step, x0, report: SolverReport, tol: float, max_iter: int,
 
 
 # ---------------------------------------------------------------------------
+# Angular sweep with in-scattering
+# ---------------------------------------------------------------------------
+
+
+class AngularSweep:
+    """The ray-marched transfer map of one medium and boundary source.
+
+    Holds the per-frequency rates, the weighted scattering kernel
+    Kw[i, k] = K[i, k] w_k, the ray sweeper and the boundary radiance table
+    (A, J); it is the one place a sweep applies the kernel to a radiance field.
+    """
+
+    def __init__(self, domain: ConvexDomain, medium: MediumSpec, g: BoundarySource,
+                 grids: Grids, cache_bytes: int = 256 << 20):
+        angular, nus = grids.angular, grids.spectral.nodes
+        self.weights = angular.weights
+        self.alphas_a = medium.absorption(nus)
+        self.alphas_s = medium.scattering(nus)
+        self.beta = self.alphas_a + self.alphas_s
+        K, _ = medium.kernel_matrix(angular)
+        self.Kw = K * angular.weights[None, :]
+        self.rays = RaySweeper(domain, grids.spatial, angular, grids.ray_h, cache_bytes)
+        self.gvals = g.evaluate(angular.nodes, nus)
+
+    def sweep(self, I: np.ndarray, emit=0.0) -> np.ndarray:
+        """Formal solution (M, A, J) for the source alpha_s sum_k Kw[i, k] I_k + emit."""
+        Phi = np.einsum("ik,mkj->mij", self.Kw, I) * self.alphas_s + emit
+        return self.rays.sweep(Phi, self.beta, self.gvals)
+
+    def angle_integral(self, I: np.ndarray) -> np.ndarray:
+        """sum_i w_i I[:, i, :], (M, J)."""
+        return np.einsum("i,mij->mj", self.weights, I)
+
+
+# ---------------------------------------------------------------------------
 # Pure scattering
 # ---------------------------------------------------------------------------
 
@@ -204,20 +243,15 @@ def solve_scattering(
     t0 = time.perf_counter()
     if not medium.absorption.is_zero():
         raise ValueError("solve_scattering requires a zero absorption profile")
-    grid, angular, sgrid = grids.spatial, grids.angular, grids.spectral
-    beta = medium.scattering(sgrid.nodes)
-    if np.any(beta <= 0.0):
+    sw = AngularSweep(domain, medium, g, grids)
+    if np.any(sw.beta <= 0.0):
         raise ValueError("scattering coefficient must be positive on the grid")
-    K, _ = medium.kernel_matrix(angular)
-    sweeper = RaySweeper(domain, grid, angular, grids.ray_h)
-    gvals = g.evaluate(angular.nodes, sgrid.nodes)  # (A, J)
-    I = sweeper.boundary_term(beta, gvals)  # start from the boundary-only term
-    Kw = K * angular.weights[None, :]  # K[i, i'] w_i'
+    I = sw.rays.boundary_term(sw.beta, sw.gvals)  # start from the boundary-only term
     report = SolverReport(tolerance=tol, norm="sup_x L1_n (per frequency)")
     converged = False
     for _ in range(max_iter):
-        I_new = sweeper.sweep(np.einsum("ik,mkj->mij", Kw, I) * beta, beta, gvals)
-        change = float(np.max(np.einsum("i,mij->mj", angular.weights, np.abs(I_new - I))))
+        I_new = sw.sweep(I)
+        change = float(np.max(sw.angle_integral(np.abs(I_new - I))))
         I = I_new
         _push_residual(report, change, float(np.max(np.abs(I))) + 1e-300)
         if change <= tol:
@@ -300,8 +334,7 @@ def solve_spectral(
     if np.all(alphas == 0.0):
         raise ValueError("absorption profile vanishes on the spectral grid")
     live = alphas > 0.0
-    mass_fields = [attenuation_operator(grid, a).row_mass() if a > 0 else np.zeros(grid.n_nodes)
-                   for a in alphas]
+    mass_fields = [attenuation_operator(grid, a).row_mass() for a in alphas]
     b_freq = boundary_attenuation_nodes(
         domain, grid, g, alphas, angular, sgrid,
         mass_fields=mass_fields if g.is_isotropic else None,
@@ -339,6 +372,10 @@ def solve_spectral(
 # ---------------------------------------------------------------------------
 
 
+# Iteration cap of the inner linear-transport solves of the combined regime.
+INNER_MAX_ITER = 800
+
+
 def solve_combined(
     domain: ConvexDomain,
     medium: MediumSpec,
@@ -346,7 +383,6 @@ def solve_combined(
     grids: Grids,
     tol: float = 1e-8,
     max_iter: int = 500,
-    inner_max_iter: int = 800,
     return_radiation: bool = True,
 ):
     """Nested iteration for scattering plus emission-absorption.
@@ -367,11 +403,9 @@ def solve_combined(
             "indeterminate for pure scattering (use solve_scattering)"
         )
     if not medium.is_isotropic:
-        return _solve_combined_angular(domain, medium, g, grids, tol, max_iter,
-                                       inner_max_iter, t0)
+        return _solve_combined_angular(domain, medium, g, grids, tol, max_iter, t0)
     beta = alphas_a + alphas_s
-    mass_fields = [attenuation_operator(grid, bj).row_mass() if bj > 0 else np.zeros(grid.n_nodes)
-                   for bj in beta]
+    mass_fields = [attenuation_operator(grid, bj).row_mass() for bj in beta]
     b_freq = boundary_attenuation_nodes(
         domain, grid, g, beta, angular, sgrid,
         mass_fields=mass_fields if g.is_isotropic else None,
@@ -385,11 +419,12 @@ def solve_combined(
     report = SolverReport(tolerance=tol, norm="L1(Omega), relative")
     report.extra["certificate_bound"] = float(np.max(duhamel_theta(alphas_a, alphas_s,
                                                                    geometry.diameter(domain))))
-    # Constant coefficients let the inner solve collapse to one frequency-
-    # summed field; otherwise iterate the per-frequency system.
+    # Constant coefficients close the inner solve on one channel, the
+    # absorption-weighted frequency sum U = sum_j q_j alpha_a J0_j with
+    # emission f(T); otherwise iterate the per-frequency system.
     collapsed = medium.absorption.is_constant and medium.scattering.is_constant
     J0 = None if collapsed else np.zeros((M, J))
-    U = np.zeros(M)
+    U = np.zeros((M, 1))
     inner_tol = 1e-2
 
     def step(w):
@@ -398,18 +433,18 @@ def solve_combined(
         if collapsed:
             fT = spectral.emission_integral(medium.absorption, T, sgrid)
             bU = b4pi @ (sgrid.weights * alphas_a)
-            U, inner_its = transport.scattered_mean_collapsed(
-                grid, sgrid, medium.absorption.value, medium.scattering.value,
-                fT, bU, tol=inner_tol, max_iter=inner_max_iter, init=U)
-            w_new = U / FOUR_PI
+            U, inner_its = scattered_mean_intensity(
+                grid, sgrid, alphas_a[:1], alphas_s[:1], fT[:, None], bU[:, None],
+                tol=inner_tol, max_iter=INNER_MAX_ITER, init=U)
+            w_new = U[:, 0] / FOUR_PI
         else:
             B = spectral.planck(sgrid.nodes, T[:, None])
             J0, inner_its = scattered_mean_intensity(
                 grid, sgrid, alphas_a, alphas_s, B, b4pi,
-                tol=inner_tol, max_iter=inner_max_iter, init=J0,
+                tol=inner_tol, max_iter=INNER_MAX_ITER, init=J0,
             )
             w_new = (sgrid.weights * alphas_a) @ J0.T / FOUR_PI
-        if inner_its >= inner_max_iter:
+        if inner_its >= INNER_MAX_ITER:
             raise InnerDiverged("inner transport solve hit its iteration cap")
         inner_tol = _inner_tolerance(w, w_new, tol)
         return w_new
@@ -422,7 +457,7 @@ def solve_combined(
         B = spectral.planck(sgrid.nodes, T[:, None])
         J0, _ = scattered_mean_intensity(
             grid, sgrid, alphas_a, alphas_s, B, b4pi,
-            tol=min(tol, 1e-10), max_iter=inner_max_iter, init=FOUR_PI * B)
+            tol=min(tol, 1e-10), max_iter=INNER_MAX_ITER, init=FOUR_PI * B)
     report.conservation_norm = float(report.residual_history[-1]) if report.residual_history else 0.0
     radiation = None
     if return_radiation:
@@ -432,18 +467,13 @@ def solve_combined(
             report, J0)
 
 
-def _solve_combined_angular(domain, medium, g, grids, tol, max_iter, inner_max_iter, t0):
+def _solve_combined_angular(domain, medium, g, grids, tol, max_iter, t0):
     """Fallback for tabulated kernels: angular source-iteration inner solves."""
-    grid, angular, sgrid = grids.spatial, grids.angular, grids.spectral
-    alphas_a = medium.absorption(sgrid.nodes)
-    alphas_s = medium.scattering(sgrid.nodes)
-    beta = alphas_a + alphas_s
-    K, _ = medium.kernel_matrix(angular)
-    Kw = K * angular.weights[None, :]
-    sweeper = RaySweeper(domain, grid, angular, grids.ray_h)
-    gvals = g.evaluate(angular.nodes, sgrid.nodes)
-    T = np.zeros(grid.n_nodes)
-    I = sweeper.boundary_term(beta, gvals)
+    sgrid = grids.spectral
+    sw = AngularSweep(domain, medium, g, grids)
+    qa = sgrid.weights * sw.alphas_a
+    T = np.zeros(grids.spatial.n_nodes)
+    I = sw.rays.boundary_term(sw.beta, sw.gvals)
     report = SolverReport(tolerance=tol, norm="L1(Omega), relative")
     inner_tol = 1e-2
 
@@ -451,29 +481,26 @@ def _solve_combined_angular(domain, medium, g, grids, tol, max_iter, inner_max_i
         nonlocal T, I, inner_tol
         T = spectral.invert_emission_many(medium.absorption, w, sgrid, t_guess=T)
         B = spectral.planck(sgrid.nodes, T[:, None])
-        emit = alphas_a * B  # (M, J)
+        emit = sw.alphas_a * B  # (M, J)
         i_scale = float(np.max(np.abs(I))) + float(np.max(np.abs(emit))) + 1e-300
-        for inner in range(inner_max_iter):
-            Phi = np.einsum("ik,mkj->mij", Kw, I) * alphas_s + emit[:, None, :]
-            I_new = sweeper.sweep(Phi, beta, gvals)
+        for inner in range(INNER_MAX_ITER):
+            I_new = sw.sweep(I, emit[:, None, :])
             delta = float(np.max(np.abs(I_new - I)))
             I = I_new
             if delta <= inner_tol * i_scale:
                 break
         else:
             raise InnerDiverged("angular inner solve hit its iteration cap")
-        absorbed = np.einsum("i,mij->mj", angular.weights, I)
-        w_new = (sgrid.weights * alphas_a) @ absorbed.T / FOUR_PI
+        w_new = qa @ sw.angle_integral(I).T / FOUR_PI
         inner_tol = _inner_tolerance(w, w_new, tol)
         return w_new
 
-    w = _fixed_point(step, np.zeros(grid.n_nodes), report, tol, max_iter,
-                     grid.cell_volume, t0)
+    w = _fixed_point(step, np.zeros(grids.spatial.n_nodes), report, tol, max_iter,
+                     grids.spatial.cell_volume, t0)
     T = spectral.invert_emission_many(medium.absorption, w, sgrid, t_guess=T)
     report.conservation_norm = float(report.residual_history[-1]) if report.residual_history else 0.0
-    J0 = np.einsum("i,mij->mj", angular.weights, I)
     return (ScalarField(w, "f_of_T"), ScalarField(T, "temperature"), RadiationField(I),
-            report, J0)
+            report, sw.angle_integral(I))
 
 
 def _inner_tolerance(w, w_new, tol):
@@ -484,18 +511,13 @@ def _inner_tolerance(w, w_new, tol):
 
 def _reconstruct_radiation(domain, grids, medium, g, T, J0):
     """One formal-solution pass: radiance at every (node, direction, frequency)."""
-    grid, angular, sgrid = grids.spatial, grids.angular, grids.spectral
-    alphas_a = medium.absorption(sgrid.nodes)
-    alphas_s = medium.scattering(sgrid.nodes)
-    beta = alphas_a + alphas_s
+    grid, sgrid = grids.spatial, grids.spectral
+    sw = AngularSweep(domain, medium, g, grids, cache_bytes=0)
     B = spectral.planck(sgrid.nodes, np.asarray(T, dtype=float)[:, None])
-    src = alphas_a * B + (alphas_s / FOUR_PI) * J0
-    box = grid.embed(src)
-    sweeper = RaySweeper(domain, grid, angular, grids.ray_h, cache_bytes=0)
-    gvals = g.evaluate(angular.nodes, sgrid.nodes)
-    I = np.empty((grid.n_nodes, angular.n_nodes, sgrid.n_nodes))
-    for i in range(angular.n_nodes):
-        I[:, i, :] = sweeper.radiance(i, box, beta, gvals[i])
+    box = grid.embed(sw.alphas_a * B + (sw.alphas_s / FOUR_PI) * J0)
+    I = np.empty((grid.n_nodes, grids.angular.n_nodes, sgrid.n_nodes))
+    for i in range(grids.angular.n_nodes):
+        I[:, i, :] = sw.rays.radiance(i, box, sw.beta, sw.gvals[i])
     return I
 
 
@@ -544,25 +566,20 @@ def compute_H(
     geometric bound drops below ``eps_trunc``; partial angular integrals are
     checked to increase monotonically.
     """
-    grid, angular, sgrid = grids.spatial, grids.angular, grids.spectral
-    alphas_a = medium.absorption(sgrid.nodes)
-    alphas_s = medium.scattering(sgrid.nodes)
-    beta = alphas_a + alphas_s
+    sw = AngularSweep(domain, medium, BoundarySource.zero(), grids)
+    alphas_a, alphas_s, beta = sw.alphas_a, sw.alphas_s, sw.beta
     if np.any(beta <= 0.0):
         raise ValueError("compute_H requires positive total extinction on the grid")
-    K, _ = medium.kernel_matrix(angular)
-    Kw = K * angular.weights[None, :]
     D = geometry.diameter(domain)
-    sweeper = RaySweeper(domain, grid, angular, grids.ray_h)
-    A, J, M = angular.n_nodes, sgrid.n_nodes, grid.n_nodes
+    A = grids.angular.n_nodes
 
     # Term 0: (alpha_a / (4 pi beta)) (1 - e^{-beta s}).
-    term = np.empty((M, A, J))
+    term = np.empty((grids.spatial.n_nodes, A, grids.spectral.n_nodes))
     for i in range(A):
         term[:, i, :] = (alphas_a / (FOUR_PI * beta)) * (
-            -np.expm1(-np.outer(sweeper.path_lengths(i), beta)))
+            -np.expm1(-np.outer(sw.rays.path_lengths(i), beta)))
     H = term.copy()
-    angint = np.einsum("i,mij->mj", angular.weights, H)
+    angint = sw.angle_integral(H)
     reach = 1.0 - np.exp(-beta * D)
     term_bounds = [list(alphas_a / beta * reach)]
     terms = 1
@@ -570,10 +587,9 @@ def compute_H(
         next_bound = alphas_a * alphas_s**terms / beta ** (terms + 1) * reach ** (terms + 1)
         if float(np.max(next_bound)) <= eps_trunc:
             break
-        term = sweeper.sweep(np.einsum("ik,mkj->mij", Kw, term) * alphas_s, beta,
-                             np.zeros((A, J)))
+        term = sw.sweep(term)
         H += term
-        new_angint = np.einsum("i,mij->mj", angular.weights, H)
+        new_angint = sw.angle_integral(H)
         if np.any(new_angint < angint - 1e-12):
             raise MonotonicityError("partial sums of the response series decreased")
         angint = new_angint
@@ -622,14 +638,9 @@ def oracle_solve(
     M, A, J = grid.n_nodes, angular.n_nodes, sgrid.n_nodes
     if M * A * J > ORACLE_MAX_UNKNOWNS:
         raise TooLarge(f"oracle limited to {ORACLE_MAX_UNKNOWNS} unknowns, got {M * A * J}")
-    alphas_a = medium.absorption(sgrid.nodes)
-    alphas_s = medium.scattering(sgrid.nodes)
-    beta = alphas_a + alphas_s
+    sw = AngularSweep(domain, medium, g, grids)
+    alphas_a = sw.alphas_a
     emitting = bool(np.max(alphas_a) > 0.0)
-    K, _ = medium.kernel_matrix(angular)
-    Kw = K * angular.weights[None, :]
-    sweeper = RaySweeper(domain, grid, angular, grids.ray_h)
-    gvals = g.evaluate(angular.nodes, sgrid.nodes)
 
     I = np.zeros((M, A, J))
     w = np.zeros(M)
@@ -640,14 +651,12 @@ def oracle_solve(
         if emitting:
             T = spectral.invert_emission_many(medium.absorption, w, sgrid, t_guess=T)
         B = spectral.planck(sgrid.nodes, T[:, None]) if emitting else np.zeros((M, J))
-        Phi = alphas_a * B[:, None, :] + alphas_s * np.einsum("ik,mkj->mij", Kw, I)
-        I_new = sweeper.sweep(Phi, beta, gvals)
+        I_new = sw.sweep(I, alphas_a * B[:, None, :])
         delta_I = float(np.max(np.abs(I_new - I)))
         I = I_new
         scale = float(np.max(np.abs(I))) + 1e-300
         if emitting:
-            absorbed = np.einsum("i,mij->mj", angular.weights, I)
-            w_new = (sgrid.weights * alphas_a) @ absorbed.T / FOUR_PI
+            w_new = (sgrid.weights * alphas_a) @ sw.angle_integral(I).T / FOUR_PI
             delta_w = float(np.max(np.abs(w_new - w)))
             w = w_new
             wscale = float(np.max(np.abs(w))) + 1e-300

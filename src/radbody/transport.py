@@ -20,7 +20,7 @@ the diagnostics sweep rays, and the ray route serves as a consistency check.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -266,8 +266,7 @@ class AttenuationOperator:
     the cubic cell itself (``_cube_self_weight``).
     """
 
-    def __init__(self, grid: SpatialGrid, beta: float,
-                 near_range: int = NEAR_RANGE, near_subdiv: int = NEAR_SUBDIV):
+    def __init__(self, grid: SpatialGrid, beta: float):
         self.grid = grid
         self.beta = float(beta)
         self._row_mass = None
@@ -297,13 +296,13 @@ class AttenuationOperator:
         # Near-field refinement: composite two-point Gauss on subcells, with
         # the subcell count graded by the Chebyshev distance d of the offset.
         # Offsets beyond the box extent (thin bodies) have no stencil entry.
-        reach = np.minimum(near_range, np.array(grid.box_shape) - 1)
+        reach = np.minimum(NEAR_RANGE, np.array(grid.box_shape) - 1)
         offsets = np.stack(np.meshgrid(*(np.arange(-r, r + 1) for r in reach),
                                        indexing="ij"), axis=-1).reshape(-1, 3)
         cheb = np.max(np.abs(offsets), axis=1)
-        for d in range(1, near_range + 1):
+        for d in range(1, NEAR_RANGE + 1):
             o = offsets[cheb == d]
-            q = max(2, int(np.ceil(near_subdiv / (2 * d))))
+            q = max(2, int(np.ceil(NEAR_SUBDIV / (2 * d))))
             cell = ((np.arange(q) + 0.5) / q - 0.5) * h
             pts = (cell[:, None] + np.array([-1.0, 1.0]) * (h / (2 * q * np.sqrt(3.0)))).ravel()
             p = o[:, :, None] * h + pts  # (K, 3, points per axis)
@@ -362,14 +361,12 @@ _OPERATOR_CACHE: "OrderedDict[tuple, AttenuationOperator]" = OrderedDict()
 _OPERATOR_CACHE_MAX = 80
 
 
-def attenuation_operator(grid: SpatialGrid, beta: float,
-                         near_range: int = NEAR_RANGE,
-                         near_subdiv: int = NEAR_SUBDIV) -> AttenuationOperator:
+def attenuation_operator(grid: SpatialGrid, beta: float) -> AttenuationOperator:
     """Cached stencil operator, keyed by grid fingerprint and decay rate."""
-    key = (grid.token, float(beta), near_range, near_subdiv)
+    key = (grid.token, float(beta))
     op = _OPERATOR_CACHE.get(key)
     if op is None:
-        op = AttenuationOperator(grid, beta, near_range, near_subdiv)
+        op = AttenuationOperator(grid, beta)
         _OPERATOR_CACHE[key] = op
         while len(_OPERATOR_CACHE) > _OPERATOR_CACHE_MAX:
             _OPERATOR_CACHE.popitem(last=False)
@@ -674,42 +671,6 @@ def scattered_mean_intensity(
     return J0, its
 
 
-def scattered_mean_collapsed(
-    grid: SpatialGrid,
-    spectral_grid: SpectralGrid,
-    alpha_a: float,
-    alpha_s: float,
-    fT: np.ndarray,
-    bU: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 2000,
-    init: np.ndarray | None = None,
-):
-    """Frequency-collapsed inner solve for constant coefficients.
-
-    With alpha_a and alpha_s constant across frequencies, the absorption-
-    weighted frequency sum U = sum_j q_j alpha_a J0_j closes on itself:
-
-        U = bU + (4pi/beta) * conv_beta(alpha_a f(T) + (alpha_s/4pi) U),
-
-    costing one convolution per iteration regardless of the grid size in
-    frequency.  Returns (U, iterations).
-    """
-    beta = alpha_a + alpha_s
-    op = attenuation_operator(grid, beta)
-    U = np.zeros(grid.n_nodes) if init is None else init.copy()
-    scale = max(float(np.max(np.abs(bU))) + float(np.max(np.abs(alpha_a * fT))), 1e-300)
-    its = 0
-    for it in range(max_iter):
-        its = it + 1
-        new = bU + (FOUR_PI / beta) * op.apply(alpha_a * fT + (alpha_s / FOUR_PI) * U)
-        delta = float(np.max(np.abs(new - U)))
-        U = new
-        if delta <= tol * scale:
-            break
-    return U, its
-
-
 def conservation_residual(
     T_field: ScalarField,
     g: BoundarySource,
@@ -741,41 +702,32 @@ def conservation_residual(
     B = spectral.planck(nus, T[:, None])  # (M, J)
     w = np.sum(q * alphas_a * B, axis=1)  # f(T) per node
     has_scattering = float(np.max(alphas_s)) > 0.0
+    if representation not in ("kernel", "ray"):
+        raise ValueError(f"unknown representation {representation!r}")
+    if has_scattering and not medium.is_isotropic:
+        raise NotImplementedError(
+            f"{representation}-representation residual supports isotropic scattering only")
 
-    if representation == "kernel":
+    if representation == "kernel" or has_scattering:
         mass = ([attenuation_operator(grid, b).row_mass() for b in beta]
                 if g.is_isotropic else None)
         b_field = boundary_attenuation_nodes(domain, grid, g, beta, angular, spectral_grid,
                                              mass_fields=mass)
+    if has_scattering:
+        J0, _ = scattered_mean_intensity(
+            grid, spectral_grid, alphas_a, alphas_s, B, FOUR_PI * b_field
+        )
+    if representation == "kernel":
         if not has_scattering:
             qa = q * alphas_a
             rhs = apply_attenuation_batch(grid, beta, B.T, weights=qa) + b_field @ qa
         else:
-            if not medium.is_isotropic:
-                raise NotImplementedError(
-                    "kernel-representation residual supports isotropic scattering only"
-                )
-            J0, _ = scattered_mean_intensity(
-                grid, spectral_grid, alphas_a, alphas_s, B, FOUR_PI * b_field
-            )
             rhs = np.sum(q * alphas_a * J0, axis=1) / FOUR_PI
-    elif representation == "ray":
+    else:
         sweeper = RaySweeper(domain, grid, angular, ray_h, cache_bytes=0)
+        src_nodes = alphas_a * B
         if has_scattering:
-            if not medium.is_isotropic:
-                raise NotImplementedError(
-                    "ray-representation residual supports isotropic scattering only"
-                )
-            mass = ([attenuation_operator(grid, b).row_mass() for b in beta]
-                    if g.is_isotropic else None)
-            b_field = boundary_attenuation_nodes(domain, grid, g, beta, angular, spectral_grid,
-                                                 mass_fields=mass)
-            J0, _ = scattered_mean_intensity(
-                grid, spectral_grid, alphas_a, alphas_s, B, FOUR_PI * b_field
-            )
-            src_nodes = alphas_a * B + (alphas_s / FOUR_PI) * J0
-        else:
-            src_nodes = alphas_a * B
+            src_nodes = src_nodes + (alphas_s / FOUR_PI) * J0
         boxes = grid.embed(src_nodes)  # (nx, ny, nz, J)
         gvals = g.evaluate(angular.nodes, nus)  # (A, J)
         absorbed = np.zeros(grid.n_nodes)
@@ -783,8 +735,6 @@ def conservation_residual(
             I_i = sweeper.radiance(i, boxes, beta, gvals[i])
             absorbed += angular.weights[i] * np.sum(q * alphas_a * I_i, axis=1)
         rhs = absorbed / FOUR_PI
-    else:
-        raise ValueError(f"unknown representation {representation!r}")
 
     residual = FOUR_PI * (w - rhs)
     scale = FOUR_PI * np.maximum(w, np.max(w) * 1e-12 + 1e-300)

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from radbody import geometry, quadrature, spectral, transport
@@ -34,16 +33,3 @@ def beam_source():
         axis=[0.0, 0.0, 1.0],
         angular_profile=([-1.0, 0.0, 1.0], [0.1, 0.4, 1.5]),
     )
-
-
-def random_interior(domain, rng, count, margin=0.02):
-    """Uniform-ish sample of strictly interior points."""
-    u = rng.normal(size=(count, 3))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    r = rng.random((count, 1)) ** (1.0 / 3.0)
-    return domain.center + (1.0 - margin) * domain.semi_axes * u * r
-
-
-def random_directions(rng, count):
-    n = rng.normal(size=(count, 3))
-    return n / np.linalg.norm(n, axis=1, keepdims=True)

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -198,6 +199,10 @@ def _edited(cfg, edits):
       "medium.kernel": {"phase_table": [[-1.0, 1.0], [1.0, NAN]]}},
      "medium.kernel.phase_table"),
     ({"threads": 2}, "threads"),
+    ({"solver.max_iter": 2.7}, "solver.max_iter"),
+    ({"grids.spectral.n_nodes": 8.9}, "grids.spectral.n_nodes"),
+    ({"grids.angular.n_polar": NAN}, "grids.angular.n_polar"),
+    ({"grids.angular.n_azimuth": "x"}, "grids.angular.n_azimuth"),
 ])
 def test_solve_bad_config_value_rejected(tmp_path, capsys, edits, key):
     # Regression: each of these used to run on (to a wrong answer or to the
@@ -380,7 +385,31 @@ def test_entropy_command_two_sided_beam(tmp_path, capsys):
     assert phi_out + phi_in > 0.0
 
 
-def test_entropy_command_unreadable(tmp_path, capsys):
+def _dump_bytes(header: bytes, header_len: int | None = None) -> bytes:
+    """A field dump with the given JSON header and no array data."""
+    length = len(header) if header_len is None else header_len
+    return cli.DUMP_MAGIC + struct.pack("<I", 1) + struct.pack("<Q", length) + header
+
+
+GOOD_HEADER = json.dumps({"arrays": [], "mode": "grey", "config": {}}).encode()
+
+
+@pytest.mark.parametrize("content", [
+    b"not a dump",
+    _dump_bytes(b"{}", header_len=2**64 - 1),
+    _dump_bytes(GOOD_HEADER, header_len=len(GOOD_HEADER) + 1000),
+    _dump_bytes(b"[]"),
+    _dump_bytes(b'{"arrays": 1}'),
+    _dump_bytes(b'{"arrays": [{"name": "T"}], "mode": "grey", "config": {}}'),
+    _dump_bytes(b'{"arrays": [{"name": "T", "shape": [1000]}], "mode": "grey", "config": {}}'),
+    _dump_bytes(GOOD_HEADER),
+], ids=["junk", "header_len_max", "header_past_end", "header_list", "arrays_int",
+        "array_without_shape", "array_past_end", "no_temperature"])
+def test_entropy_command_unreadable(tmp_path, capsys, content):
+    # Regression: a huge or overlong header length, a header of the wrong
+    # structure and a grey dump without its temperature ended in a traceback
+    # (OverflowError, TypeError, KeyError, AttributeError).
     bad = tmp_path / "junk.rbf"
-    bad.write_bytes(b"not a dump")
+    bad.write_bytes(content)
     assert cli.main(["entropy", str(bad)]) == 1
+    assert "error:" in capsys.readouterr().err

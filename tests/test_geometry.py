@@ -4,7 +4,18 @@ import pytest
 from radbody import geometry
 from radbody.geometry import ConvexDomain
 
-from conftest import random_directions, random_interior
+
+def random_interior(domain, rng, count, margin=0.02):
+    """Uniform-ish sample of strictly interior points."""
+    u = rng.normal(size=(count, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    r = rng.random((count, 1)) ** (1.0 / 3.0)
+    return domain.center + (1.0 - margin) * domain.semi_axes * u * r
+
+
+def random_directions(rng, count):
+    n = rng.normal(size=(count, 3))
+    return n / np.linalg.norm(n, axis=1, keepdims=True)
 
 
 def test_contains_examples(unit_ball):

@@ -276,7 +276,8 @@ def test_combined_reduces_to_spectral(unit_ball, eq_grids, beam_source):
 
 def test_combined_tabulated_isotropic_kernel_matches_fast_path(unit_ball):
     # A flat phase table is the isotropic kernel; the angular-sweep fallback
-    # must agree with the collapsed path at equilibrium to solver precision.
+    # must agree at equilibrium, to solver precision, with the kernel route,
+    # whose constant coefficients make the inner solve one channel.
     grids = Grids(build_spatial(unit_ball, 0.25), build_angular(4, 8),
                   build_spectral(1.0, 8), ray_h=0.04)
     g = BoundarySource.equilibrium(1.0)
@@ -360,3 +361,16 @@ def test_oracle_grey_agreement(unit_ball):
     # consistent temperature map: derive both from the emission field
     T_oracle = (res.w.values / SIGMA) ** 0.25
     assert np.max(np.abs(T.values - T_oracle)) <= 5e-3
+
+
+def test_oracle_tabulated_kernel_agreement(unit_ball):
+    # A tabulated kernel sends solve_combined through the angular sweep with
+    # Anderson outer steps; the oracle sweeps the same rays by plain Picard.
+    grids = Grids(build_spatial(unit_ball, 2.0 / 7.0), build_angular(2, 13),
+                  build_spectral(1.0, 8))
+    med = MediumSpec(MILD_PROFILE, AbsorptionProfile.constant(0.5),
+                     kernel=(np.array([-1.0, 0.0, 1.0]), np.array([0.5, 1.0, 2.0])))
+    g = BoundarySource.constant(0.3)
+    _, T, _, _, _ = solvers.solve_combined(unit_ball, med, g, grids, tol=1e-10)
+    res = solvers.oracle_solve(unit_ball, med, g, grids, tol=1e-10)
+    assert np.max(np.abs(T.values - res.T.values)) <= 1e-8

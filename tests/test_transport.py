@@ -518,3 +518,43 @@ def test_conservation_residual_equilibrium_ray(unit_ball):
                                      representation="ray", ray_h=0.02)
     fT0 = spectral.emission_integral(med.absorption, T0, sgrid)
     assert np.max(np.abs(res.values)) <= 1e-6 * 4 * np.pi * fT0
+
+
+def _collapsed_reference(grid, alpha_a, alpha_s, fT, bU, tol, max_iter=2000):
+    """Reference: the former frequency-collapsed inner solve, a loop on
+    U = bU + (4pi/beta) conv_beta(alpha_a f(T) + (alpha_s/4pi) U)."""
+    beta = alpha_a + alpha_s
+    op = attenuation_operator(grid, beta)
+    U = np.zeros(grid.n_nodes)
+    scale = max(float(np.max(np.abs(bU))) + float(np.max(np.abs(alpha_a * fT))), 1e-300)
+    its = 0
+    for it in range(max_iter):
+        its = it + 1
+        src = alpha_a * fT + (alpha_s / transport.FOUR_PI) * U
+        new = bU + (transport.FOUR_PI / beta) * op.apply(src)
+        delta = float(np.max(np.abs(new - U)))
+        U = new
+        if delta <= tol * scale:
+            break
+    return U, its
+
+
+@pytest.mark.parametrize("alpha_a, alpha_s", [(1.0, 0.5), (0.3, 0.4), (2.0, 1.0)])
+def test_one_channel_inner_solve_matches_collapsed_reference(unit_ball, alpha_a, alpha_s):
+    # Constant coefficients: solve_combined runs the inner solve as one
+    # channel of scattered_mean_intensity (emission f(T), boundary term bU).
+    grid = build_spatial(unit_ball, 0.2)
+    sgrid = build_spectral(1.0, 16)
+    T = 1.0 + 0.2 * grid.centers[:, 2]
+    fT = spectral.emission_integral(AbsorptionProfile.constant(alpha_a), T, sgrid)
+    beta = np.full(sgrid.n_nodes, alpha_a + alpha_s)
+    mass = [attenuation_operator(grid, b).row_mass() for b in beta]
+    b_freq = boundary_attenuation_nodes(unit_ball, grid, BoundarySource.equilibrium(0.8),
+                                        beta, build_angular(4, 8), sgrid, mass_fields=mass)
+    bU = transport.FOUR_PI * b_freq @ (sgrid.weights * alpha_a)
+    U_ref, its_ref = _collapsed_reference(grid, alpha_a, alpha_s, fT, bU, tol=1e-6)
+    U, its = transport.scattered_mean_intensity(
+        grid, sgrid, np.full(1, alpha_a), np.full(1, alpha_s), fT[:, None], bU[:, None],
+        tol=1e-6)
+    assert its == its_ref
+    assert np.array_equal(U[:, 0], U_ref)
