@@ -326,7 +326,8 @@ def _node_residual(sol: Solution) -> np.ndarray:
     if not angular_sweep:
         residual, _ = transport.conservation_residual(
             sol.T, sol.source, sol.medium, sol.domain,
-            grids.spatial, grids.angular, grids.spectral, representation="kernel")
+            grids.spatial, grids.angular, grids.spectral, representation="kernel",
+            J0_guess=sol.J0)
         return residual.values
     # One more source-iteration sweep of the stored radiance.  Scattering
     # mode reports the sup over frequencies of the angular L1 change; with a
@@ -454,13 +455,14 @@ def read_field_dump(path: str):
 def solution_from_dump(header: dict, arrays: dict) -> Solution:
     # Dumps written before the no-op 'threads' key was removed still carry it.
     cfg = _merge(_DEFAULTS, {k: v for k, v in header["config"].items() if k != "threads"})
+    mode = header["mode"]
+    if mode != "scattering" and "T" not in arrays:
+        raise ArtifactUnreadable(f"dump of a {mode} run has no 'T' array")
+    validate_config(cfg)
     domain = build_domain(cfg)
     medium = build_medium(cfg)
     source = build_source(cfg)
     grids = build_grids(cfg, domain)
-    mode = header["mode"]
-    if mode != "scattering" and "T" not in arrays:
-        raise ArtifactUnreadable(f"dump of a {mode} run has no 'T' array")
     sol = Solution(mode, domain, grids, medium, source, solvers.SolverReport())
     if "T" in arrays:
         sol.T = transport.ScalarField(arrays["T"], "temperature")
@@ -593,14 +595,10 @@ def cmd_validate(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = load_config(args.config)
-    domain = build_domain(cfg)
-    medium = build_medium(cfg)
-    source = build_source(cfg)
-    grids = build_grids(cfg, domain)
     tol_equiv = float(cfg["oracle"]["tolerance"])
     t0 = time.perf_counter()
     sol = run_solver(cfg, quiet=args.quiet)
-    oracle = solvers.oracle_solve(domain, medium, source, grids)
+    oracle = solvers.oracle_solve(sol.domain, sol.medium, sol.source, sol.grids)
     wall = time.perf_counter() - t0
     if sol.mode == "scattering":
         dev = np.abs(sol.radiation.values - oracle.radiation.values)
@@ -613,7 +611,7 @@ def cmd_oracle(args) -> int:
             # Consistent temperature map: the grey solver converts with the
             # exact radiation constant, so derive the oracle temperature from
             # its emission field the same way.
-            alpha = medium.absorption.value
+            alpha = sol.medium.absorption.value
             oracle_T = (oracle.w.values / (alpha * spectral.stefan_sigma())) ** 0.25
         dev = np.abs(sol.T.values - oracle_T)
         max_dev, mean_dev = float(np.max(dev)), float(np.mean(dev))
@@ -664,8 +662,8 @@ def main(argv=None) -> int:
     except (ConfigInvalid, ArtifactUnreadable, solvers.TooLarge, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (solvers.MonotonicityError, solvers.CapExceeded, solvers.NegativeSource,
-            solvers.InnerDiverged) as exc:
+    except (solvers.MonotonicityError, solvers.CapExceeded, transport.NegativeSource,
+            transport.InnerDiverged) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
 

@@ -206,16 +206,3 @@ def build_spatial(domain: ConvexDomain, h: float) -> SpatialGrid:
         flat_index=flat_index,
         token=token,
     )
-
-
-def scaled_spatial(grid: SpatialGrid, factor: float) -> SpatialGrid:
-    """The same lattice with all coordinates scaled by ``factor``."""
-    return SpatialGrid(
-        h=grid.h * factor,
-        origin=grid.origin * factor,
-        box_shape=grid.box_shape,
-        inside=grid.inside,
-        centers=grid.centers * factor,
-        flat_index=grid.flat_index,
-        token=grid.token + f"*{factor!r}",
-    )

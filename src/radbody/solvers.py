@@ -6,7 +6,13 @@ mixing.  Every recorded residual is the true residual of the map, recomputed
 with the operator, so the recorded history decays monotonically; a Picard
 step that raises it aborts the run.  Convergence norms follow the
 contraction proofs: sup-over-position of the angular L1 change for the
-scattering sweep, and the volume L1 norm for the temperature maps.
+scattering sweep, and the volume L1 norm for the temperature maps.  The
+driver records the last residual as the report's conservation norm.
+
+Each temperature solver takes its boundary term from
+``transport.boundary_attenuation_nodes``, which picks the row-mass identity
+for isotropic sources and raises ``NegativeSource`` on a negative sink, and
+iterates the kernel at the medium's own rates on the original lattice.
 
 The combined regime is organized as a nested iteration: the outer loop
 updates the emission field w = f(T); each outer step solves the linear
@@ -14,7 +20,9 @@ transport problem at frozen temperature.  For isotropic scattering that
 linear problem closes in the angle-integrated radiance and is solved with
 the lattice kernel (``scattered_mean_intensity``; with constant
 coefficients on one channel, the absorption-weighted frequency sum); for
-tabulated kernels an angular source-iteration sweep is used instead.
+tabulated kernels an angular source-iteration sweep is used instead.  Both
+inner solves stop at ``transport.INNER_MAX_ITER`` iterations with
+``InnerDiverged``.
 
 The ray-marching loops with in-scattering (scattering solver, tabulated-kernel
 inner solve, ``compute_H``, oracle) share one ``AngularSweep``.
@@ -29,11 +37,12 @@ import numpy as np
 
 from radbody import geometry, spectral, transport
 from radbody.geometry import ConvexDomain
-from radbody.quadrature import AngularGrid, SpatialGrid, SpectralGrid, scaled_spatial
+from radbody.quadrature import AngularGrid, SpatialGrid, SpectralGrid
 from radbody.spectral import AbsorptionProfile
 from radbody.transport import (
     FOUR_PI,
     BoundarySource,
+    InnerDiverged,
     MediumSpec,
     RadiationField,
     RaySweeper,
@@ -44,16 +53,8 @@ from radbody.transport import (
 )
 
 
-class InnerDiverged(RuntimeError):
-    """The inner linear-transport solve of the combined regime stalled."""
-
-
 class CapExceeded(RuntimeError):
     """A spectral iterate escaped its a-priori bound; kernel mass is suspect."""
-
-
-class NegativeSource(RuntimeError):
-    """The boundary sink term came out negative; quadrature failure."""
 
 
 class TooLarge(ValueError):
@@ -183,6 +184,7 @@ def _fixed_point(step, x0, report: SolverReport, tol: float, max_iter: int,
         F.append(f)
         del G[:-ANDERSON_DEPTH - 1], F[:-ANDERSON_DEPTH - 1]
     _finish(report, converged, t0)
+    report.conservation_norm = float(report.residual_history[-1]) if report.residual_history else 0.0
     return g
 
 
@@ -277,29 +279,18 @@ def solve_grey(
 ):
     """Picard iteration for the grey (constant absorption) regime.
 
-    Coordinates are pre-scaled by alpha so the internal map uses the
-    unit-rate kernel; the returned fields live on the original nodes.
-    Returns (a = sigma T^4, T, report).
+    Iterates a <- kernel term + boundary term with the rate-alpha kernel on
+    every frequency.  Returns (a = sigma T^4, T, report).
     """
     t0 = time.perf_counter()
     alpha = float(alpha)
     if alpha <= 0.0:
         raise ValueError("grey absorption coefficient must be positive")
-    grid, angular, sgrid = grids.spatial, grids.angular, grids.spectral
-    if alpha == 1.0:
-        sdomain, sgrid_sp = domain, grid
-    else:
-        sdomain = ConvexDomain(domain.shape, domain.center * alpha, domain.semi_axes * alpha)
-        sgrid_sp = scaled_spatial(grid, alpha)
-    op = attenuation_operator(sgrid_sp, 1.0)
-    rates = np.ones(sgrid.n_nodes)
-    b_freq = boundary_attenuation_nodes(
-        sdomain, sgrid_sp, g, rates, angular, sgrid,
-        mass_fields=[op.row_mass()] * sgrid.n_nodes if g.is_isotropic else None,
-    )
+    grid, sgrid = grids.spatial, grids.spectral
+    op = attenuation_operator(grid, alpha)
+    b_freq = boundary_attenuation_nodes(domain, grid, g, np.full(sgrid.n_nodes, alpha),
+                                        grids.angular, sgrid)
     b = b_freq @ sgrid.weights
-    if np.any(b < 0.0):
-        raise NegativeSource("boundary sink term is negative at some node")
 
     report = SolverReport(tolerance=tol, norm="L1(Omega), relative")
     a = _fixed_point(lambda x: op.apply(x) + b, np.zeros(grid.n_nodes), report, tol,
@@ -333,17 +324,11 @@ def solve_spectral(
     alphas = profile(sgrid.nodes)
     if np.all(alphas == 0.0):
         raise ValueError("absorption profile vanishes on the spectral grid")
-    live = alphas > 0.0
-    mass_fields = [attenuation_operator(grid, a).row_mass() for a in alphas]
-    b_freq = boundary_attenuation_nodes(
-        domain, grid, g, alphas, angular, sgrid,
-        mass_fields=mass_fields if g.is_isotropic else None,
-    )
+    b_freq = boundary_attenuation_nodes(domain, grid, g, alphas, angular, sgrid)
     qa = sgrid.weights * alphas
     b = qa @ b_freq.T
-    if np.any(b < 0.0):
-        raise NegativeSource("boundary sink term is negative at some node")
-    theta = max((float(np.max(mass_fields[j])) for j in np.flatnonzero(live)), default=0.0)
+    theta = max((float(np.max(attenuation_operator(grid, a).row_mass()))
+                 for a in alphas[alphas > 0.0]), default=0.0)
     cap = float(np.max(b)) / max(1.0 - theta, 1e-12) * (1.0 + 1e-6) + 1e-300
 
     T = np.zeros(grid.n_nodes)
@@ -363,17 +348,12 @@ def solve_spectral(
     w = _fixed_point(step, np.zeros(grid.n_nodes), report, tol, max_iter,
                      grid.cell_volume, t0)
     T = spectral.invert_emission_many(profile, w, sgrid, t_guess=T)
-    report.conservation_norm = float(report.residual_history[-1]) if report.residual_history else 0.0
     return ScalarField(w, "f_of_T"), ScalarField(T, "temperature"), report
 
 
 # ---------------------------------------------------------------------------
 # Combined scattering + absorption
 # ---------------------------------------------------------------------------
-
-
-# Iteration cap of the inner linear-transport solves of the combined regime.
-INNER_MAX_ITER = 800
 
 
 def solve_combined(
@@ -404,15 +384,8 @@ def solve_combined(
         )
     if not medium.is_isotropic:
         return _solve_combined_angular(domain, medium, g, grids, tol, max_iter, t0)
-    beta = alphas_a + alphas_s
-    mass_fields = [attenuation_operator(grid, bj).row_mass() for bj in beta]
-    b_freq = boundary_attenuation_nodes(
-        domain, grid, g, beta, angular, sgrid,
-        mass_fields=mass_fields if g.is_isotropic else None,
-    )
-    b4pi = FOUR_PI * b_freq
-    if np.any(b4pi < 0.0):
-        raise NegativeSource("boundary term is negative at some node")
+    b4pi = FOUR_PI * boundary_attenuation_nodes(domain, grid, g, alphas_a + alphas_s,
+                                                angular, sgrid)
 
     M, J = grid.n_nodes, sgrid.n_nodes
     T = np.zeros(M)
@@ -433,19 +406,15 @@ def solve_combined(
         if collapsed:
             fT = spectral.emission_integral(medium.absorption, T, sgrid)
             bU = b4pi @ (sgrid.weights * alphas_a)
-            U, inner_its = scattered_mean_intensity(
+            U, _ = scattered_mean_intensity(
                 grid, sgrid, alphas_a[:1], alphas_s[:1], fT[:, None], bU[:, None],
-                tol=inner_tol, max_iter=INNER_MAX_ITER, init=U)
+                tol=inner_tol, init=U)
             w_new = U[:, 0] / FOUR_PI
         else:
             B = spectral.planck(sgrid.nodes, T[:, None])
-            J0, inner_its = scattered_mean_intensity(
-                grid, sgrid, alphas_a, alphas_s, B, b4pi,
-                tol=inner_tol, max_iter=INNER_MAX_ITER, init=J0,
-            )
+            J0, _ = scattered_mean_intensity(grid, sgrid, alphas_a, alphas_s, B, b4pi,
+                                             tol=inner_tol, init=J0)
             w_new = (sgrid.weights * alphas_a) @ J0.T / FOUR_PI
-        if inner_its >= INNER_MAX_ITER:
-            raise InnerDiverged("inner transport solve hit its iteration cap")
         inner_tol = _inner_tolerance(w, w_new, tol)
         return w_new
 
@@ -457,8 +426,7 @@ def solve_combined(
         B = spectral.planck(sgrid.nodes, T[:, None])
         J0, _ = scattered_mean_intensity(
             grid, sgrid, alphas_a, alphas_s, B, b4pi,
-            tol=min(tol, 1e-10), max_iter=INNER_MAX_ITER, init=FOUR_PI * B)
-    report.conservation_norm = float(report.residual_history[-1]) if report.residual_history else 0.0
+            tol=min(tol, 1e-10), init=FOUR_PI * B)
     radiation = None
     if return_radiation:
         radiation = RadiationField(_reconstruct_radiation(
@@ -483,7 +451,7 @@ def _solve_combined_angular(domain, medium, g, grids, tol, max_iter, t0):
         B = spectral.planck(sgrid.nodes, T[:, None])
         emit = sw.alphas_a * B  # (M, J)
         i_scale = float(np.max(np.abs(I))) + float(np.max(np.abs(emit))) + 1e-300
-        for inner in range(INNER_MAX_ITER):
+        for _ in range(transport.INNER_MAX_ITER):
             I_new = sw.sweep(I, emit[:, None, :])
             delta = float(np.max(np.abs(I_new - I)))
             I = I_new
@@ -498,7 +466,6 @@ def _solve_combined_angular(domain, medium, g, grids, tol, max_iter, t0):
     w = _fixed_point(step, np.zeros(grids.spatial.n_nodes), report, tol, max_iter,
                      grids.spatial.cell_volume, t0)
     T = spectral.invert_emission_many(medium.absorption, w, sgrid, t_guess=T)
-    report.conservation_norm = float(report.residual_history[-1]) if report.residual_history else 0.0
     return (ScalarField(w, "f_of_T"), ScalarField(T, "temperature"), RadiationField(I),
             report, sw.angle_integral(I))
 

@@ -207,7 +207,7 @@ def invert_emission_many(
     """
     w = np.asarray(w, dtype=float)
     if np.any(w < 0.0):
-        raise ValueError("invert_emission requires w >= 0")
+        raise ValueError("invert_emission_many requires w >= 0")
     if profile.is_zero():
         raise ValueError("cannot invert emission for an identically zero profile")
     out = np.zeros(w.shape)
@@ -267,11 +267,6 @@ def invert_emission_many(
         t[open_mask] = tt
     out[live] = t
     return out
-
-
-def invert_emission(profile: AbsorptionProfile, w: float, spectral_grid, t_max: float = DEFAULT_T_MAX) -> float:
-    """Scalar inverse of the emission map; see invert_emission_many."""
-    return float(invert_emission_many(profile, np.array([float(w)]), spectral_grid, t_max=t_max)[0])
 
 
 def emission_tail_bound(alpha_max: float, nu_max: float, T: float) -> float:

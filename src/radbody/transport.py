@@ -437,6 +437,10 @@ def _node_index(grid: SpatialGrid, x) -> int:
 # ---------------------------------------------------------------------------
 
 
+class NegativeSource(RuntimeError):
+    """The boundary sink term came out negative; quadrature failure."""
+
+
 def boundary_attenuation_nodes(
     domain: ConvexDomain,
     grid: SpatialGrid,
@@ -444,30 +448,30 @@ def boundary_attenuation_nodes(
     rates: np.ndarray,
     angular: AngularGrid,
     spectral_grid: SpectralGrid,
-    mass_fields: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """(1/4pi) * integral dn of g_nu(n) exp(-rate_j s(x,n)) at all nodes, (M, J).
 
-    For isotropic sources with precomputed kernel row masses the identity
+    For isotropic sources the identity
     (1/4pi) int exp(-b s) dn = 1 - (b/4pi) int_Omega exp(-b r)/r^2 d_eta
-    is used so that the boundary and volume terms share one discretization;
-    a constant blackbody boundary is then an exact discrete fixed point.
+    is evaluated with the row masses of the cached kernel operators, so the
+    boundary and volume terms share one discretization and a constant
+    blackbody boundary is an exact discrete fixed point; other sources use
+    the direction quadrature.  Raises ``NegativeSource`` if the term is
+    negative at any node and frequency.
     """
-    J = spectral_grid.n_nodes
-    gj = None
     if g.is_isotropic:
         gj = g.spectral_values(spectral_grid.nodes)  # (J,)
-    if gj is not None and mass_fields is not None:
-        out = np.empty((grid.n_nodes, J))
-        for j in range(J):
-            out[:, j] = gj[j] * (1.0 - mass_fields[j])
-        return out
-    out = np.zeros((grid.n_nodes, J))
-    gvals = g.evaluate(angular.nodes, spectral_grid.nodes)  # (A, J)
-    for i in range(angular.n_nodes):
-        s = geometry.exit_lengths(domain, grid.centers, angular.nodes[i])  # (M,)
-        att = np.exp(-np.outer(s, rates))  # (M, J)
-        out += (angular.weights[i] / FOUR_PI) * att * gvals[i]
+        mass = np.stack([attenuation_operator(grid, r).row_mass() for r in rates], axis=1)
+        out = gj * (1.0 - mass)
+    else:
+        out = np.zeros((grid.n_nodes, spectral_grid.n_nodes))
+        gvals = g.evaluate(angular.nodes, spectral_grid.nodes)  # (A, J)
+        for i in range(angular.n_nodes):
+            s = geometry.exit_lengths(domain, grid.centers, angular.nodes[i])  # (M,)
+            att = np.exp(-np.outer(s, rates))  # (M, J)
+            out += (angular.weights[i] / FOUR_PI) * att * gvals[i]
+    if np.any(out < 0.0):
+        raise NegativeSource("boundary sink term is negative at some node")
     return out
 
 
@@ -632,6 +636,15 @@ def flux(I: RadiationField, m: int, angular: AngularGrid, spectral_grid: Spectra
 # ---------------------------------------------------------------------------
 
 
+# Iteration cap of the kernel inner solve (``scattered_mean_intensity``) and
+# of the angular inner sweeps of the combined regime.
+INNER_MAX_ITER = 800
+
+
+class InnerDiverged(RuntimeError):
+    """An inner linear-transport solve hit its iteration cap."""
+
+
 def scattered_mean_intensity(
     grid: SpatialGrid,
     spectral_grid: SpectralGrid,
@@ -640,7 +653,6 @@ def scattered_mean_intensity(
     B: np.ndarray,
     b4pi: np.ndarray,
     tol: float = 1e-12,
-    max_iter: int = 2000,
     init: np.ndarray | None = None,
 ):
     """Angle-integrated radiance J0 of the linear transport problem at fixed T.
@@ -650,25 +662,24 @@ def scattered_mean_intensity(
         J0 = b4pi + integral e^{-beta r}/r^2 [alpha_a B + (alpha_s/4pi) J0],
 
     by Picard iteration with the lattice kernel.  Emission B and the
-    boundary term b4pi are (M, J) arrays; returns (J0, iterations).
+    boundary term b4pi are (M, J) arrays; returns (J0, iterations).  Raises
+    ``InnerDiverged`` if ``INNER_MAX_ITER`` iterations do not reach ``tol``.
     """
     M, J = B.shape
     beta = alpha_a + alpha_s
     J0 = np.zeros((M, J)) if init is None else init.copy()
     scale = max(float(np.max(np.abs(b4pi))) + float(np.max(np.abs(B))), 1e-300)
-    its = 0
-    for it in range(max_iter):
-        its = it + 1
+    with np.errstate(divide="ignore"):
+        gain = np.where(beta > 0.0, FOUR_PI / np.where(beta > 0, beta, 1.0), 0.0)
+    for its in range(1, INNER_MAX_ITER + 1):
         srcs = (alpha_a * B + (alpha_s / FOUR_PI) * J0).T  # (J, M)
         conv = apply_attenuation_batch(grid, beta, srcs)
-        with np.errstate(divide="ignore"):
-            gain = np.where(beta > 0.0, FOUR_PI / np.where(beta > 0, beta, 1.0), 0.0)
         new = b4pi + (conv * gain[:, None]).T
         delta = float(np.max(np.abs(new - J0)))
         J0 = new
         if delta <= tol * scale:
-            break
-    return J0, its
+            return J0, its
+    raise InnerDiverged(f"inner transport solve hit its iteration cap ({INNER_MAX_ITER})")
 
 
 def conservation_residual(
@@ -681,6 +692,7 @@ def conservation_residual(
     spectral_grid: SpectralGrid,
     representation: str = "kernel",
     ray_h: float | None = None,
+    J0_guess: np.ndarray | None = None,
 ):
     """Defect of the divergence-free-flux fixed point at a temperature field.
 
@@ -690,6 +702,8 @@ def conservation_residual(
     solver tolerance.  With ``representation="ray"`` it is re-evaluated by
     marching formal solutions along rays, an independent discretization whose
     difference from the kernel route estimates the discretization error.
+    With scattering, ``J0_guess`` (the solver's mean intensities) warm-starts
+    the inner solve for J0.
 
     Returns ``(absolute ScalarField, relative ndarray)``.
     """
@@ -709,13 +723,10 @@ def conservation_residual(
             f"{representation}-representation residual supports isotropic scattering only")
 
     if representation == "kernel" or has_scattering:
-        mass = ([attenuation_operator(grid, b).row_mass() for b in beta]
-                if g.is_isotropic else None)
-        b_field = boundary_attenuation_nodes(domain, grid, g, beta, angular, spectral_grid,
-                                             mass_fields=mass)
+        b_field = boundary_attenuation_nodes(domain, grid, g, beta, angular, spectral_grid)
     if has_scattering:
         J0, _ = scattered_mean_intensity(
-            grid, spectral_grid, alphas_a, alphas_s, B, FOUR_PI * b_field
+            grid, spectral_grid, alphas_a, alphas_s, B, FOUR_PI * b_field, init=J0_guess
         )
     if representation == "kernel":
         if not has_scattering:

@@ -313,6 +313,49 @@ def test_validate_fault_injection(monkeypatch, capsys):
     assert "FAIL" in out and "kernel_normalization" in out
 
 
+def test_solve_negative_boundary_sink_exits_3(tmp_path, monkeypatch, capsys):
+    # A kernel row mass above 1 makes the isotropic boundary term
+    # g (1 - row mass) negative; the sink check must stop the run.
+    row_mass = transport.AttenuationOperator.row_mass
+    monkeypatch.setattr(transport.AttenuationOperator, "row_mass",
+                        lambda self: 1.0 + row_mass(self))
+    cfg = json.loads(json.dumps(BASE_EQ))
+    cfg["output"] = {"dir": str(tmp_path / "out"), "dump_field": False, "entropy": False}
+    assert cli.main(["--quiet", "solve", "--config", write_cfg(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "internal invariant violation: boundary sink term is negative" in err
+
+
+@pytest.mark.parametrize("absorption", [1.0, {"table": [[0.01, 1.25], [60.0, 0.75]]}],
+                         ids=["constant", "table"])
+def test_solve_inner_cap_exits_3(tmp_path, monkeypatch, capsys, absorption):
+    # One iteration cannot reach the inner tolerance of an isotropic combined
+    # solve, neither on one collapsed channel nor per frequency.
+    monkeypatch.setattr(transport, "INNER_MAX_ITER", 1)
+    cfg = json.loads(json.dumps(BASE_EQ))
+    cfg["medium"].update(absorption=absorption, scattering=0.5)
+    cfg["solver"]["mode"] = "combined"
+    cfg["output"] = {"dir": str(tmp_path / "out"), "dump_field": False, "entropy": False}
+    assert cli.main(["--quiet", "solve", "--config", write_cfg(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "internal invariant violation: inner transport solve hit its iteration cap" in err
+
+
+def test_solve_high_albedo_combined_residual_within_inner_cap(tmp_path):
+    # Albedo 0.98: from a cold start the node-table residual's inner solve
+    # needs more than the inner cap (833 iterations); warm-started from the
+    # solver's J0 it needs 143, so the converged solve exits 0.
+    cfg = json.loads(json.dumps(BASE_EQ))
+    cfg["medium"].update(absorption=0.2, scattering=12.0)
+    cfg["grids"]["spatial"]["h"] = 0.3
+    cfg["grids"]["spectral"]["n_nodes"] = 16
+    cfg["solver"].update(mode="combined", tol=1.0e-8)
+    cfg["output"] = {"dir": str(tmp_path / "out"), "dump_field": False, "entropy": False}
+    assert cli.main(["--quiet", "solve", "--config", write_cfg(tmp_path, cfg)]) == 0
+    nodes = read_nodes(tmp_path / "out" / "nodes.csv")
+    assert np.max(np.abs(nodes["conservation_residual"])) <= 1e-4 * 4 * np.pi * np.max(nodes["w"])
+
+
 ORACLE_CFG = {
     "domain": {"shape": "ball", "radius": 1.0},
     "medium": {"absorption": 1.0},
@@ -394,22 +437,34 @@ def _dump_bytes(header: bytes, header_len: int | None = None) -> bytes:
 GOOD_HEADER = json.dumps({"arrays": [], "mode": "grey", "config": {}}).encode()
 
 
-@pytest.mark.parametrize("content", [
-    b"not a dump",
-    _dump_bytes(b"{}", header_len=2**64 - 1),
-    _dump_bytes(GOOD_HEADER, header_len=len(GOOD_HEADER) + 1000),
-    _dump_bytes(b"[]"),
-    _dump_bytes(b'{"arrays": 1}'),
-    _dump_bytes(b'{"arrays": [{"name": "T"}], "mode": "grey", "config": {}}'),
-    _dump_bytes(b'{"arrays": [{"name": "T", "shape": [1000]}], "mode": "grey", "config": {}}'),
-    _dump_bytes(GOOD_HEADER),
+def _config_header(config: dict) -> bytes:
+    """A grey dump header with an empty temperature array and ``config``."""
+    return json.dumps({"arrays": [{"name": "T", "shape": [0]}], "mode": "grey",
+                       "config": {"medium": {"absorption": 1.0}, **config}}).encode()
+
+
+@pytest.mark.parametrize("content, key", [
+    (b"not a dump", ""),
+    (_dump_bytes(b"{}", header_len=2**64 - 1), ""),
+    (_dump_bytes(GOOD_HEADER, header_len=len(GOOD_HEADER) + 1000), ""),
+    (_dump_bytes(b"[]"), ""),
+    (_dump_bytes(b'{"arrays": 1}'), ""),
+    (_dump_bytes(b'{"arrays": [{"name": "T"}], "mode": "grey", "config": {}}'), ""),
+    (_dump_bytes(b'{"arrays": [{"name": "T", "shape": [1000]}], "mode": "grey", "config": {}}'),
+     ""),
+    (_dump_bytes(GOOD_HEADER), ""),
+    (_dump_bytes(_config_header({"domain": {"shape": "cube"}})), "domain.shape"),
+    (_dump_bytes(_config_header({"grids": {"spatial": {"h": "x"}}})), "grids.spatial.h"),
 ], ids=["junk", "header_len_max", "header_past_end", "header_list", "arrays_int",
-        "array_without_shape", "array_past_end", "no_temperature"])
-def test_entropy_command_unreadable(tmp_path, capsys, content):
+        "array_without_shape", "array_past_end", "no_temperature", "config_domain_cube",
+        "config_spatial_h_text"])
+def test_entropy_command_unreadable(tmp_path, capsys, content, key):
     # Regression: a huge or overlong header length, a header of the wrong
     # structure and a grey dump without its temperature ended in a traceback
-    # (OverflowError, TypeError, KeyError, AttributeError).
+    # (OverflowError, TypeError, KeyError, AttributeError); a bad config in
+    # a well-formed header exited 1 with a message that named no key.
     bad = tmp_path / "junk.rbf"
     bad.write_bytes(content)
     assert cli.main(["entropy", str(bad)]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and key in err

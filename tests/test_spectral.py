@@ -121,12 +121,13 @@ def test_emission_integral_strictly_increasing():
 def test_invert_emission_examples():
     grid = build_spectral(1.0, 64)
     prof = AbsorptionProfile.constant(1.0)
-    assert spectral.invert_emission(prof, 0.0, grid) == 0.0
     w = spectral.emission_integral(prof, 1.7, grid)
-    assert spectral.invert_emission(prof, w, grid) == pytest.approx(1.7, abs=1e-9)
-    assert spectral.invert_emission(prof, SIGMA, grid) == pytest.approx(1.0, abs=1e-8)
+    T = spectral.invert_emission_many(prof, np.array([0.0, w, SIGMA]), grid)
+    assert T[0] == 0.0
+    assert T[1] == pytest.approx(1.7, abs=1e-9)
+    assert T[2] == pytest.approx(1.0, abs=1e-8)
     with pytest.raises(spectral.NotBracketable):
-        spectral.invert_emission(prof, 1e40, grid, t_max=10.0)
+        spectral.invert_emission_many(prof, np.array([1e40]), grid, t_max=10.0)
 
 
 def test_invert_emission_residual_and_warm_start():

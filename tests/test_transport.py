@@ -6,14 +6,15 @@ from radbody import geometry, spectral, transport
 from radbody.geometry import ConvexDomain
 from radbody.quadrature import (
     AngularGrid,
+    SpatialGrid,
     build_angular,
     build_spatial,
     build_spectral,
-    scaled_spatial,
     single_frequency_grid,
 )
 from radbody.spectral import AbsorptionProfile
 from radbody.transport import (
+    AttenuationOperator,
     BoundarySource,
     MediumSpec,
     RadiationField,
@@ -130,8 +131,14 @@ def test_neg_div_S_examples(unit_ball):
     prof = AbsorptionProfile.constant(1.0)
     grid = build_spatial(unit_ball, 0.25)
     assert np.all(_boundary_sink(unit_ball, grid, BoundarySource.zero(), prof, ang, sgrid) == 0.0)
-    # center of the unit ball with blackbody inflow: 4 pi sigma / e
-    val = _boundary_sink(unit_ball, grid, BoundarySource.equilibrium(1.0), prof, ang, sgrid)
+    # center of the unit ball with blackbody inflow: 4 pi sigma / e.  A flat
+    # beam profile makes the source anisotropic in form, so the term is the
+    # direction quadrature rather than the row-mass identity.
+    blackbody = BoundarySource.tabulated((sgrid.nodes, spectral.planck(sgrid.nodes, 1.0)),
+                                         axis=[0.0, 0.0, 1.0],
+                                         angular_profile=([-1.0, 1.0], [1.0, 1.0]))
+    assert not blackbody.is_isotropic
+    val = _boundary_sink(unit_ball, grid, blackbody, prof, ang, sgrid)
     center = transport._node_index(grid, [0.0, 0.0, 0.0])
     assert val[center] == pytest.approx(60.041787000677478, rel=1e-6)
 
@@ -435,6 +442,25 @@ def test_spectral_kernel_examples(unit_ball):
     assert 0.0 < val < w0
 
 
+def _scaled_spatial(grid, factor):
+    """Reference: the same lattice with all coordinates scaled by ``factor``,
+    on which the unit-rate kernel is the rate-``factor`` kernel."""
+    return SpatialGrid(h=grid.h * factor, origin=grid.origin * factor,
+                       box_shape=grid.box_shape, inside=grid.inside,
+                       centers=grid.centers * factor, flat_index=grid.flat_index,
+                       token=grid.token + f"*{factor!r}")
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.7, 20.0])
+@pytest.mark.parametrize("body", ["unit_ball", "ellipsoid_211"])
+def test_stencil_matches_scaled_unit_rate_reference(request, body, alpha):
+    # The rate-alpha stencil is the unit-rate stencil of the lattice scaled
+    # by alpha: (alpha/4pi) e^{-alpha r}/r^2 h^3 with r, h in original units.
+    grid = build_spatial(request.getfixturevalue(body), 0.25)
+    ref = AttenuationOperator(_scaled_spatial(grid, alpha), 1.0).stencil
+    np.testing.assert_allclose(AttenuationOperator(grid, alpha).stencil, ref, rtol=1e-13, atol=0.0)
+
+
 def test_spectral_kernel_reduces_to_grey(unit_ball):
     # With a constant coefficient the spectral kernel is the grey kernel in
     # rescaled coordinates applied to the frequency-integrated emission.
@@ -447,7 +473,7 @@ def test_spectral_kernel_reduces_to_grey(unit_ball):
     w = spectral.emission_integral(prof, T, sgrid)
     lhs = _spectral_kernel(w, grid, prof, sgrid)
     a_field = np.sum(sgrid.weights * spectral.planck(sgrid.nodes, T[:, None]), axis=1)
-    rhs = alpha0 * attenuation_operator(scaled_spatial(grid, alpha0), 1.0).apply(a_field)
+    rhs = alpha0 * attenuation_operator(_scaled_spatial(grid, alpha0), 1.0).apply(a_field)
     assert np.max(np.abs(lhs - rhs)) <= 1e-6 * np.max(np.abs(rhs))
 
 
@@ -548,9 +574,8 @@ def test_one_channel_inner_solve_matches_collapsed_reference(unit_ball, alpha_a,
     T = 1.0 + 0.2 * grid.centers[:, 2]
     fT = spectral.emission_integral(AbsorptionProfile.constant(alpha_a), T, sgrid)
     beta = np.full(sgrid.n_nodes, alpha_a + alpha_s)
-    mass = [attenuation_operator(grid, b).row_mass() for b in beta]
     b_freq = boundary_attenuation_nodes(unit_ball, grid, BoundarySource.equilibrium(0.8),
-                                        beta, build_angular(4, 8), sgrid, mass_fields=mass)
+                                        beta, build_angular(4, 8), sgrid)
     bU = transport.FOUR_PI * b_freq @ (sgrid.weights * alpha_a)
     U_ref, its_ref = _collapsed_reference(grid, alpha_a, alpha_s, fT, bU, tol=1e-6)
     U, its = transport.scattered_mean_intensity(
