@@ -62,7 +62,6 @@ _DEFAULTS = {
     "solver": {"mode": "grey", "tol": 1e-8, "max_iter": 500},
     "oracle": {"tolerance": 5e-3},
     "output": {"dir": "out", "dump_field": False, "entropy": True},
-    "seed": 0,
 }
 
 
@@ -308,9 +307,8 @@ def run_solver(cfg: dict, quiet: bool = False) -> Solution:
                                               tol, max_iter)
         sol = Solution(mode, domain, grids, medium, source, report, w=w, T=T)
     else:
-        keep_field = grids.spatial.n_nodes * grids.angular.n_nodes * grids.spectral.n_nodes <= 2_000_000
-        w, T, I, report, J0 = solvers.solve_combined(
-            domain, medium, source, grids, tol, max_iter, return_radiation=keep_field)
+        w, T, I, report, J0 = solvers.solve_combined(domain, medium, source, grids, tol,
+                                                     max_iter)
         sol = Solution(mode, domain, grids, medium, source, report, w=w, T=T,
                        radiation=I, J0=J0)
     if not quiet:
@@ -321,9 +319,7 @@ def run_solver(cfg: dict, quiet: bool = False) -> Solution:
 
 def _node_residual(sol: Solution) -> np.ndarray:
     grids = sol.grids
-    angular_sweep = sol.mode == "scattering" or (
-        sol.mode == "combined" and not sol.medium.is_isotropic)
-    if not angular_sweep:
+    if sol.radiation is None:
         residual, _ = transport.conservation_residual(
             sol.T, sol.source, sol.medium, sol.domain,
             grids.spatial, grids.angular, grids.spectral, representation="kernel",
@@ -453,11 +449,14 @@ def read_field_dump(path: str):
 
 
 def solution_from_dump(header: dict, arrays: dict) -> Solution:
-    # Dumps written before the no-op 'threads' key was removed still carry it.
-    cfg = _merge(_DEFAULTS, {k: v for k, v in header["config"].items() if k != "threads"})
+    # Dumps written before the no-op 'threads' and 'seed' keys were removed
+    # still carry them.
+    cfg = _merge(_DEFAULTS, {k: v for k, v in header["config"].items()
+                             if k not in ("threads", "seed")})
     mode = header["mode"]
-    if mode != "scattering" and "T" not in arrays:
-        raise ArtifactUnreadable(f"dump of a {mode} run has no 'T' array")
+    needed = "I" if mode == "scattering" else "T"
+    if needed not in arrays:
+        raise ArtifactUnreadable(f"dump of a {mode} run has no '{needed}' array")
     validate_config(cfg)
     domain = build_domain(cfg)
     medium = build_medium(cfg)
@@ -483,8 +482,6 @@ def solution_from_dump(header: dict, arrays: dict) -> Solution:
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     if args.output is not None:
         cfg["output"]["dir"] = args.output
     outdir = cfg["output"]["dir"]
@@ -642,7 +639,6 @@ def main(argv=None) -> int:
     p_solve = sub.add_parser("solve", help="run the configured solver")
     p_solve.add_argument("--config", required=True)
     p_solve.add_argument("--output", default=None)
-    p_solve.add_argument("--seed", type=int, default=None)
     p_solve.set_defaults(func=cmd_solve)
 
     p_val = sub.add_parser("validate", help="run the built-in identity suite")

@@ -25,7 +25,12 @@ inner solves stop at ``transport.INNER_MAX_ITER`` iterations with
 ``InnerDiverged``.
 
 The ray-marching loops with in-scattering (scattering solver, tabulated-kernel
-inner solve, ``compute_H``, oracle) share one ``AngularSweep``.
+inner solve, ``compute_H``, oracle) share one ``AngularSweep``, and
+``AngularSweep.source`` is the only code that applies the scattering kernel
+to a radiance field.  ``Solution`` re-evaluates radiance on demand: from the
+stored radiance through ``AngularSweep.source`` where the solver keeps one
+(scattering, tabulated-kernel combined), otherwise from the isotropic source
+alpha_a B(T) + (alpha_s/4pi) J0; an isotropic combined solve stores none.
 """
 
 from __future__ import annotations
@@ -198,7 +203,8 @@ class AngularSweep:
 
     Holds the per-frequency rates, the weighted scattering kernel
     Kw[i, k] = K[i, k] w_k, the ray sweeper and the boundary radiance table
-    (A, J); it is the one place a sweep applies the kernel to a radiance field.
+    (A, J); ``source`` is the one place the kernel is applied to a radiance
+    field, for the sweeps here and for ``Solution``'s diagnostics.
     """
 
     def __init__(self, domain: ConvexDomain, medium: MediumSpec, g: BoundarySource,
@@ -213,10 +219,15 @@ class AngularSweep:
         self.rays = RaySweeper(domain, grids.spatial, angular, grids.ray_h, cache_bytes)
         self.gvals = g.evaluate(angular.nodes, nus)
 
+    def source(self, I: np.ndarray, emit=0.0, i: int | None = None) -> np.ndarray:
+        """In-scattered plus emitted source alpha_s sum_k Kw[i, k] I_k + emit:
+        (M, A, J) for every direction, or (M, J) for direction ``i`` alone."""
+        Kw = self.Kw if i is None else self.Kw[i]
+        return np.einsum("...k,mkj->m...j", Kw, I) * self.alphas_s + emit
+
     def sweep(self, I: np.ndarray, emit=0.0) -> np.ndarray:
-        """Formal solution (M, A, J) for the source alpha_s sum_k Kw[i, k] I_k + emit."""
-        Phi = np.einsum("ik,mkj->mij", self.Kw, I) * self.alphas_s + emit
-        return self.rays.sweep(Phi, self.beta, self.gvals)
+        """Formal solution (M, A, J) for ``source(I, emit)``."""
+        return self.rays.sweep(self.source(I, emit), self.beta, self.gvals)
 
     def angle_integral(self, I: np.ndarray) -> np.ndarray:
         """sum_i w_i I[:, i, :], (M, J)."""
@@ -363,15 +374,15 @@ def solve_combined(
     grids: Grids,
     tol: float = 1e-8,
     max_iter: int = 500,
-    return_radiation: bool = True,
 ):
     """Nested iteration for scattering plus emission-absorption.
 
     Outer Picard step on w = f(T); each step solves the linear transport
     problem at frozen temperature (warm-started, tolerance tied to the outer
     residual).  Returns (w, T, radiation, report, J0) where J0 holds the
-    angle-integrated radiance per frequency; ``radiation`` is None when
-    ``return_radiation`` is False (large runs).
+    angle-integrated radiance per frequency.  ``radiation`` is the radiance
+    the angular inner solve iterates for a tabulated kernel, and None for an
+    isotropic one, whose radiance ``Solution`` evaluates on demand.
     """
     t0 = time.perf_counter()
     grid, angular, sgrid = grids.spatial, grids.angular, grids.spectral
@@ -427,12 +438,7 @@ def solve_combined(
         J0, _ = scattered_mean_intensity(
             grid, sgrid, alphas_a, alphas_s, B, b4pi,
             tol=min(tol, 1e-10), init=FOUR_PI * B)
-    radiation = None
-    if return_radiation:
-        radiation = RadiationField(_reconstruct_radiation(
-            domain, grids, medium, g, T, J0))
-    return (ScalarField(w, "f_of_T"), ScalarField(T, "temperature"), radiation,
-            report, J0)
+    return ScalarField(w, "f_of_T"), ScalarField(T, "temperature"), None, report, J0
 
 
 def _solve_combined_angular(domain, medium, g, grids, tol, max_iter, t0):
@@ -474,18 +480,6 @@ def _inner_tolerance(w, w_new, tol):
     """Inner-solve tolerance for the next outer step, tied to this step's change."""
     rel = float(np.sum(np.abs(w_new - w))) / max(float(np.sum(np.abs(w_new))), 1e-300)
     return max(min(0.05 * rel, 1e-2), 0.02 * tol)
-
-
-def _reconstruct_radiation(domain, grids, medium, g, T, J0):
-    """One formal-solution pass: radiance at every (node, direction, frequency)."""
-    grid, sgrid = grids.spatial, grids.spectral
-    sw = AngularSweep(domain, medium, g, grids, cache_bytes=0)
-    B = spectral.planck(sgrid.nodes, np.asarray(T, dtype=float)[:, None])
-    box = grid.embed(sw.alphas_a * B + (sw.alphas_s / FOUR_PI) * J0)
-    I = np.empty((grid.n_nodes, grids.angular.n_nodes, sgrid.n_nodes))
-    for i in range(grids.angular.n_nodes):
-        I[:, i, :] = sw.rays.radiance(i, box, sw.beta, sw.gvals[i])
-    return I
 
 
 # ---------------------------------------------------------------------------
@@ -657,41 +651,42 @@ class Solution:
     T: ScalarField | None = None
     radiation: RadiationField | None = None
     J0: np.ndarray | None = None  # (M, J) angle-integrated radiance
-    _shared_box_cache: np.ndarray | None = None
-
-    def emission_rates(self):
-        sgrid = self.grids.spectral
-        return self.medium.absorption(sgrid.nodes), self.medium.scattering(sgrid.nodes)
+    _sweep_cache: AngularSweep | None = None
+    # The direction-independent part of the ray source: alpha_a B(T) at the
+    # nodes with stored radiance, else the box of alpha_a B(T) + (alpha_s/4pi) J0.
+    _source_cache: np.ndarray | float | None = None
 
     def source_box_for_angle(self, i: int, angular: AngularGrid | None = None):
         """(box (nx,ny,nz,J), rates (J,)): the ray source for direction i.
 
-        For temperature modes the emission source is direction independent
-        and cached; for the scattering mode the in-scattered source depends
-        on the target direction (native angular grid only).
+        The data held chooses the source.  With stored radiance (scattering
+        mode, tabulated-kernel combined run) it is ``AngularSweep.source`` of
+        that radiance plus the emission alpha_a B(T), per direction and on
+        the native angular grid only.  Otherwise it is the cached,
+        direction-independent alpha_a B(T) + (alpha_s/4pi) J0, which is exact
+        for an isotropic kernel.
         """
-        grid, sgrid = self.grids.spatial, self.grids.spectral
-        alphas_a, alphas_s = self.emission_rates()
-        beta = alphas_a + alphas_s
-        if self.mode == "scattering":
-            if angular is not None and angular is not self.grids.angular:
-                raise ValueError("scattering radiance is only defined on its native grid")
+        grid = self.grids.spatial
+        if self._sweep_cache is None:
+            if self.radiation is None and self.T is None:
+                raise ValueError("solution holds neither radiance nor a temperature")
+            sw = AngularSweep(self.domain, self.medium, self.source, self.grids, cache_bytes=0)
+            src = 0.0 if self.T is None else sw.alphas_a * spectral.planck(
+                self.grids.spectral.nodes, self.T.values[:, None])
             if self.radiation is None:
-                raise ValueError("scattering solution lacks its radiation field")
-            K, _ = self.medium.kernel_matrix(self.grids.angular)
-            Kw = K * self.grids.angular.weights[None, :]
-            Phi = np.einsum("k,mkj->mj", Kw[i], self.radiation.values)
-            return grid.embed(Phi * beta), beta
-        if self._shared_box_cache is None:
-            B = spectral.planck(sgrid.nodes, self.T.values[:, None])
-            src = alphas_a * B
-            if self.J0 is not None:
-                src = src + (alphas_s / FOUR_PI) * self.J0
-            self._shared_box_cache = grid.embed(src)
-        return self._shared_box_cache, beta
+                if self.J0 is not None:
+                    src = src + (sw.alphas_s / FOUR_PI) * self.J0
+                src = grid.embed(src)
+            self._sweep_cache, self._source_cache = sw, src
+        sw = self._sweep_cache
+        if self.radiation is None:
+            return self._source_cache, sw.beta
+        if angular is not None and angular is not self.grids.angular:
+            raise ValueError("stored radiance is only defined on its native angular grid")
+        return grid.embed(sw.source(self.radiation.values, self._source_cache, i)), sw.beta
 
     def diagnostic_angular(self, angular: AngularGrid | None) -> AngularGrid:
-        if angular is None or self.mode == "scattering":
+        if angular is None or self.radiation is not None:
             return self.grids.angular
         return angular
 

@@ -455,9 +455,10 @@ def boundary_attenuation_nodes(
     (1/4pi) int exp(-b s) dn = 1 - (b/4pi) int_Omega exp(-b r)/r^2 d_eta
     is evaluated with the row masses of the cached kernel operators, so the
     boundary and volume terms share one discretization and a constant
-    blackbody boundary is an exact discrete fixed point; other sources use
-    the direction quadrature.  Raises ``NegativeSource`` if the term is
-    negative at any node and frequency.
+    blackbody boundary is an exact discrete fixed point; other sources sum
+    ``RaySweeper``'s attenuated boundary radiance over the direction
+    quadrature, one direction at a time.  Raises ``NegativeSource`` if the
+    term is negative at any node and frequency.
     """
     if g.is_isotropic:
         gj = g.spectral_values(spectral_grid.nodes)  # (J,)
@@ -466,10 +467,10 @@ def boundary_attenuation_nodes(
     else:
         out = np.zeros((grid.n_nodes, spectral_grid.n_nodes))
         gvals = g.evaluate(angular.nodes, spectral_grid.nodes)  # (A, J)
+        rays = RaySweeper(domain, grid, angular, cache_bytes=0)
         for i in range(angular.n_nodes):
-            s = geometry.exit_lengths(domain, grid.centers, angular.nodes[i])  # (M,)
-            att = np.exp(-np.outer(s, rates))  # (M, J)
-            out += (angular.weights[i] / FOUR_PI) * att * gvals[i]
+            out += _attenuated(gvals[i], rays.path_lengths(i), rates,
+                               weight=angular.weights[i] / FOUR_PI)
     if np.any(out < 0.0):
         raise NegativeSource("boundary sink term is negative at some node")
     return out
@@ -620,9 +621,10 @@ class RaySweeper:
         return _attenuated(g, chords, rates) + contrib
 
 
-def _attenuated(g, s: np.ndarray, rates) -> np.ndarray:
-    """Boundary radiance g carried a path s with decay rates: g e^{-rate s}."""
-    return np.exp(-np.outer(s, rates)) * g
+def _attenuated(g, s: np.ndarray, rates, weight: float = 1.0) -> np.ndarray:
+    """Boundary radiance g carried a path s with decay rates, times a
+    quadrature weight: weight e^{-rate s} g."""
+    return weight * np.exp(-np.outer(s, rates)) * g
 
 
 def flux(I: RadiationField, m: int, angular: AngularGrid, spectral_grid: SpectralGrid) -> np.ndarray:

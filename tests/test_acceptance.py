@@ -63,8 +63,7 @@ def equilibrium_runs(ball):
                                 time.perf_counter() - t0)
         t0 = time.perf_counter()
         med = MediumSpec(AbsorptionProfile.constant(1.0), AbsorptionProfile.constant(0.5))
-        w, T, I, rep, J0 = solvers.solve_combined(ball, med, g, grids, tol=1e-9,
-                                                  return_radiation=False)
+        w, T, I, rep, J0 = solvers.solve_combined(ball, med, g, grids, tol=1e-9)
         per_mode["combined"] = (Solution("combined", ball, grids, med, g, rep,
                                          w=w, T=T, J0=J0),
                                 time.perf_counter() - t0)
@@ -213,8 +212,7 @@ def test_criterion_10_oracle_equivalence(ball):
     _report(10, "oracle_spectral", dev, 5e-3, dev <= 5e-3)
 
     med = MediumSpec(MILD_PROFILE, AbsorptionProfile.constant(0.5))
-    w, T, _, _, _ = solvers.solve_combined(ball, med, g, grids, tol=1e-10,
-                                           return_radiation=False)
+    w, T, _, _, _ = solvers.solve_combined(ball, med, g, grids, tol=1e-10)
     orc = solvers.oracle_solve(ball, med, g, grids)
     dev = float(np.max(np.abs(T.values - orc.T.values)))
     _report(10, "oracle_combined", dev, 5e-3, dev <= 5e-3)
@@ -237,8 +235,7 @@ def test_criterion_11_regime_reductions(ball):
     _report(11, "spectral_reduces_to_grey", dev, 1e-4, dev <= 1e-4)
 
     med = MediumSpec(MILD_PROFILE, AbsorptionProfile.constant(0.0))
-    w_c, T_c, _, _, _ = solvers.solve_combined(ball, med, beam, grids, tol=1e-10,
-                                               return_radiation=False)
+    w_c, T_c, _, _, _ = solvers.solve_combined(ball, med, beam, grids, tol=1e-10)
     w_s2, T_s2, _ = solvers.solve_spectral(ball, MILD_PROFILE, beam, grids, tol=1e-10)
     dev = float(np.max(np.abs(T_c.values - T_s2.values)))
     _report(11, "combined_reduces_to_spectral", dev, 1e-4, dev <= 1e-4)

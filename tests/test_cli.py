@@ -24,7 +24,6 @@ BASE_EQ = {
     },
     "solver": {"mode": "grey", "tol": 1.0e-9, "max_iter": 400},
     "output": {"dir": "out", "dump_field": True, "entropy": True},
-    "seed": 3,
 }
 
 
@@ -134,6 +133,41 @@ def test_solve_combined_phase_table(tmp_path):
     assert np.max(np.abs(nodes["conservation_residual"])) <= 1e-4 * 4 * np.pi * np.max(nodes["w"])
 
 
+def test_solve_combined_phase_table_beam_entropy(tmp_path, capsys):
+    # Regression: the entropy report of a tabulated-kernel combined run
+    # re-evaluated the radiance with the isotropic source, so the
+    # conservation term of the report, in report.json and from the dump,
+    # read 6.7e-2 instead of 0.  An equilibrium boundary hides this: the
+    # blackbody field is the same under any kernel.
+    cfg = {
+        "domain": {"shape": "ball", "radius": 1.0},
+        "medium": {"absorption": 1.0, "scattering": 0.5,
+                   "kernel": {"phase_table": [[-1.0, 0.1], [0.0, 0.5], [1.0, 4.0]]}},
+        "boundary": {"kind": "tabulated",
+                     "spectrum": [[0.5, 0.5], [1.0, 1.0], [3.0, 0.7], [10.0, 0.05]],
+                     "axis": [0.0, 0.0, 1.0],
+                     "angular_profile": [[-1.0, 0.1], [0.0, 0.4], [1.0, 1.5]]},
+        "grids": {
+            "spatial": {"h": 0.25},
+            "angular": {"n_polar": 4, "n_azimuth": 8},
+            "spectral": {"n_nodes": 8, "t_ref": 1.0},
+            "ray": {"h": 0.1},
+        },
+        "solver": {"mode": "combined", "tol": 1.0e-9, "max_iter": 200},
+        "output": {"dir": str(tmp_path / "out_pb"), "dump_field": True, "entropy": True},
+    }
+    code = cli.main(["--quiet", "solve", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 0
+    report = json.loads((tmp_path / "out_pb" / "report.json").read_text())
+    assert abs(report["entropy_report"]["conservation_entropy_term"]) <= 1e-6
+    _, arrays = cli.read_field_dump(str(tmp_path / "out_pb" / "solution.rbf"))
+    assert set(arrays) == {"T", "w", "J0", "I"}
+    assert cli.main(["entropy", str(tmp_path / "out_pb" / "solution.rbf")]) == 0
+    out = capsys.readouterr().out
+    term = float([l for l in out.splitlines() if "conservation_entropy_term" in l][0].split()[-1])
+    assert abs(term) <= 1e-6
+
+
 @pytest.mark.parametrize("domain, key", [
     ({"shape": "ball", "radius": float("nan")}, "domain.radius"),
     ({"shape": "ball", "radius": float("inf")}, "domain.radius"),
@@ -203,6 +237,7 @@ def _edited(cfg, edits):
     ({"grids.spectral.n_nodes": 8.9}, "grids.spectral.n_nodes"),
     ({"grids.angular.n_polar": NAN}, "grids.angular.n_polar"),
     ({"grids.angular.n_azimuth": "x"}, "grids.angular.n_azimuth"),
+    ({"seed": 3}, "seed"),
 ])
 def test_solve_bad_config_value_rejected(tmp_path, capsys, edits, key):
     # Regression: each of these used to run on (to a wrong answer or to the
@@ -397,6 +432,37 @@ def test_entropy_command_equilibrium(tmp_path, capsys):
     assert prod <= 1e-8 * scale
 
 
+def test_entropy_command_isotropic_combined_dump(tmp_path, capsys):
+    # An isotropic combined run stores no radiance; its dump holds T, w and
+    # J0, from which the entropy report re-evaluates the radiance.
+    cfg = _edited(BASE_EQ, {"solver.mode": "combined", "medium.scattering": 0.5,
+                            "grids.spatial.h": 0.25, "output.entropy": False,
+                            "output.dir": str(tmp_path / "out_iso")})
+    assert cli.main(["--quiet", "solve", "--config", write_cfg(tmp_path, cfg)]) == 0
+    dump = str(tmp_path / "out_iso" / "solution.rbf")
+    assert set(cli.read_field_dump(dump)[1]) == {"T", "w", "J0"}
+    assert cli.main(["entropy", dump]) == 0
+    out = capsys.readouterr().out
+    prod = float([l for l in out.splitlines() if "production_volume_integral" in l][0].split()[-1])
+    assert prod <= 1e-8 * 4 * np.pi * SIGMA * (4 * np.pi / 3)
+
+
+def test_entropy_command_reads_dump_with_removed_keys(tmp_path, capsys):
+    # Dumps written before the no-op 'seed' and 'threads' keys were removed
+    # carry them in the header config.
+    cfg = json.loads(json.dumps(BASE_EQ))
+    cfg["output"]["dir"] = str(tmp_path / "out_old")
+    cfg["output"]["entropy"] = False
+    assert cli.main(["--quiet", "solve", "--config", write_cfg(tmp_path, cfg)]) == 0
+    header, arrays = cli.read_field_dump(str(tmp_path / "out_old" / "solution.rbf"))
+    old = str(tmp_path / "old.rbf")
+    cli.write_field_dump(old, cli.solution_from_dump(header, arrays),
+                         dict(header["config"], seed=3, threads=2))
+    assert cli.read_field_dump(old)[0]["config"]["seed"] == 3
+    assert cli.main(["entropy", old]) == 0
+    assert "production_volume_integral" in capsys.readouterr().out
+
+
 def test_entropy_command_zero_field(tmp_path, capsys):
     cfg = json.loads(json.dumps(BASE_EQ))
     cfg["boundary"] = {"kind": "zero"}
@@ -453,11 +519,13 @@ def _config_header(config: dict) -> bytes:
     (_dump_bytes(b'{"arrays": [{"name": "T", "shape": [1000]}], "mode": "grey", "config": {}}'),
      ""),
     (_dump_bytes(GOOD_HEADER), ""),
+    (_dump_bytes(json.dumps({"arrays": [], "mode": "scattering", "config": {}}).encode()),
+     "'I'"),
     (_dump_bytes(_config_header({"domain": {"shape": "cube"}})), "domain.shape"),
     (_dump_bytes(_config_header({"grids": {"spatial": {"h": "x"}}})), "grids.spatial.h"),
 ], ids=["junk", "header_len_max", "header_past_end", "header_list", "arrays_int",
-        "array_without_shape", "array_past_end", "no_temperature", "config_domain_cube",
-        "config_spatial_h_text"])
+        "array_without_shape", "array_past_end", "no_temperature", "no_radiance",
+        "config_domain_cube", "config_spatial_h_text"])
 def test_entropy_command_unreadable(tmp_path, capsys, content, key):
     # Regression: a huge or overlong header length, a header of the wrong
     # structure and a grey dump without its temperature ended in a traceback

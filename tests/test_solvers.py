@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from radbody import geometry, solvers, spectral, transport
+from radbody import entropy, geometry, solvers, spectral, transport
 from radbody.quadrature import (
     build_angular,
     build_spatial,
@@ -250,11 +250,14 @@ def test_combined_refuses_pure_scattering(unit_ball, eq_grids):
 def test_combined_equilibrium(unit_ball, eq_grids):
     med = MediumSpec(AbsorptionProfile.constant(1.0), AbsorptionProfile.constant(0.5))
     g = BoundarySource.equilibrium(1.0)
-    w, T, I, report, _ = solvers.solve_combined(unit_ball, med, g, eq_grids, tol=1e-9)
+    w, T, I, report, J0 = solvers.solve_combined(unit_ball, med, g, eq_grids, tol=1e-9)
     assert np.max(np.abs(T.values - 1.0)) <= 1e-6
-    # the reconstructed radiance is the blackbody field
+    assert I is None  # an isotropic kernel's radiance is evaluated on demand
+    # the radiance of every direction is the blackbody field
+    sol = solvers.Solution("combined", unit_ball, eq_grids, med, g, report, w=w, T=T, J0=J0)
     B = spectral.planck(eq_grids.spectral.nodes, 1.0)
-    assert np.max(np.abs(I.values - B) / B) <= 1e-6
+    for i in range(eq_grids.angular.n_nodes):
+        assert np.max(np.abs(sol.interior_radiance(i) - B) / B) <= 1e-6
     assert report.extra["certificate_bound"] < 1.0
 
 
@@ -269,7 +272,7 @@ def test_combined_reduces_to_spectral(unit_ball, eq_grids, beam_source):
     prof = AbsorptionProfile.table([0.01, 1.0, 5.0, 20.0, 60.0], [1.2, 1.0, 0.5, 0.1, 0.02])
     med = MediumSpec(prof, AbsorptionProfile.constant(0.0))
     w_c, T_c, _, _, _ = solvers.solve_combined(unit_ball, med, beam_source, eq_grids,
-                                               tol=1e-10, return_radiation=False)
+                                               tol=1e-10)
     w_s, T_s, _ = solvers.solve_spectral(unit_ball, prof, beam_source, eq_grids, tol=1e-10)
     assert np.max(np.abs(T_c.values - T_s.values)) <= 1e-4
 
@@ -284,12 +287,55 @@ def test_combined_tabulated_isotropic_kernel_matches_fast_path(unit_ball):
     med_iso = MediumSpec(AbsorptionProfile.constant(1.0), AbsorptionProfile.constant(0.5))
     med_tab = MediumSpec(AbsorptionProfile.constant(1.0), AbsorptionProfile.constant(0.5),
                          kernel=(np.array([-1.0, 1.0]), np.array([1.0, 1.0])))
-    w_i, T_i, _, _, _ = solvers.solve_combined(unit_ball, med_iso, g, grids, tol=1e-10,
-                                               return_radiation=False)
-    w_t, T_t, _, _, _ = solvers.solve_combined(unit_ball, med_tab, g, grids, tol=1e-10,
-                                               return_radiation=False)
+    w_i, T_i, _, _, _ = solvers.solve_combined(unit_ball, med_iso, g, grids, tol=1e-10)
+    w_t, T_t, _, _, _ = solvers.solve_combined(unit_ball, med_tab, g, grids, tol=1e-10)
     assert np.max(np.abs(T_i.values - 1.0)) <= 1e-6
     assert np.max(np.abs(T_t.values - 1.0)) <= 1e-6
+
+
+def test_tabulated_kernel_solution_radiance_matches_stored(unit_ball, beam_source):
+    # Regression: the diagnostics of a tabulated-kernel combined run used the
+    # isotropic source alpha_a B + (alpha_s/4pi) J0 whatever the kernel, so
+    # the radiance they re-evaluated missed the stored one by 4.8e-2 (max
+    # 1.30) and the entropy report's conservation term read 6.7e-2.
+    grids = Grids(build_spatial(unit_ball, 0.25), build_angular(4, 8),
+                  build_spectral(1.0, 8), ray_h=0.1)
+    med = MediumSpec(AbsorptionProfile.constant(1.0), AbsorptionProfile.constant(0.5),
+                     kernel=(np.array([-1.0, 0.0, 1.0]), np.array([0.1, 0.5, 4.0])))
+    w, T, I, report, J0 = solvers.solve_combined(unit_ball, med, beam_source, grids, tol=1e-9)
+    sol = solvers.Solution("combined", unit_ball, grids, med, beam_source, report,
+                           w=w, T=T, radiation=I, J0=J0)
+    for i in range(grids.angular.n_nodes):
+        assert np.max(np.abs(sol.interior_radiance(i) - I.values[:, i])) <= 1e-8
+    assert abs(entropy.solution_entropy_report(sol).conservation_entropy_term) <= 1e-6
+
+
+def test_scattering_boundary_radiance_matches_reference(unit_ball, beam_source):
+    # The in-scattered source of a scattering-mode Solution comes from
+    # AngularSweep.source; compare with the per-direction formula it replaced.
+    grids = Grids(build_spatial(unit_ball, 0.25), build_angular(4, 8),
+                  build_spectral(1.0, 8), ray_h=0.1)
+    med = MediumSpec(AbsorptionProfile.constant(0.0), AbsorptionProfile.constant(1.0),
+                     kernel=(np.array([-1.0, 0.0, 1.0]), np.array([0.1, 0.5, 4.0])))
+    I, report = solvers.solve_scattering(unit_ball, med, beam_source, grids, tol=1e-9)
+    sol = solvers.Solution("scattering", unit_ball, grids, med, beam_source, report,
+                           radiation=I)
+    angular, nus = grids.angular, grids.spectral.nodes
+    pts, _, normals = geometry.surface_quadrature(unit_ball, angular.nodes, angular.weights)
+    got = sol.boundary_radiance(pts, normals)
+
+    K, _ = med.kernel_matrix(angular)
+    Kw = K * angular.weights[None, :]
+    beta = med.scattering(nus)
+    gvals = beam_source.evaluate(angular.nodes, nus)
+    sweeper = transport.RaySweeper(unit_ball, grids.spatial, angular, grids.ray_h)
+    want = np.empty(got.shape)
+    for i in range(angular.n_nodes):
+        outgoing = normals @ angular.nodes[i] > 0.0
+        want[~outgoing, i, :] = gvals[i]
+        box = grids.spatial.embed(np.einsum("k,mkj->mj", Kw[i], I.values) * beta)
+        want[outgoing, i, :] = sweeper.chord_radiance(i, pts[outgoing], box, beta, gvals[i])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
