@@ -67,30 +67,29 @@ def entropy_density(nu, I):
 def production_density(nu, T, I, kappa, B_T=None):
     """Local entropy production kappa (1/T_nu - 1/T)(B(T) - B(T_nu)) >= 0.
 
-    Both factors share their sign, so the product is nonnegative up to
-    rounding; it vanishes exactly when the radiance is the local blackbody
-    value.  T = 0 is admitted only together with I = 0 (zero production).
-    ``B_T``, if given, is ``planck(nu, T)`` evaluated beforehand, so that
-    callers sweeping many radiances at one temperature field compute it once.
+    T_nu = nu / log1p(2 nu^3 / I) is the brightness temperature of I, so
+    B(T_nu) = I.  Both factors share their sign, so the product is
+    nonnegative up to rounding; it vanishes exactly when the radiance is the
+    local blackbody value.  T = 0 is admitted only together with I = 0 (zero
+    production).  ``B_T``, if given, is ``planck(nu, T)`` evaluated
+    beforehand, so that callers sweeping many radiances at one temperature
+    field compute it once.
     """
-    nu_arr = np.asarray(nu, dtype=float)
-    T_arr = np.asarray(T, dtype=float)
-    I_arr = np.asarray(I, dtype=float)
-    kappa_arr = np.asarray(kappa, dtype=float)
-    nu_b, T_b, I_b, k_b = np.broadcast_arrays(nu_arr, T_arr, I_arr, kappa_arr)
-    out = np.zeros(nu_b.shape)
-    Tnu = spectral.brightness_temperature(nu_b, I_b)
-    live = (T_b > 0.0) & (Tnu > 0.0)
-    if np.any(live):
-        if B_T is None:
-            BT = spectral.planck(nu_b[live], T_b[live])
-        else:
-            BT = np.broadcast_to(B_T, nu_b.shape)[live]
-        Bnu = spectral.planck(nu_b[live], Tnu[live])
-        out[live] = k_b[live] * (1.0 / Tnu[live] - 1.0 / T_b[live]) * (BT - Bnu)
-    # Emission into exact vacuum (I = 0, T > 0): the limit diverges.
-    vac = (T_b > 0.0) & (I_b == 0.0) & (k_b > 0.0)
-    out[vac] = np.inf
+    nu_arr, T_arr, I_arr, kappa_arr = (np.asarray(a, dtype=float) for a in (nu, T, I, kappa))
+    if np.any(nu_arr <= 0.0):
+        raise spectral.NonPositiveFrequency("production_density requires nu > 0")
+    if np.any(I_arr < 0.0):
+        raise NegativeIntensity("production_density requires I >= 0")
+    BT = spectral.planck(nu_arr, T_arr) if B_T is None else B_T
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv_Tnu = 1.0 / (nu_arr / np.log1p(2.0 * nu_arr**3 / I_arr))
+        out = kappa_arr * (inv_Tnu - 1.0 / T_arr) * (BT - I_arr)
+    # Off the live set (T > 0 and a finite 1/T_nu) the value is 0, except
+    # emission into exact vacuum (I = 0, T > 0), whose limit diverges.
+    live = (T_arr > 0.0) & np.isfinite(inv_Tnu)
+    if not np.all(live):
+        vacuum = (T_arr > 0.0) & (I_arr == 0.0) & (kappa_arr > 0.0)
+        out = np.where(live, out, np.where(vacuum, np.inf, 0.0))
     if np.isscalar(nu) and np.isscalar(T) and np.isscalar(I) and np.isscalar(kappa):
         return float(out)
     return out
@@ -105,10 +104,11 @@ def boundary_flows(I_boundary: np.ndarray, surface_weights: np.ndarray,
     integrals keep their negative sign.
     """
     mu = normals @ angular.nodes.T  # (S, A)
-    s_nu = entropy_density(spectral_grid.nodes[None, None, :], I_boundary)
     flux_w = surface_weights[:, None] * angular.weights[None, :] * mu  # (S, A)
     out_mask = mu > 0.0
-    ent = np.einsum("kij,j->ki", s_nu, spectral_grid.weights)
+    # One direction at a time: its (S, J) entropy densities are the only transient.
+    ent = np.stack([np.einsum("kj,j->k", entropy_density(spectral_grid.nodes, I_boundary[:, i]),
+                              spectral_grid.weights) for i in range(angular.n_nodes)], axis=1)
     rad = np.einsum("kij,j->ki", I_boundary, spectral_grid.weights)
     phi_out = float(np.sum(flux_w[out_mask] * ent[out_mask]))
     phi_in = float(np.sum(flux_w[~out_mask] * ent[~out_mask]))

@@ -149,33 +149,27 @@ class SpatialGrid:
         return box
 
     def sample(self, points: np.ndarray):
-        """Trilinear sampling operator at arbitrary points.
+        """Trilinear stencils at points (P, 3): ``(indices, weights)``, each (P, 8).
 
-        Returns the sparse (P, box size) CSR matrix whose product with a
-        flattened box array, shape (box size,) or (box size, C), is its
-        trilinear interpolant at the P points.  Fractional indices are
-        clamped to the box hull.  Row p holds the 8 corners of its cell in
-        the order 4 dx + 2 dy + dz, corner (dx, dy, dz) in {0, 1}^3.
+        ``indices`` (int32) are the flat box indices of the 8 corners of each
+        point's cell, corner (dx, dy, dz) in {0, 1}^3 in the order
+        4 dx + 2 dy + dz, and ``weights`` their trilinear weights: a box array's
+        interpolant at point p is ``weights[p] @ box.reshape(-1)[indices[p]]``.
+        Fractional indices are clamped to the box hull.
         """
-        from scipy import sparse
-
         shape = np.array(self.box_shape)
-        n_box = int(np.prod(shape))
-        f = np.clip((np.asarray(points, dtype=float) - self.origin) / self.h, 0.0, shape - 1.0)
-        i0 = np.minimum(f.astype(np.int64), shape - 2)
-        t = f - i0
-        ny, nz = self.box_shape[1], self.box_shape[2]
-        flat = (i0[:, 0] * ny + i0[:, 1]) * nz + i0[:, 2]
-        d = np.arange(2)
+        # Per axis (3, P) and per corner (8, P): every operation runs over contiguous points.
+        f = (np.asarray(points, dtype=float).T - self.origin[:, None]) / self.h
+        np.clip(f, 0.0, shape[:, None] - 1.0, out=f)
+        i0 = np.minimum(f.astype(np.int32), (shape[:, None] - 2).astype(np.int32))
+        t = np.subtract(f, i0, out=f)
+        ny, nz = int(shape[1]), int(shape[2])
+        d = np.arange(2, dtype=np.int32)
         offsets = (d[:, None, None] * (ny * nz) + d[None, :, None] * nz + d).reshape(-1)
-        index_dtype = np.int32 if max(n_box, 8 * flat.size) < 2**31 else np.int64
-        indices = (flat[:, None] + offsets).astype(index_dtype).reshape(-1)
-        # Built as (8, P) so every product runs over contiguous points.
-        tt = np.stack([1.0 - t.T, t.T])  # (2, 3, P)
-        weights = (tt[:, None, None, 0] * tt[None, :, None, 1]
-                   * tt[None, None, :, 2]).reshape(8, -1).T.reshape(-1)
-        indptr = np.arange(0, 8 * flat.size + 1, 8, dtype=index_dtype)
-        return sparse.csr_matrix((weights, indices, indptr), shape=(flat.size, n_box))
+        indices = offsets[:, None] + ((i0[0] * ny + i0[1]) * nz + i0[2])
+        tt = np.stack([1.0 - t, t])  # (2, 3, P)
+        weights = tt[:, None, None, 0] * tt[None, :, None, 1] * tt[None, None, :, 2]
+        return np.ascontiguousarray(indices.T), np.ascontiguousarray(weights.reshape(8, -1).T)
 
 
 def build_spatial(domain: ConvexDomain, h: float) -> SpatialGrid:

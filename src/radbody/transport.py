@@ -491,10 +491,10 @@ class RaySweeper:
 
     one value per channel with its own decay rate.  The integral uses
     uniform Simpson nodes xi on [0, s]; sources are box arrays read through
-    the grid's trilinear sampling operator.  Rays from the nodes are static
-    across iterations, so their design per direction (path lengths, Simpson
-    weights, depths and the sampling operator at the samples) is cached up
-    to a memory budget.
+    the grid's trilinear stencils (``SpatialGrid.sample``).  Rays from the
+    nodes are static across iterations, so their design per direction (path
+    lengths, Simpson weights, depths and the stencils of the samples) is
+    cached up to a memory budget.
     """
 
     def __init__(self, domain: ConvexDomain, grid: SpatialGrid, angular: AngularGrid,
@@ -516,8 +516,8 @@ class RaySweeper:
         if cached is not None:
             return cached
         design = self._ray_design(self.grid.centers, self.path_lengths(i), self.angular.nodes[i])
-        s, starts, G, base_w, depth = design
-        nbytes = sum(a.nbytes for a in (s, starts, G.data, G.indices, G.indptr, base_w, depth))
+        s, starts, (corners, corner_w), base_w, depth = design
+        nbytes = sum(a.nbytes for a in (s, starts, corners, corner_w, base_w, depth))
         if self._cache_used + nbytes <= self._cache_budget:
             self._cache[i] = design
             self._cache_used += nbytes
@@ -526,51 +526,54 @@ class RaySweeper:
     def _ray_design(self, end_points: np.ndarray, s: np.ndarray, direction: np.ndarray):
         """Simpson samples of the rays of lengths ``s`` ending at ``end_points``.
 
-        Returns ``(s, starts, G, base_w, depth)``: the lengths, the first
-        sample of each ray, the trilinear sampling operator at the samples,
-        and per sample its Simpson weight and distance to the ray's end.
+        Returns ``(s, starts, (corners, corner_w), base_w, depth)``: the
+        lengths, the first sample of each ray, the trilinear stencils of the
+        samples (``SpatialGrid.sample``), and per sample its Simpson weight
+        and distance to the ray's end.
         """
         n_int = np.maximum(np.ceil(s / self.ray_h).astype(int), 2)
         n_int += n_int % 2
         counts = n_int + 1
         starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        total = int(np.sum(counts))
-        ray_of = np.repeat(np.arange(s.size), counts)
-        k = np.arange(total) - starts[ray_of]
-        nn = n_int[ray_of]
-        xi = s[ray_of] * (k / nn)
+        k = np.arange(int(np.sum(counts))) - np.repeat(starts, counts)
+        nn = np.repeat(n_int, counts)
+        s_of = np.repeat(s, counts)
         # Composite Simpson coefficients 1,4,2,...,4,1 scaled by s/(3n).
-        coeff = np.where((k == 0) | (k == nn), 1.0, np.where(k % 2 == 1, 4.0, 2.0))
-        base_w = coeff * s[ray_of] / (3.0 * nn)
-        depth = s[ray_of] - xi
-        pos = end_points[ray_of] - depth[:, None] * direction
-        return s, starts, self.grid.sample(pos), base_w, depth
+        coeff = np.where(k % 2 == 1, 4.0, 2.0)
+        coeff[starts] = coeff[starts + n_int] = 1.0
+        base_w = coeff * s_of / (3.0 * nn)
+        depth = s_of - s_of * (k / nn)
+        # Sample positions per axis, (3, P), handed over as a (P, 3) view.
+        pos = end_points.T[:, np.repeat(np.arange(s.size), counts)] - direction[:, None] * depth
+        return s, starts, self.grid.sample(pos.T), base_w, depth
 
     def _integrate(self, design, box: np.ndarray, rates):
         """Per-ray integral of exp(-rate depth) * source over the design's samples.
 
         The sweep is linear in the box: for each distinct rate u it is the
         sparse (rays, N_box) matrix  W_u = R diag(base_w e^{-u depth}) G,  with
-        G the trilinear sampling operator at the ray samples and R the sum
-        over each ray's samples.  W_u keeps G's column indices and entries,
-        scaled per sample, under a row pointer per ray; CSR sums the
-        repeated corner columns in the product.
+        G the trilinear stencils of the samples and R the sum over each ray's
+        samples.  W_u is built in CSR form straight from the stencils, one
+        row per ray holding its samples' corners, and the product sums the
+        repeated corner columns.  Channels sharing a rate share one product.
         """
         from scipy import sparse
 
-        s, starts, G, base_w, depth = design
-        n_box = G.shape[1]
-        indptr = (8 * np.append(starts, base_w.size)).astype(G.indices.dtype)
-        corner_w = G.data.reshape(-1, 8)
-        flat_box = box.reshape(n_box, -1)
+        s, starts, (corners, corner_w), base_w, depth = design
+        flat_box = box.reshape(self.grid.inside.size, -1)
+        indptr = 8 * np.append(starts, base_w.size)
         rates_arr = np.broadcast_to(np.asarray(rates, dtype=float), flat_box.shape[1:])
+        uniq = np.unique(rates_arr)
         contrib = np.empty((s.size, flat_box.shape[1]))
-        for u in np.unique(rates_arr):
-            data = (corner_w * (base_w * np.exp(-u * depth))[:, None]).reshape(-1)
-            W_u = sparse.csr_matrix((data, G.indices, indptr), shape=(s.size, n_box))
-            sel = rates_arr == u
-            contrib[:, sel] = W_u @ flat_box[:, sel]
-        if np.isscalar(rates) or np.asarray(rates).ndim == 0:
+        for u in uniq:
+            data = corner_w * (base_w * np.exp(-u * depth))[:, None]
+            W_u = sparse.csr_matrix((data.reshape(-1), corners.reshape(-1), indptr),
+                                    shape=(s.size, flat_box.shape[0]))
+            if uniq.size == 1:  # one product over the whole box, no column copies
+                contrib = W_u @ flat_box
+            else:
+                contrib[:, rates_arr == u] = W_u @ flat_box[:, rates_arr == u]
+        if np.ndim(rates) == 0:
             return contrib[:, 0]
         return contrib
 
@@ -623,8 +626,10 @@ class RaySweeper:
 
 def _attenuated(g, s: np.ndarray, rates, weight: float = 1.0) -> np.ndarray:
     """Boundary radiance g carried a path s with decay rates, times a
-    quadrature weight: weight e^{-rate s} g."""
-    return weight * np.exp(-np.outer(s, rates)) * g
+    quadrature weight: weight e^{-rate s} g, with one exponential per
+    distinct rate."""
+    uniq, inv = np.unique(np.ravel(rates), return_inverse=True)
+    return weight * np.take(np.exp(-np.outer(s, uniq)), inv, axis=1) * g
 
 
 def flux(I: RadiationField, m: int, angular: AngularGrid, spectral_grid: SpectralGrid) -> np.ndarray:

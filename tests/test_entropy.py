@@ -81,6 +81,44 @@ def test_production_density_nonnegative_random():
     assert np.array_equal(production_density(nu, T, I, kappa, B_T=spectral.planck(nu, T)), dens)
 
 
+def _two_planck_production(nu, T, I, kappa):
+    """The production formula that evaluates B(T_nu) with a second Planck
+    call, T_nu from ``spectral.brightness_temperature``."""
+    nu_b, T_b, I_b, k_b = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (nu, T, I, kappa)))
+    out = np.zeros(nu_b.shape)
+    Tnu = spectral.brightness_temperature(nu_b, I_b)
+    live = (T_b > 0.0) & (Tnu > 0.0)
+    BT = spectral.planck(nu_b[live], T_b[live])
+    Bnu = spectral.planck(nu_b[live], Tnu[live])
+    out[live] = k_b[live] * (1.0 / Tnu[live] - 1.0 / T_b[live]) * (BT - Bnu)
+    out[(T_b > 0.0) & (I_b == 0.0) & (k_b > 0.0)] = np.inf
+    return out
+
+
+def test_production_density_matches_two_planck_reference():
+    # Criterion 08's random inputs.  Near equilibrium both factors cancel, so
+    # values below 1e-12 of the largest are rounding-level remainders.
+    rng = np.random.default_rng(424242)
+    nu = rng.uniform(0.05, 10.0, 10_000)
+    T = rng.uniform(0.05, 5.0, 10_000)
+    I = rng.uniform(1e-12, 10.0, 10_000)
+    got = production_density(nu, T, I, 1.0)
+    ref = _two_planck_production(nu, T, I, 1.0)
+    big = np.abs(ref) > 1e-12 * np.max(np.abs(ref))
+    np.testing.assert_allclose(got[big], ref[big], rtol=1e-12, atol=0.0)
+    # Off the live set: T = 0, I = 0 with and without absorption, broadcast.
+    T0 = np.array([[1.0], [0.0]])
+    I0 = np.array([[0.0, 0.0, 2.0], [0.0, 1.0, 0.0]])
+    kappa = np.array([1.0, 0.0, 1.0])
+    nus = np.array([1.0, 2.0, 3.0])
+    np.testing.assert_allclose(production_density(nus, T0, I0, kappa),
+                               _two_planck_production(nus, T0, I0, kappa), rtol=1e-12, atol=0.0)
+    I[17] = -1e-300
+    with pytest.raises(spectral.NegativeIntensity):
+        production_density(nu, T, I, 1.0)
+
+
 def test_boundary_flows_zero_and_symmetric(unit_ball):
     ang = build_angular(6, 12)
     sgrid = build_spectral(1.0, 16)

@@ -103,6 +103,14 @@ def test_ray_nodes_examples(unit_ball):
         assert np.max(np.abs(att - (1.0 - np.exp(-s)))) <= 1e-6
 
 
+def _interpolate(grid, points, box):
+    """Trilinear interpolant of a box array at points, from the stencils."""
+    indices, weights = grid.sample(points)
+    flat = box.reshape(grid.inside.size, -1)
+    return np.einsum("pc,pck->pk", weights, flat[indices]).reshape(
+        (points.shape[0],) + box.shape[3:])
+
+
 def test_embed_and_sample(unit_ball):
     g = build_spatial(unit_ball, 0.125)
     rng = np.random.default_rng(0)
@@ -111,18 +119,22 @@ def test_embed_and_sample(unit_ball):
     pts = rng.normal(size=(500, 3))
     pts = 0.999 * pts / np.linalg.norm(pts, axis=1, keepdims=True)
     pts *= rng.random((500, 1)) ** (1 / 3)
-    assert np.max(np.abs(g.sample(pts) @ box.reshape(-1) - 7.0)) <= 1e-12
+    assert np.max(np.abs(_interpolate(g, pts, box) - 7.0)) <= 1e-12
     # linear fields are reproduced in the interior
     c = np.array([1.0, -2.0, 0.5])
     box = g.embed(g.centers @ c)
     inner = pts * 0.5
-    assert np.max(np.abs(g.sample(inner) @ box.reshape(-1) - inner @ c)) <= 1e-12
+    assert np.max(np.abs(_interpolate(g, inner, box) - inner @ c)) <= 1e-12
     # sampling at nodes returns node values exactly, for every channel
     vals = rng.random((g.n_nodes, 3))
     box = g.embed(vals)
-    assert np.max(np.abs(g.sample(g.centers) @ box.reshape(-1, 3) - vals)) <= 1e-12
-    # every row holds one cell's 8 corners with weights summing to one
-    op = g.sample(pts)
-    assert np.array_equal(op.indptr, 8 * np.arange(pts.shape[0] + 1))
-    assert np.all(op.data >= 0.0)
-    np.testing.assert_allclose(op.sum(axis=1).A.ravel(), 1.0, rtol=1e-14)
+    assert np.max(np.abs(_interpolate(g, g.centers, box) - vals)) <= 1e-12
+    # every point holds one cell's 8 corners, as int32, with weights summing to one
+    indices, weights = g.sample(pts)
+    assert indices.shape == weights.shape == (pts.shape[0], 8)
+    assert indices.dtype == np.int32
+    cell = np.stack(np.unravel_index(indices, g.box_shape), axis=-1)  # (P, 8, 3)
+    corner = np.stack(np.meshgrid([0, 1], [0, 1], [0, 1], indexing="ij"), axis=-1)
+    assert np.array_equal(cell - cell[:, :1], np.broadcast_to(corner.reshape(8, 3), cell.shape))
+    assert np.all(weights >= 0.0)
+    np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=1e-14)

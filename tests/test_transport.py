@@ -352,6 +352,25 @@ def test_line_integrals_match_gather_reference(unit_ball, ellipsoid_211):
                 np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
 
 
+def test_line_integrals_same_with_and_without_design_cache(unit_ball):
+    # A caching sweeper and a one-pass one (cache_bytes=0) build the same
+    # design, so their line integrals agree bit for bit, before and after
+    # the cache is filled.
+    rng = np.random.default_rng(23)
+    ang = build_angular(4, 8)
+    grid = build_spatial(unit_ball, 0.25)
+    cached = RaySweeper(unit_ball, grid, ang, ray_h=0.1)
+    one_pass = RaySweeper(unit_ball, grid, ang, ray_h=0.1, cache_bytes=0)
+    for rates in (np.full(4, 1.0), np.array([0.7, 2.0, 0.7, 0.0])):
+        box = grid.embed(rng.random((grid.n_nodes, rates.size)))
+        for i in range(ang.n_nodes):
+            want, s = one_pass.line_integrals(i, box, rates)
+            for _ in range(2):
+                got, s_got = cached.line_integrals(i, box, rates)
+                assert np.array_equal(got, want) and np.array_equal(s_got, s)
+    assert len(cached._cache) == ang.n_nodes and not one_pass._cache
+
+
 def test_sweep_matches_direction_loop(unit_ball, ellipsoid_211):
     rng = np.random.default_rng(17)
     ang = build_angular(4, 8)
