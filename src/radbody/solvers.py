@@ -12,7 +12,9 @@ driver records the last residual as the report's conservation norm.
 Each temperature solver takes its boundary term from
 ``transport.boundary_attenuation_nodes``, which picks the row-mass identity
 for isotropic sources and raises ``NegativeSource`` on a negative sink, and
-iterates the kernel at the medium's own rates on the original lattice.
+iterates the kernel at the medium's own rates on the original lattice; the
+spectral step's frequency sum runs through ``transport.rate_interpolation``,
+and its boundary term reads the same interpolated row masses.
 
 The combined regime is organized as a nested iteration: the outer loop
 updates the emission field w = f(T); each outer step solves the linear
@@ -328,6 +330,8 @@ def solve_spectral(
 
     Iterates w <- kernel term + boundary term from w = 0; iterates stay in
     [0, L] where L is derived from the measured maximal kernel row mass.
+    The report's ``extra`` records the rate interpolation of the frequency
+    sum (None when it is exact) and the emission table's size and fallbacks.
     Returns (w, T, report).
     """
     t0 = time.perf_counter()
@@ -335,16 +339,18 @@ def solve_spectral(
     alphas = profile(sgrid.nodes)
     if np.all(alphas == 0.0):
         raise ValueError("absorption profile vanishes on the spectral grid")
-    b_freq = boundary_attenuation_nodes(domain, grid, g, alphas, angular, sgrid)
     qa = sgrid.weights * alphas
-    b = qa @ b_freq.T
-    theta = max((float(np.max(attenuation_operator(grid, a).row_mass()))
-                 for a in alphas[alphas > 0.0]), default=0.0)
+    b = boundary_attenuation_nodes(domain, grid, g, alphas, angular, sgrid, weights=qa)
+    theta = float(np.max(transport.summed_row_masses(grid, alphas)))
     cap = float(np.max(b)) / max(1.0 - theta, 1e-12) * (1.0 + 1e-6) + 1e-300
+    plan = transport.rate_interpolation(grid, alphas)
+    table = spectral.emission_table(profile, sgrid)
+    fallbacks = table.fallbacks
 
     T = np.zeros(grid.n_nodes)
     report = SolverReport(tolerance=tol, norm="L1(Omega), relative",
-                          extra={"kernel_row_mass_max": theta, "iterate_cap": cap})
+                          extra={"kernel_row_mass_max": theta, "iterate_cap": cap,
+                                 "rate_interpolation": None if plan is None else plan.as_dict()})
 
     def step(w):
         nonlocal T
@@ -359,6 +365,8 @@ def solve_spectral(
     w = _fixed_point(step, np.zeros(grid.n_nodes), report, tol, max_iter,
                      grid.cell_volume, t0)
     T = spectral.invert_emission_many(profile, w, sgrid, t_guess=T)
+    report.extra["emission_table"] = {"size": table.size,
+                                      "fallbacks": table.fallbacks - fallbacks}
     return ScalarField(w, "f_of_T"), ScalarField(T, "temperature"), report
 
 

@@ -8,6 +8,7 @@ quantity in the package is dimensionless under this convention.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,12 @@ def planck(nu, T):
     if np.any(nu_arr <= 0.0):
         raise NonPositiveFrequency("planck requires nu > 0")
     nu_b, T_b = np.broadcast_arrays(nu_arr, T_arr)
+    if np.all(T_arr > 0.0):
+        # The common case, closed form everywhere: no masked copies.
+        z = nu_b / T_b
+        if z.size and SERIES_RATIO <= np.min(z) and np.max(z) <= OVERFLOW_RATIO:
+            out = 2.0 * nu_arr**3 / np.expm1(z)
+            return float(out) if np.isscalar(nu) and np.isscalar(T) else out
     out = np.zeros(nu_b.shape)
     pos = T_b > 0.0
     with np.errstate(divide="ignore", over="ignore"):
@@ -192,6 +199,68 @@ def emission_slope(profile: AbsorptionProfile, T, spectral_grid):
     return out
 
 
+# The inverse emission map is read from a cubic Hermite table of log T
+# against log f(T): TABLE_NODES temperatures uniform in log T, from where f is
+# a deep Wien tail (T = nu_min / TABLE_COLD) up to t_max.
+TABLE_NODES = 4096
+TABLE_COLD = 40.0
+
+
+class EmissionTable:
+    """Cubic Hermite interpolant of log T in log f(T) for one profile and grid.
+
+    The slope at each node, d log T / d log f = f / (T f'(T)), comes from
+    ``emission_slope``.  ``lookup`` is NaN outside [f(t_lo), f(t_max)];
+    ``fallbacks`` counts the values ``invert_emission_many`` had to invert
+    without the table.
+    """
+
+    def __init__(self, profile: AbsorptionProfile, spectral_grid, t_max: float):
+        T = np.geomspace(spectral_grid.nodes[0] / TABLE_COLD, t_max, TABLE_NODES)
+        f = emission_integral(profile, T, spectral_grid)
+        slope = emission_slope(profile, T, spectral_grid)
+        keep = (f > 0.0) & (slope > 0.0)  # a suffix: both increase with T
+        self.log_f = np.log(f[keep])
+        self.log_t = np.log(T[keep])
+        self.dlog_t = f[keep] / (T[keep] * slope[keep])
+        self.size = int(self.log_f.size)
+        self.fallbacks = 0
+
+    def lookup(self, w: np.ndarray):
+        """(T, d log T / d log f) at emission values w > 0; T is NaN where w
+        lies outside the table, and the slope is interpolated linearly."""
+        s_w = np.log(w)
+        s = np.clip(s_w, self.log_f[0], self.log_f[-1])
+        i = np.clip(np.searchsorted(self.log_f, s) - 1, 0, self.size - 2)
+        ds = self.log_f[i + 1] - self.log_f[i]
+        t = (s - self.log_f[i]) / ds
+        h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
+        h01 = t * t * (3.0 - 2.0 * t)
+        h10 = t * (1.0 - t) ** 2 * ds
+        h11 = t * t * (t - 1.0) * ds
+        y = (h00 * self.log_t[i] + h01 * self.log_t[i + 1]
+             + h10 * self.dlog_t[i] + h11 * self.dlog_t[i + 1])
+        slope = (1.0 - t) * self.dlog_t[i] + t * self.dlog_t[i + 1]
+        return np.where(s == s_w, np.exp(y), np.nan), slope
+
+
+_TABLES: "OrderedDict[tuple, EmissionTable]" = OrderedDict()
+_TABLES_MAX = 8
+
+
+def emission_table(profile: AbsorptionProfile, spectral_grid,
+                   t_max: float = DEFAULT_T_MAX) -> EmissionTable:
+    """The cached table of f(T) for the profile on the grid, up to ``t_max``."""
+    qa = spectral_grid.weights * profile(spectral_grid.nodes)
+    key = (spectral_grid.nodes.tobytes(), qa.tobytes(), float(t_max))
+    table = _TABLES.get(key)
+    if table is None:
+        table = _TABLES[key] = EmissionTable(profile, spectral_grid, t_max)
+        while len(_TABLES) > _TABLES_MAX:
+            _TABLES.popitem(last=False)
+    return table
+
+
 def invert_emission_many(
     profile: AbsorptionProfile,
     w: np.ndarray,
@@ -201,9 +270,13 @@ def invert_emission_many(
 ) -> np.ndarray:
     """Vectorized inverse of the emission map.
 
-    Brackets by doubling, bisects, then polishes with Newton steps using the
-    analytic slope.  ``t_guess`` (from a previous iterate) shortcuts the
-    bracket search.  Residual tolerance: |f(T) - w| <= 1e-10 max(1, w).
+    Reads T from the profile's ``emission_table`` and checks every value
+    with one exact evaluation of f, which also polishes it: one Newton step
+    in log T against log f with the table's slope, which shrinks the
+    residual to rounding level.  Values the check rejects, and values
+    outside the table, are inverted by damped Newton steps from ``t_guess``
+    (a previous iterate) or else by bracketing, bisection and Newton
+    polishing.  Residual tolerance: |f(T) - w| <= 1e-10 max(1, w).
     """
     w = np.asarray(w, dtype=float)
     if np.any(w < 0.0):
@@ -219,6 +292,23 @@ def invert_emission_many(
     if np.any(wl > w_cap):
         raise NotBracketable(f"w exceeds f(T_max={t_max:g}) = {w_cap:g}")
 
+    table = emission_table(profile, spectral_grid, t_max)
+    t, slope = table.lookup(wl)
+    miss = np.isnan(t)
+    hit = ~miss
+    f_hit = emission_integral(profile, t[hit], spectral_grid)
+    miss[hit] = ~(np.abs(f_hit - wl[hit]) <= 1e-10 * np.maximum(1.0, wl[hit]))
+    t[hit] *= np.exp(slope[hit] * np.log(wl[hit] / f_hit))
+    if np.any(miss):
+        table.fallbacks += int(np.count_nonzero(miss))
+        guess = None if t_guess is None else np.asarray(t_guess, dtype=float)[live][miss]
+        t[miss] = _invert_iteratively(profile, wl[miss], spectral_grid, guess)
+    out[live] = t
+    return out
+
+
+def _invert_iteratively(profile, wl, spectral_grid, t_guess):
+    """Invert f at w > 0 below the cap without the table (see invert_emission_many)."""
     f = lambda t: emission_integral(profile, t, spectral_grid)
     rtol = 1e-10 * np.maximum(1.0, wl)
     t = np.zeros(wl.shape)
@@ -227,9 +317,8 @@ def invert_emission_many(
     if t_guess is not None:
         # Warm path: damped Newton from the previous iterate; solver loops
         # move temperatures little between iterations.
-        tg = np.asarray(t_guess, dtype=float)[live]
-        warm = np.isfinite(tg) & (tg > 0.0)
-        tn = np.where(warm, tg, 1.0)
+        warm = np.isfinite(t_guess) & (t_guess > 0.0)
+        tn = np.where(warm, t_guess, 1.0)
         for _ in range(12):
             resid = f(tn) - wl
             done = np.abs(resid) <= rtol
@@ -265,8 +354,7 @@ def invert_emission_many(
             step = np.where(slope > 0.0, resid / np.where(slope > 0.0, slope, 1.0), 0.0)
             tt = np.clip(tt - step, lo, hi)
         t[open_mask] = tt
-    out[live] = t
-    return out
+    return t
 
 
 def emission_tail_bound(alpha_max: float, nu_max: float, T: float) -> float:

@@ -19,6 +19,7 @@ the diagnostics sweep rays, and the ray route serves as a consistency check.
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -257,68 +258,96 @@ def _next_fast_len(n: int) -> int:
         m += 1
 
 
+def _stencil_parts(grid: SpatialGrid, beta: float):
+    """``(octant, near)``: the stencil of rate ``beta`` on the lattice offsets
+    >= 0, shape ``box_shape``, and the near-field samples it was summed from.
+
+    Every quadrature point sits symmetrically in its cell, so each entry
+    depends on |offset| per axis only and the octant determines the full
+    stencil.  Far field: tensor two-point Gauss rule per source cell (4th
+    order).  Near field: composite two-point Gauss on subcells, the subcell
+    count graded by the Chebyshev distance d of the offset; offsets beyond
+    the box extent (thin bodies) have no entry.  ``near`` holds per shell d
+    the octant offsets (K, 3) and their kernel samples (K, a, a, a).  Self
+    entry: the exact integral over the cubic cell (``_cube_self_weight``).
+    """
+    h = grid.h
+    nx, ny, nz = grid.box_shape
+    gauss = 0.5 * h / np.sqrt(3.0)
+    kx, ky, kz = (np.arange(n) * h for n in (nx, ny, nz))
+    octant = np.zeros((nx, ny, nz))
+    for sx in (-gauss, gauss):
+        for sy in (-gauss, gauss):
+            for sz in (-gauss, gauss):
+                r2 = (
+                    (kx + sx)[:, None, None] ** 2
+                    + (ky + sy)[None, :, None] ** 2
+                    + (kz + sz)[None, None, :] ** 2
+                )
+                octant += np.exp(-beta * np.sqrt(r2)) / r2
+    octant *= beta / FOUR_PI * h**3 / 8.0
+    reach = np.minimum(NEAR_RANGE, np.array(grid.box_shape) - 1)
+    offsets = np.stack(np.meshgrid(*(np.arange(r + 1) for r in reach),
+                                   indexing="ij"), axis=-1).reshape(-1, 3)
+    cheb = np.max(offsets, axis=1)
+    near = []
+    for d in range(1, NEAR_RANGE + 1):
+        o = offsets[cheb == d]
+        q = max(2, int(np.ceil(NEAR_SUBDIV / (2 * d))))
+        cell = ((np.arange(q) + 0.5) / q - 0.5) * h
+        pts = (cell[:, None] + np.array([-1.0, 1.0]) * (h / (2 * q * np.sqrt(3.0)))).ravel()
+        p = o[:, :, None] * h + pts  # (K, 3, points per axis)
+        rr2 = (p[:, 0, :, None, None] ** 2 + p[:, 1, None, :, None] ** 2
+               + p[:, 2, None, None, :] ** 2)
+        # In place, to bound transient memory: the d = 1 shell holds
+        # 7 x 16^3 points.
+        kern = np.sqrt(rr2)
+        kern *= -beta
+        np.exp(kern, out=kern)
+        kern /= rr2
+        octant[o[:, 0], o[:, 1], o[:, 2]] = beta / FOUR_PI * np.mean(kern, axis=(1, 2, 3)) * h**3
+        near.append((o, kern))
+    octant[0, 0, 0] = _cube_self_weight(beta, h)
+    return octant, near
+
+
+# Sign patterns of the offsets mirrored from the octant.
+_MIRRORS = np.array(list(itertools.product((1, -1), repeat=3))[1:])
+
+
 class AttenuationOperator:
     """f |-> (beta/4pi) * integral over the body of exp(-beta r)/r^2 f.
 
-    Tabulated as a stencil over lattice offsets and applied by FFT
-    convolution.  Near-singular entries integrate the kernel over the source
-    cell by midpoint subdivision; the self entry is the exact integral over
-    the cubic cell itself (``_cube_self_weight``).
+    Tabulated as a stencil over lattice offsets, mirrored from its octant
+    (``_stencil_parts``, or ``parts`` when already evaluated), and applied
+    by FFT convolution.
     """
 
-    def __init__(self, grid: SpatialGrid, beta: float):
+    def __init__(self, grid: SpatialGrid, beta: float, parts: tuple | None = None):
         self.grid = grid
         self.beta = float(beta)
         self._row_mass = None
-        h = grid.h
         nx, ny, nz = grid.box_shape
         if self.beta == 0.0:
             self.stencil = np.zeros((2 * nx - 1, 2 * ny - 1, 2 * nz - 1))
             return
-        # Far field: tensor two-point Gauss rule per source cell (4th order).
-        # The Gauss points sit symmetrically in each cell, so the sum depends
-        # on |offset| per axis only: evaluate it on the octant of offsets >= 0
-        # and mirror that into the full box.
-        gauss = 0.5 * h / np.sqrt(3.0)
-        kx, ky, kz = (np.arange(n) * h for n in (nx, ny, nz))
-        octant = np.zeros((nx, ny, nz))
-        for sx in (-gauss, gauss):
-            for sy in (-gauss, gauss):
-                for sz in (-gauss, gauss):
-                    r2 = (
-                        (kx + sx)[:, None, None] ** 2
-                        + (ky + sy)[None, :, None] ** 2
-                        + (kz + sz)[None, None, :] ** 2
-                    )
-                    octant += np.exp(-self.beta * np.sqrt(r2)) / r2
-        octant *= self.beta / FOUR_PI * h**3 / 8.0
+        octant, near = parts if parts is not None else _stencil_parts(grid, self.beta)
         stencil = octant[np.ix_(*(np.abs(np.arange(1 - n, n)) for n in (nx, ny, nz)))]
-        # Near-field refinement: composite two-point Gauss on subcells, with
-        # the subcell count graded by the Chebyshev distance d of the offset.
-        # Offsets beyond the box extent (thin bodies) have no stencil entry.
-        reach = np.minimum(NEAR_RANGE, np.array(grid.box_shape) - 1)
-        offsets = np.stack(np.meshgrid(*(np.arange(-r, r + 1) for r in reach),
-                                       indexing="ij"), axis=-1).reshape(-1, 3)
-        cheb = np.max(np.abs(offsets), axis=1)
-        for d in range(1, NEAR_RANGE + 1):
-            o = offsets[cheb == d]
-            q = max(2, int(np.ceil(NEAR_SUBDIV / (2 * d))))
-            cell = ((np.arange(q) + 0.5) / q - 0.5) * h
-            pts = (cell[:, None] + np.array([-1.0, 1.0]) * (h / (2 * q * np.sqrt(3.0)))).ravel()
-            p = o[:, :, None] * h + pts  # (K, 3, points per axis)
-            rr2 = (p[:, 0, :, None, None] ** 2 + p[:, 1, None, :, None] ** 2
-                   + p[:, 2, None, None, :] ** 2)
-            # In place, to bound transient memory: the d = 1 shell alone
-            # holds 26 x 16^3 points.
-            kern = np.sqrt(rr2)
-            kern *= -self.beta
-            np.exp(kern, out=kern)
-            kern /= rr2
-            val = np.mean(kern, axis=(1, 2, 3))
-            stencil[nx - 1 + o[:, 0], ny - 1 + o[:, 1], nz - 1 + o[:, 2]] = (
-                self.beta / FOUR_PI * val * h**3
-            )
-        stencil[nx - 1, ny - 1, nz - 1] = _cube_self_weight(self.beta, h)
+        # A near-field entry with negative offset components has the samples
+        # of its octant entry reversed along those axes (the subcell points
+        # are symmetric to the last bit); summed in that order, it is the
+        # value of a direct evaluation at the signed offset.
+        center = np.array(grid.box_shape) - 1
+        for o, kern in near:
+            for signs in _MIRRORS:
+                neg = signs < 0
+                sel = np.all(o[:, neg] > 0, axis=1)
+                if np.any(sel):
+                    # Selecting rows copies them, in the mirrored order.
+                    samples = np.flip(kern, axis=tuple(1 + np.flatnonzero(neg)))[sel]
+                    idx = center + signs * o[sel]
+                    stencil[idx[:, 0], idx[:, 1], idx[:, 2]] = (
+                        self.beta / FOUR_PI * np.mean(samples, axis=(1, 2, 3)) * grid.h**3)
         self.stencil = stencil
         # FFT of the stencil at the cyclic shape, computed once.  A cyclic
         # length of 2n - 1 per axis holds every stencil offset, so the crop
@@ -361,16 +390,196 @@ _OPERATOR_CACHE: "OrderedDict[tuple, AttenuationOperator]" = OrderedDict()
 _OPERATOR_CACHE_MAX = 80
 
 
-def attenuation_operator(grid: SpatialGrid, beta: float) -> AttenuationOperator:
-    """Cached stencil operator, keyed by grid fingerprint and decay rate."""
+def attenuation_operator(grid: SpatialGrid, beta: float,
+                         parts: tuple | None = None) -> AttenuationOperator:
+    """Cached stencil operator, keyed by grid fingerprint and decay rate.
+
+    ``parts``, an already evaluated ``_stencil_parts``, seeds a new operator.
+    """
     key = (grid.token, float(beta))
     op = _OPERATOR_CACHE.get(key)
     if op is None:
-        op = AttenuationOperator(grid, beta)
+        op = AttenuationOperator(grid, beta, parts)
         _OPERATOR_CACHE[key] = op
         while len(_OPERATOR_CACHE) > _OPERATOR_CACHE_MAX:
             _OPERATOR_CACHE.popitem(last=False)
     return op
+
+
+# ---------------------------------------------------------------------------
+# Weighted frequency sums through a few Chebyshev rates
+# ---------------------------------------------------------------------------
+
+# Every interpolated stencil lies within this L1 distance of the exact one.
+RATE_L1_TOL = 1e-12
+# The most Chebyshev rates on one interval; an interval needing more is split.
+RATE_MAX_NODES = 16
+
+
+@dataclass(frozen=True)
+class RateInterpolation:
+    """The kernels of many decay rates as combinations of a few.
+
+    Each interval of ``rates`` carries its own Chebyshev rates, and
+    ``lagrange[k, r]`` is the Lagrange polynomial of ``nodes[k]`` at
+    ``rates[r]`` (zero across intervals), so that for every rate
+
+        || sum_k lagrange[k, r] stencil(nodes[k]) - stencil(rates[r]) ||_1 <= bound.
+
+    By Young's inequality a convolution then moves by at most
+    ``bound * ||f||_inf``.  An interval that would need as many nodes as it
+    holds rates keeps its rates (an identity block, exact).
+    """
+
+    rates: np.ndarray  # (R,) distinct positive rates, increasing
+    nodes: np.ndarray  # (K,) K < R
+    lagrange: np.ndarray  # (K, R)
+    nodes_per_interval: tuple
+    bound: float
+
+    def as_dict(self) -> dict:
+        return {"nodes_per_interval": list(self.nodes_per_interval),
+                "intervals": len(self.nodes_per_interval), "young_bound": self.bound}
+
+
+_PLAN_CACHE: "OrderedDict[tuple, RateInterpolation | None]" = OrderedDict()
+_PLAN_CACHE_MAX = 16
+
+
+def rate_interpolation(grid: SpatialGrid, rates) -> RateInterpolation | None:
+    """The cached interpolation of the kernels of the distinct positive ``rates``.
+
+    None when no interpolation needs fewer kernels than there are distinct
+    rates; weighted sums then group channels by rate, exactly.  On first use
+    the stencils of the chosen nodes are left in the operator cache.
+    """
+    # Sorted and deduplicated by hand: np.unique without an index output
+    # imports numpy.ma, about 40 ms on first use.
+    rates = np.sort(np.asarray(rates, dtype=float).ravel())
+    rates = rates[(rates > 0.0) & np.append(True, np.diff(rates) > 0.0)]
+    key = (grid.token, rates.tobytes())
+    if key not in _PLAN_CACHE:
+        _PLAN_CACHE[key] = _plan_rates(grid, rates) if rates.size > 2 else None
+        while len(_PLAN_CACHE) > _PLAN_CACHE_MAX:
+            _PLAN_CACHE.popitem(last=False)
+    return _PLAN_CACHE[key]
+
+
+def _chebyshev_rates(lo: float, hi: float, k: int) -> np.ndarray:
+    return 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(np.pi * (2 * np.arange(k) + 1) / (2 * k))
+
+
+def _lagrange(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L[k, j]: the Lagrange polynomial of ``nodes[k]`` evaluated at ``x[j]``."""
+    L = np.ones((nodes.size, x.size))
+    for k in range(nodes.size):
+        for m in range(nodes.size):
+            if m != k:
+                L[k] *= (x - nodes[m]) / (nodes[k] - nodes[m])
+    return L
+
+
+def _plan_rates(grid: SpatialGrid, rates: np.ndarray) -> RateInterpolation | None:
+    """Fit Chebyshev rates to ``rates``, splitting intervals where needed.
+
+    On each interval k is the smallest that passes the Young bound
+    ``RATE_L1_TOL``, checked against the exact stencil of every rate.  The
+    search starts from a radial estimate: a far-field entry at distance
+    r = h sqrt(n) is close to (h/4pi) beta e^{-beta r} / n, so interpolating
+    that function of beta over the multiset of n predicts the bound with no
+    stencil evaluation.
+    """
+    nx, ny, nz = grid.box_shape
+    ix, iy, iz = np.ogrid[:nx, :ny, :nz]
+    mult = 2.0 ** ((ix > 0).astype(int) + (iy > 0) + (iz > 0))  # mirror images
+    exact = [_stencil_parts(grid, r)[0] for r in rates]
+    n2 = (ix**2 + iy**2 + iz**2).ravel()
+    density = np.bincount(n2, weights=mult.ravel() / np.maximum(n2, 1))
+    shells = np.nonzero(density)[0][1:]  # without the self entry, n = 0
+    radii, density = grid.h * np.sqrt(shells), density[shells] * grid.h / FOUR_PI
+
+    def estimate(sub, k):
+        def g(b):
+            return b[:, None] * np.exp(-np.outer(b, radii))
+        nodes = _chebyshev_rates(sub[0], sub[-1], k)
+        return float(np.max(np.abs(_lagrange(nodes, sub).T @ g(nodes) - g(sub)) @ density))
+
+    def trial(idx, k):
+        """(nodes, lagrange, Young bound, node stencil parts) of k Chebyshev rates."""
+        sub = rates[idx]
+        nodes = _chebyshev_rates(sub[0], sub[-1], k)
+        L = _lagrange(nodes, sub)
+        parts = [_stencil_parts(grid, b) for b in nodes]
+        octants = np.stack([octant for octant, _ in parts])
+        bound = max(float(np.sum(mult * np.abs(np.tensordot(L[:, c], octants, axes=1)
+                                               - exact[r])))
+                    for c, r in enumerate(idx))
+        return nodes, L, bound, parts
+
+    def fit(idx):
+        """The smallest passing trial on rates[idx] with fewer nodes than rates."""
+        kmax = min(idx.size - 1, RATE_MAX_NODES)
+        k = next((k for k in range(2, kmax + 1) if estimate(rates[idx], k) <= RATE_L1_TOL),
+                 kmax)
+        best = trial(idx, k)
+        if best[2] <= RATE_L1_TOL:
+            while k > 2:
+                lower = trial(idx, k - 1)
+                if lower[2] > RATE_L1_TOL:
+                    break
+                k, best = k - 1, lower
+            return best
+        while k < kmax:
+            k += 1
+            best = trial(idx, k)
+            if best[2] <= RATE_L1_TOL:
+                return best
+        return None
+
+    def pieces(idx):
+        """Interpolated or exact pieces (idx, nodes, lagrange, bound, stencil parts)."""
+        if idx.size > 2:
+            fitted = fit(idx)
+            if fitted is not None:
+                return [(idx, *fitted)]
+            mid = 0.5 * (rates[idx[0]] + rates[idx[-1]])
+            split = pieces(idx[rates[idx] <= mid]) + pieces(idx[rates[idx] > mid])
+            if sum(p[1].size for p in split) < idx.size:
+                return split
+        return [(idx, rates[idx], np.eye(idx.size), 0.0, [None] * idx.size)]
+
+    parts = pieces(np.arange(rates.size))
+    nodes = np.concatenate([p[1] for p in parts])
+    if nodes.size >= rates.size:
+        return None
+    lagrange = np.zeros((nodes.size, rates.size))
+    row = 0
+    for idx, part_nodes, L, _, stencil_parts in parts:
+        lagrange[row:row + part_nodes.size, idx] = L
+        for b, node_parts in zip(part_nodes, stencil_parts):
+            attenuation_operator(grid, b, node_parts)
+        row += part_nodes.size
+    return RateInterpolation(rates=rates, nodes=nodes, lagrange=lagrange,
+                             nodes_per_interval=tuple(p[1].size for p in parts),
+                             bound=max(p[3] for p in parts))
+
+
+def summed_row_masses(grid: SpatialGrid, rates) -> np.ndarray:
+    """Row masses (M, J) of the kernels that weighted frequency sums apply.
+
+    One column per entry of ``rates``: the interpolated masses
+    sum_k lagrange[k, r] mass(nodes[k]) where ``rate_interpolation`` gives
+    an interpolation, else each rate's own; 0 for a zero rate.
+    """
+    rates = np.asarray(rates, dtype=float)
+    plan = rate_interpolation(grid, rates)
+    if plan is None:
+        return np.stack([attenuation_operator(grid, r).row_mass() for r in rates], axis=1)
+    node_mass = np.stack([attenuation_operator(grid, b).row_mass() for b in plan.nodes], axis=1)
+    mass = np.zeros((grid.n_nodes, rates.size))
+    live = rates > 0.0
+    mass[:, live] = (node_mass @ plan.lagrange)[:, np.searchsorted(plan.rates, rates[live])]
+    return mass
 
 
 def apply_attenuation_batch(grid: SpatialGrid, betas: np.ndarray,
@@ -378,17 +587,26 @@ def apply_attenuation_batch(grid: SpatialGrid, betas: np.ndarray,
     """Apply the per-channel attenuation operator to nodal fields (C, M).
 
     With ``weights`` (C,) the weighted channel sum  sum_c w_c conv_c(f_c),
-    shape (M,), is returned instead: channels sharing a decay rate (and so
-    a cached stencil) are summed before their transform, the others in
-    Fourier space, so one inverse transform serves all channels.
-    Transforms are batched in chunks sized to bound transient FFT memory.
+    shape (M,), is returned instead: channels sharing a decay rate are
+    summed before their transform, and where ``rate_interpolation`` gives an
+    interpolation the rates are replaced by its nodes,
+    sum_k conv_{nodes[k]}(sum_r lagrange[k, r] f_r), within its Young bound.
+    The products are summed in Fourier space, so one inverse transform
+    serves all channels.  Transforms are batched in chunks sized
+    to bound transient FFT memory.
     """
     betas = np.asarray(betas, dtype=float)
     C, M = fields.shape
     if weights is not None:
         betas, group = np.unique(betas, return_inverse=True)
         summed = np.zeros((betas.size, M))
-        np.add.at(summed, group, np.asarray(weights, dtype=float)[:, None] * fields)
+        # Channel by channel, in order: the sums of np.add.at, without its
+        # unbuffered per-element loop.
+        for field, r, w in zip(fields, group, np.asarray(weights, dtype=float)):
+            summed[r] += w * field
+        plan = rate_interpolation(grid, betas)
+        if plan is not None:
+            summed, betas = plan.lagrange @ summed[betas > 0.0], plan.nodes
         fields, C = summed, betas.size
     out = np.zeros((C, M) if weights is None else M)
     live = [c for c in range(C) if betas[c] > 0.0]
@@ -448,6 +666,7 @@ def boundary_attenuation_nodes(
     rates: np.ndarray,
     angular: AngularGrid,
     spectral_grid: SpectralGrid,
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """(1/4pi) * integral dn of g_nu(n) exp(-rate_j s(x,n)) at all nodes, (M, J).
 
@@ -457,12 +676,19 @@ def boundary_attenuation_nodes(
     boundary and volume terms share one discretization and a constant
     blackbody boundary is an exact discrete fixed point; other sources sum
     ``RaySweeper``'s attenuated boundary radiance over the direction
-    quadrature, one direction at a time.  Raises ``NegativeSource`` if the
-    term is negative at any node and frequency.
+    quadrature, one direction at a time.  With ``weights`` (J,) the weighted
+    frequency sum (M,) is returned instead, and the row masses are those of
+    the kernels that ``apply_attenuation_batch`` applies to weighted sums
+    (``summed_row_masses``), so that the fixed point stays exact there too.
+    Raises ``NegativeSource`` if the term is negative at any node and
+    frequency.
     """
     if g.is_isotropic:
         gj = g.spectral_values(spectral_grid.nodes)  # (J,)
-        mass = np.stack([attenuation_operator(grid, r).row_mass() for r in rates], axis=1)
+        if weights is None:
+            mass = np.stack([attenuation_operator(grid, r).row_mass() for r in rates], axis=1)
+        else:
+            mass = summed_row_masses(grid, rates)
         out = gj * (1.0 - mass)
     else:
         out = np.zeros((grid.n_nodes, spectral_grid.n_nodes))
@@ -473,7 +699,7 @@ def boundary_attenuation_nodes(
                                weight=angular.weights[i] / FOUR_PI)
     if np.any(out < 0.0):
         raise NegativeSource("boundary sink term is negative at some node")
-    return out
+    return out if weights is None else weights @ out.T
 
 
 # ---------------------------------------------------------------------------
@@ -729,16 +955,17 @@ def conservation_residual(
         raise NotImplementedError(
             f"{representation}-representation residual supports isotropic scattering only")
 
-    if representation == "kernel" or has_scattering:
-        b_field = boundary_attenuation_nodes(domain, grid, g, beta, angular, spectral_grid)
     if has_scattering:
+        b_field = boundary_attenuation_nodes(domain, grid, g, beta, angular, spectral_grid)
         J0, _ = scattered_mean_intensity(
             grid, spectral_grid, alphas_a, alphas_s, B, FOUR_PI * b_field, init=J0_guess
         )
     if representation == "kernel":
         if not has_scattering:
             qa = q * alphas_a
-            rhs = apply_attenuation_batch(grid, beta, B.T, weights=qa) + b_field @ qa
+            rhs = (apply_attenuation_batch(grid, beta, B.T, weights=qa)
+                   + boundary_attenuation_nodes(domain, grid, g, beta, angular, spectral_grid,
+                                                weights=qa))
         else:
             rhs = np.sum(q * alphas_a * J0, axis=1) / FOUR_PI
     else:

@@ -150,6 +150,19 @@ def test_spectral_equilibrium(unit_ball, eq_grids):
     assert report.extra["kernel_row_mass_max"] < 1.0
 
 
+def test_spectral_equilibrium_exact_under_rate_interpolation(unit_ball, eq_grids):
+    # The boundary term reads the interpolated row masses, so the blackbody
+    # boundary stays an exact discrete fixed point of the compressed map.
+    prof = AbsorptionProfile.table([0.01, 5.0, 60.0], [1.25, 1.0, 0.75])
+    w, T, report = solvers.solve_spectral(unit_ball, prof, BoundarySource.equilibrium(0.9),
+                                          eq_grids, tol=1e-12)
+    plan = report.extra["rate_interpolation"]
+    assert plan is not None and sum(plan["nodes_per_interval"]) < eq_grids.spectral.n_nodes
+    assert plan["young_bound"] <= transport.RATE_L1_TOL
+    assert report.extra["emission_table"]["size"] > 0
+    assert np.max(np.abs(T.values - 0.9)) <= 1e-10
+
+
 def test_spectral_reduces_to_grey(unit_ball, eq_grids, beam_source):
     prof = AbsorptionProfile.constant(1.0)
     w, T_s, _ = solvers.solve_spectral(unit_ball, prof, beam_source, eq_grids, tol=1e-10)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from radbody import spectral
@@ -142,6 +144,48 @@ def test_invert_emission_residual_and_warm_start():
     T_warm = spectral.invert_emission_many(prof, w, grid, t_guess=guess)
     resid = np.abs(spectral.emission_integral(prof, T_warm, grid) - w)
     assert np.all(resid <= 1e-10 * np.maximum(1.0, w))
+
+
+INVERSION_PROFILES = {
+    "constant": AbsorptionProfile.constant(1.0),
+    "mild": AbsorptionProfile.table([0.01, 5.0, 60.0], [1.25, 1.0, 0.75]),
+    "table": AbsorptionProfile.table([0.1, 5.0, 50.0], [1.0, 0.6, 0.05]),
+}
+INVERSION_GRID = build_spectral(1.0, 32)
+INVERSION_T_MAX = 20.0
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(sorted(INVERSION_PROFILES)),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
+       exponents=st.lists(st.floats(-40.0, 0.0), min_size=1, max_size=30),
+       guess=st.one_of(st.none(), st.floats(0.01, 30.0)),
+       excess=st.floats(1.0 + 1e-9, 10.0))
+def test_invert_emission_many_properties(name, fractions, exponents, guess, excess):
+    prof, grid = INVERSION_PROFILES[name], INVERSION_GRID
+    cap = spectral.emission_integral(prof, INVERSION_T_MAX, grid)
+    # w over [0, f(t_max)]: uniform fractions, and powers of ten reaching
+    # below the table's coldest entry.
+    w = np.sort(np.minimum(cap * np.concatenate([fractions, 10.0 ** np.array(exponents)]), cap))
+    table = spectral.emission_table(prof, grid, INVERSION_T_MAX)
+    off_table = int(np.count_nonzero(np.log(w[w > 0.0]) < table.log_f[0]))
+    before = table.fallbacks
+    t_guess = None if guess is None else np.full(w.shape, guess)
+    T = spectral.invert_emission_many(prof, w, grid, t_guess=t_guess, t_max=INVERSION_T_MAX)
+    assert table.fallbacks - before >= off_table
+    tol = 1e-10 * np.maximum(1.0, w)
+    assert np.all(np.abs(spectral.emission_integral(prof, T, grid) - w) <= tol)
+    # T is non-decreasing wherever w determines it: across gaps in w wider
+    # than the two residual tolerances (below 1e-10 the tolerance leaves T
+    # free), and between table values, to the table's accuracy of ~1e-10.
+    dT = np.diff(T)
+    assert np.all(dT[np.diff(w) > tol[:-1] + tol[1:]] >= 0.0)
+    on_table = np.log(np.maximum(w, 1e-300)) >= table.log_f[0]
+    both = on_table[:-1] & on_table[1:]
+    assert np.all(dT[both] >= -1e-9 * T[1:][both])
+    with pytest.raises(spectral.NotBracketable):
+        spectral.invert_emission_many(prof, np.append(w, cap * excess), grid,
+                                      t_max=INVERSION_T_MAX)
 
 
 def test_truncation_tail_bound():

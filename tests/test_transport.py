@@ -226,14 +226,19 @@ def _near_field_reference(grid, beta, near_range=transport.NEAR_RANGE,
     return out
 
 
-def test_near_field_matches_loop_reference(unit_ball):
-    for domain in (unit_ball, thin_ellipsoid()):
-        grid = build_spatial(domain, 0.125)
-        op = transport.AttenuationOperator(grid, 1.3)
-        ref = _near_field_reference(grid, 1.3)
-        assert len(ref) > 0
-        for index, value in ref.items():
-            assert op.stencil[index] == value
+def test_near_field_matches_loop_reference(unit_ball, ellipsoid_211):
+    # The stencil evaluates the near-field samples on the octant of offsets
+    # >= 0 only and sums each signed offset's mirrored samples in the loop's
+    # order, so every entry is the loop's to the last bit.
+    thin = build_spatial(thin_ellipsoid(), 0.125)
+    assert min(np.array(thin.box_shape) - 1) < transport.NEAR_RANGE
+    for grid in (build_spatial(unit_ball, 0.125), build_spatial(ellipsoid_211, 0.25), thin):
+        for beta in (0.3, 1.7, 20.0):
+            stencil = transport.AttenuationOperator(grid, beta).stencil
+            ref = _near_field_reference(grid, beta)
+            assert len(ref) > 0
+            for index, value in ref.items():
+                assert stencil[index] == value
 
 
 def _far_field_reference(grid, beta):
@@ -287,6 +292,70 @@ def test_batch_weights_equal_weighted_channel_sum(ellipsoid_211):
     expected = weights @ per_channel
     assert fused.shape == (grid.n_nodes,)
     assert np.max(np.abs(fused - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+# Absorption tables of the interpolation tests: the acceptance suite's mild
+# profile, test_spectral_equilibrium's wide one (0.02-1.2) and one spanning
+# 0.6-4.9 on the grid, which takes two intervals.
+RATE_TABLES = {
+    "mild": ([0.01, 5.0, 60.0], [1.25, 1.0, 0.75]),
+    "wide": ([0.01, 1.0, 5.0, 20.0, 60.0], [1.2, 1.0, 0.5, 0.1, 0.02]),
+    "steep": ([0.01, 50.0], [4.9, 0.6]),
+}
+
+
+@pytest.mark.parametrize("table", sorted(RATE_TABLES))
+def test_weighted_apply_interpolation_within_young_bound(unit_ball, table):
+    grid = build_spatial(unit_ball, 0.2)
+    sgrid = build_spectral(1.0, 32)
+    alphas = AbsorptionProfile.table(*RATE_TABLES[table])(sgrid.nodes)
+    plan = transport.rate_interpolation(grid, alphas)
+    assert plan is not None and plan.nodes.size < np.unique(alphas).size
+    assert plan.bound <= transport.RATE_L1_TOL
+    if table == "steep":
+        assert len(plan.nodes_per_interval) > 1
+    rng = np.random.default_rng(17)
+    fields = rng.random((alphas.size, grid.n_nodes)) * rng.uniform(0.1, 10.0, (alphas.size, 1))
+    weights = sgrid.weights * alphas
+    exact = weights @ apply_attenuation_batch(grid, alphas, fields)
+    fused = apply_attenuation_batch(grid, alphas, fields, weights=weights)
+    # Young: |sum_j w_j (K~_j - K_j) f_j| <= bound * sum_j |w_j| ||f_j||_inf.
+    scale = float(np.sum(np.abs(weights) * np.max(np.abs(fields), axis=1)))
+    assert np.max(np.abs(fused - exact)) <= plan.bound * scale
+    masses = np.stack([attenuation_operator(grid, a).row_mass() for a in alphas], axis=1)
+    assert np.max(np.abs(transport.summed_row_masses(grid, alphas) - masses)) <= plan.bound
+
+
+def _grouped_weighted_reference(grid, betas, fields, weights):
+    """The exact weighted path: channels summed per distinct rate, one forward
+    transform per rate, the products summed in Fourier space, one inverse."""
+    uniq, group = np.unique(betas, return_inverse=True)
+    summed = np.zeros((uniq.size, grid.n_nodes))
+    np.add.at(summed, group, weights[:, None] * fields)
+    live = uniq > 0.0
+    ops = [attenuation_operator(grid, u) for u in uniq[live]]
+    boxes = np.zeros((len(ops),) + grid.box_shape)
+    boxes.reshape(len(ops), -1)[:, grid.flat_index] = summed[live]
+    fhat = np.fft.rfftn(boxes, s=ops[0].fshape, axes=(-3, -2, -1))
+    for k, op in enumerate(ops):
+        fhat[k] *= op.kernel_hat
+    full = np.fft.irfftn(0.0 + fhat.sum(axis=0), s=ops[0].fshape, axes=(-3, -2, -1))
+    return transport._crop(full, grid.box_shape).reshape(-1)[grid.flat_index]
+
+
+def test_weighted_apply_one_or_two_rates_is_exact(unit_ball):
+    grid = build_spatial(unit_ball, 0.2)
+    sgrid = build_spectral(1.0, 32)
+    rng = np.random.default_rng(23)
+    fields = rng.random((sgrid.n_nodes, grid.n_nodes))
+    for profile in (AbsorptionProfile.constant(1.3),
+                    AbsorptionProfile.table([1.0, 1.0 + 1e-9], [0.4, 2.1])):
+        alphas = profile(sgrid.nodes)
+        assert np.unique(alphas).size == (1 if profile.is_constant else 2)
+        assert transport.rate_interpolation(grid, alphas) is None
+        weights = sgrid.weights * alphas
+        fused = apply_attenuation_batch(grid, alphas, fields, weights=weights)
+        assert np.array_equal(fused, _grouped_weighted_reference(grid, alphas, fields, weights))
 
 
 def _sample_reference(grid, box, points):
