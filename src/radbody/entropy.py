@@ -95,21 +95,24 @@ def production_density(nu, T, I, kappa, B_T=None):
     return out
 
 
-def boundary_flows(I_boundary: np.ndarray, surface_weights: np.ndarray,
-                   normals: np.ndarray, angular, spectral_grid) -> dict:
+def boundary_flows(radiance, surface_weights: np.ndarray, normals: np.ndarray,
+                   angular, spectral_grid) -> dict:
     """Entropy and radiation flows through the boundary.
 
-    ``I_boundary[k, i, j]`` holds radiance at surface node k, direction i,
-    frequency j.  Outgoing/incoming split by the sign of n . n_x; incoming
-    integrals keep their negative sign.
+    ``radiance`` yields, for directions 0, 1, ... of ``angular`` in turn, the
+    radiance (S, J) at the S surface nodes and the frequencies, so that no
+    more than one direction's is held.  Outgoing/incoming split by the sign
+    of n . n_x; incoming integrals keep their negative sign.
     """
     mu = normals @ angular.nodes.T  # (S, A)
     flux_w = surface_weights[:, None] * angular.weights[None, :] * mu  # (S, A)
     out_mask = mu > 0.0
-    # One direction at a time: its (S, J) entropy densities are the only transient.
-    ent = np.stack([np.einsum("kj,j->k", entropy_density(spectral_grid.nodes, I_boundary[:, i]),
-                              spectral_grid.weights) for i in range(angular.n_nodes)], axis=1)
-    rad = np.einsum("kij,j->ki", I_boundary, spectral_grid.weights)
+    ent = np.empty(mu.shape)
+    rad = np.empty(mu.shape)
+    for i, I_i in enumerate(radiance):
+        ent[:, i] = np.einsum("kj,j->k", entropy_density(spectral_grid.nodes, I_i),
+                              spectral_grid.weights)
+        rad[:, i] = np.einsum("kj,j->k", I_i, spectral_grid.weights)
     phi_out = float(np.sum(flux_w[out_mask] * ent[out_mask]))
     phi_in = float(np.sum(flux_w[~out_mask] * ent[~out_mask]))
     i_out = float(np.sum(flux_w[out_mask] * rad[out_mask]))
@@ -122,9 +125,9 @@ def solution_entropy_report(solution, diag_angular=None, diag_ray_h=None,
     """Full entropy accounting of a converged solve.
 
     Streams over directions: interior radiance is reconstructed one angular
-    node at a time for the production integral, and boundary radiance is
-    evaluated on a surface quadrature induced by a sphere rule.  The
-    diagnostic resolutions default to the solve's own grids; passing a
+    node at a time for the production integral, and boundary radiance one
+    direction at a time, on a surface quadrature induced by a sphere rule.
+    The diagnostic resolutions default to the solve's own grids; passing a
     coarser ``diag_angular``/larger ``diag_ray_h`` trades accuracy of the
     report (not of the solve) for speed on large grids.
     """
@@ -136,16 +139,17 @@ def solution_entropy_report(solution, diag_angular=None, diag_ray_h=None,
     if diag_ray_h is None:
         diag_ray_h = grids.ray_h
     alphas_a = solution.medium.absorption(sgrid.nodes)
+    # One pass over the directions in orbit order builds each orbit's design
+    # and operator once; a design cache would never be reread.
+    sweeper = RaySweeper(solution.domain, grid, angular, diag_ray_h, cache_bytes=0)
     production = 0.0
     min_pointwise = np.inf
     residual_term = 0.0
     if solution.T is not None and np.max(alphas_a) > 0.0:
         T = solution.T.values
         B = spectral.planck(sgrid.nodes, T[:, None])  # (M, J), shared by every direction
-        # One pass over the directions: a design cache would never be reread.
-        sweeper = RaySweeper(solution.domain, grid, angular, diag_ray_h, cache_bytes=0)
         absorbed = np.zeros(grid.n_nodes)
-        for i in range(angular.n_nodes):
+        for i in sweeper.orbit_order():
             I_i = solution.interior_radiance(i, angular=angular, _sweeper=sweeper)
             dens = production_density(sgrid.nodes[None, :], T[:, None], I_i,
                                       alphas_a[None, :], B_T=B)
@@ -164,8 +168,8 @@ def solution_entropy_report(solution, diag_angular=None, diag_ray_h=None,
 
     sphere = surface_sphere if surface_sphere is not None else angular
     pts, wts, normals = geometry.surface_quadrature(solution.domain, sphere.nodes, sphere.weights)
-    I_b = solution.boundary_radiance(pts, normals, angular=angular, ray_h=diag_ray_h)
-    flows = boundary_flows(I_b, wts, normals, angular, sgrid)
+    flows = boundary_flows((solution.boundary_radiance(i, pts, normals, angular, _sweeper=sweeper)
+                            for i in range(angular.n_nodes)), wts, normals, angular, sgrid)
     return EntropyReport(
         production_volume_integral=production,
         min_pointwise_production=min_pointwise,

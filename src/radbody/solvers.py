@@ -544,7 +544,7 @@ def compute_H(
 
     # Term 0: (alpha_a / (4 pi beta)) (1 - e^{-beta s}).
     term = np.empty((grids.spatial.n_nodes, A, grids.spectral.n_nodes))
-    for i in range(A):
+    for i in sw.rays.orbit_order():
         term[:, i, :] = (alphas_a / (FOUR_PI * beta)) * (
             -np.expm1(-np.outer(sw.rays.path_lengths(i), beta)))
     H = term.copy()
@@ -663,6 +663,8 @@ class Solution:
     # The direction-independent part of the ray source: alpha_a B(T) at the
     # nodes with stored radiance, else the box of alpha_a B(T) + (alpha_s/4pi) J0.
     _source_cache: np.ndarray | float | None = None
+    # The boundary source on the last angular grid asked for: (grid, (A, J)).
+    _boundary_cache: tuple | None = None
 
     def source_box_for_angle(self, i: int, angular: AngularGrid | None = None):
         """(box (nx,ny,nz,J), rates (J,)): the ray source for direction i.
@@ -698,6 +700,13 @@ class Solution:
             return self.grids.angular
         return angular
 
+    def _boundary_table(self, angular: AngularGrid) -> np.ndarray:
+        """The boundary source g over (directions, frequencies), evaluated once per grid."""
+        if self._boundary_cache is None or self._boundary_cache[0] is not angular:
+            self._boundary_cache = (angular, self.source.evaluate(
+                angular.nodes, self.grids.spectral.nodes))
+        return self._boundary_cache[1]
+
     def interior_radiance(self, i: int, angular: AngularGrid | None = None,
                           ray_h: float | None = None,
                           _sweeper: RaySweeper | None = None) -> np.ndarray:
@@ -706,27 +715,24 @@ class Solution:
         box, rates = self.source_box_for_angle(i, ang)
         sweeper = _sweeper or RaySweeper(self.domain, self.grids.spatial, ang,
                                          ray_h if ray_h is not None else self.grids.ray_h)
-        gvals = self.source.evaluate(ang.nodes, self.grids.spectral.nodes)
-        return sweeper.radiance(i, box, rates, gvals[i])
+        return sweeper.radiance(i, box, rates, self._boundary_table(ang)[i])
 
-    def boundary_radiance(self, points: np.ndarray, normals: np.ndarray,
-                          angular: AngularGrid | None = None,
-                          ray_h: float | None = None) -> np.ndarray:
-        """Radiance (S, A, J) at boundary points for all angular directions.
+    def boundary_radiance(self, i: int, points: np.ndarray, normals: np.ndarray,
+                          angular: AngularGrid | None = None, ray_h: float | None = None,
+                          _sweeper: RaySweeper | None = None) -> np.ndarray:
+        """Radiance (S, J) at boundary points for direction i of an angular grid.
 
-        Incoming directions carry the boundary source; outgoing directions
-        integrate the formal solution along the full chord.
+        Where direction i enters the body it is the boundary source; where it
+        leaves, the formal solution integrated along the full chord.
         """
         ang = self.diagnostic_angular(angular)
-        out = np.empty((points.shape[0], ang.n_nodes, self.grids.spectral.n_nodes))
-        gvals = self.source.evaluate(ang.nodes, self.grids.spectral.nodes)
-        sweeper = RaySweeper(self.domain, self.grids.spatial, ang,
-                             ray_h if ray_h is not None else self.grids.ray_h)
-        for i in range(ang.n_nodes):
-            outgoing = normals @ ang.nodes[i] > 0.0
-            out[~outgoing, i, :] = gvals[i]
-            if np.any(outgoing):
-                box, rates = self.source_box_for_angle(i, ang)
-                out[outgoing, i, :] = sweeper.chord_radiance(i, points[outgoing], box, rates,
-                                                             gvals[i])
+        g = self._boundary_table(ang)[i]
+        out = np.empty((points.shape[0], g.size))
+        outgoing = normals @ ang.nodes[i] > 0.0
+        out[~outgoing] = g
+        if np.any(outgoing):
+            box, rates = self.source_box_for_angle(i, ang)
+            sweeper = _sweeper or RaySweeper(self.domain, self.grids.spatial, ang,
+                                             ray_h if ray_h is not None else self.grids.ray_h)
+            out[outgoing] = sweeper.chord_radiance(i, points[outgoing], box, rates, g)
         return out

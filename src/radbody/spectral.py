@@ -276,7 +276,8 @@ def invert_emission_many(
     residual to rounding level.  Values the check rejects, and values
     outside the table, are inverted by damped Newton steps from ``t_guess``
     (a previous iterate) or else by bracketing, bisection and Newton
-    polishing.  Residual tolerance: |f(T) - w| <= 1e-10 max(1, w).
+    polishing.  Residual tolerance: |f(T) - w| <= 1e-10 w, for w down to
+    about 1e-305, below which the emission terms underflow.
     """
     w = np.asarray(w, dtype=float)
     if np.any(w < 0.0):
@@ -297,7 +298,7 @@ def invert_emission_many(
     miss = np.isnan(t)
     hit = ~miss
     f_hit = emission_integral(profile, t[hit], spectral_grid)
-    miss[hit] = ~(np.abs(f_hit - wl[hit]) <= 1e-10 * np.maximum(1.0, wl[hit]))
+    miss[hit] = ~(np.abs(f_hit - wl[hit]) <= 1e-10 * wl[hit])
     t[hit] *= np.exp(slope[hit] * np.log(wl[hit] / f_hit))
     if np.any(miss):
         table.fallbacks += int(np.count_nonzero(miss))
@@ -310,7 +311,7 @@ def invert_emission_many(
 def _invert_iteratively(profile, wl, spectral_grid, t_guess):
     """Invert f at w > 0 below the cap without the table (see invert_emission_many)."""
     f = lambda t: emission_integral(profile, t, spectral_grid)
-    rtol = 1e-10 * np.maximum(1.0, wl)
+    rtol = 1e-10 * wl
     t = np.zeros(wl.shape)
     open_mask = np.ones(wl.shape, dtype=bool)
 

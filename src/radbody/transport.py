@@ -311,7 +311,9 @@ def _stencil_parts(grid: SpatialGrid, beta: float):
     return octant, near
 
 
-# Sign patterns of the offsets mirrored from the octant.
+# Sign flips of the three axes other than the identity: the offsets mirrored
+# from the stencil's octant, and the reflections that ``RaySweeper`` shares
+# ray designs across.
 _MIRRORS = np.array(list(itertools.product((1, -1), repeat=3))[1:])
 
 
@@ -676,10 +678,11 @@ def boundary_attenuation_nodes(
     boundary and volume terms share one discretization and a constant
     blackbody boundary is an exact discrete fixed point; other sources sum
     ``RaySweeper``'s attenuated boundary radiance over the direction
-    quadrature, one direction at a time.  With ``weights`` (J,) the weighted
-    frequency sum (M,) is returned instead, and the row masses are those of
-    the kernels that ``apply_attenuation_batch`` applies to weighted sums
-    (``summed_row_masses``), so that the fixed point stays exact there too.
+    quadrature, one direction at a time in ``orbit_order``.  With ``weights``
+    (J,) the weighted frequency sum (M,) is returned instead, and the row
+    masses are those of the kernels that ``apply_attenuation_batch`` applies
+    to weighted sums (``summed_row_masses``), so that the fixed point stays
+    exact there too.
     Raises ``NegativeSource`` if the term is negative at any node and
     frequency.
     """
@@ -694,7 +697,7 @@ def boundary_attenuation_nodes(
         out = np.zeros((grid.n_nodes, spectral_grid.n_nodes))
         gvals = g.evaluate(angular.nodes, spectral_grid.nodes)  # (A, J)
         rays = RaySweeper(domain, grid, angular, cache_bytes=0)
-        for i in range(angular.n_nodes):
+        for i in rays.orbit_order():
             out += _attenuated(gvals[i], rays.path_lengths(i), rates,
                                weight=angular.weights[i] / FOUR_PI)
     if np.any(out < 0.0):
@@ -707,6 +710,49 @@ def boundary_attenuation_nodes(
 # ---------------------------------------------------------------------------
 
 
+def _mirror_orbits(grid: SpatialGrid, angular: AngularGrid):
+    """Orbits of the directions under the reflections of the lattice.
+
+    The group is the set of sign flips of the axes that map ``grid.inside``
+    onto itself exactly and the angular nodes onto themselves within
+    ``geometry.UNIT_TOL``; the lattice is centred on the body, so such a flip
+    maps every node to a node.  Returns ``(rep, mirror, order)``: per
+    direction i its orbit representative r and, for i != r, the map
+    ``(axes, perm)`` from r, where n_i is n_r with the box axes ``axes``
+    flipped and node m sits where node ``perm[m]`` of r sits, mirrored;
+    ``order`` lists the directions orbit by orbit, each representative first.
+    """
+    nodes = angular.nodes
+    # Nodes are matched by sorting on a generic projection, O(A log A): two
+    # nodes whose keys nearly tie may be paired wrongly, which fails the
+    # check below and only drops that flip from the group.
+    probe = np.array([1.0, np.sqrt(2.0), np.pi])
+    by_key = np.argsort(nodes @ probe, kind="stable")
+    node_of = np.full(grid.inside.shape, -1)
+    node_of.reshape(-1)[grid.flat_index] = np.arange(grid.n_nodes)
+    group = []
+    for signs in _MIRRORS:
+        axes = tuple(int(a) for a in np.flatnonzero(signs < 0))
+        if not np.array_equal(np.flip(grid.inside, axes), grid.inside):
+            continue
+        flipped = nodes * signs
+        f_key = np.argsort(flipped @ probe, kind="stable")
+        if np.max(np.abs(nodes[by_key] - flipped[f_key])) > geometry.UNIT_TOL:
+            continue
+        image = np.empty(nodes.shape[0], dtype=int)
+        image[f_key] = by_key  # nodes[image[i]] is nodes[i] flipped
+        group.append((image, (axes, np.flip(node_of, axes).reshape(-1)[grid.flat_index])))
+    rep = np.full(nodes.shape[0], -1)
+    mirror = [None] * nodes.shape[0]
+    for i in range(nodes.shape[0]):
+        if rep[i] < 0:
+            rep[i] = i
+            for image, flip in group:
+                if rep[image[i]] < 0:
+                    rep[image[i]], mirror[image[i]] = i, flip
+    return rep, mirror, np.argsort(rep, kind="stable")
+
+
 class RaySweeper:
     """Formal solutions of the transfer equation along backward rays.
 
@@ -717,10 +763,20 @@ class RaySweeper:
 
     one value per channel with its own decay rate.  The integral uses
     uniform Simpson nodes xi on [0, s]; sources are box arrays read through
-    the grid's trilinear stencils (``SpatialGrid.sample``).  Rays from the
-    nodes are static across iterations, so their design per direction (path
-    lengths, Simpson weights, depths and the stencils of the samples) is
-    cached up to a memory budget.
+    the grid's trilinear stencils (``SpatialGrid.sample``).
+
+    Rays from the nodes are static across iterations and shared across
+    mirror images: the directions fall into orbits under the sign flips of
+    the axes that map the lattice and the angular nodes onto themselves
+    (``_mirror_orbits``, found at the first sweep), and a direction reads
+    its orbit representative's path lengths and design (Simpson weights,
+    depths and the stencils of the samples) through its flip, on the
+    flipped source box, with its nodes permuted.  A direction with no
+    mirror partner is its own orbit.  Designs are cached per representative
+    up to a memory budget.  What was built for the last representative
+    asked for (its lengths, its design if uncached, and its operator at a
+    rate that every channel shares) is held until another one is asked for,
+    so a sweep in ``orbit_order`` builds each once per orbit.
     """
 
     def __init__(self, domain: ConvexDomain, grid: SpatialGrid, angular: AngularGrid,
@@ -732,21 +788,53 @@ class RaySweeper:
         self._cache: dict[int, tuple] = {}
         self._cache_budget = int(cache_bytes)
         self._cache_used = 0
+        self._orbits = None
+        self._held: dict = {}
+
+    def _mirror_orbits(self):
+        if self._orbits is None:
+            self._orbits = _mirror_orbits(self.grid, self.angular)
+        return self._orbits
+
+    def orbit_order(self) -> np.ndarray:
+        """The directions orbit by orbit, each representative first."""
+        return self._mirror_orbits()[2]
+
+    def _orbit(self, i: int):
+        """(r, mirror, held): direction i's representative, its map from r
+        (None for r itself), and what is held for r."""
+        rep, mirror, _ = self._mirror_orbits()
+        r = int(rep[i])
+        if self._held.get("rep") != r:
+            self._held = {"rep": r, "images": int(np.count_nonzero(rep == r)) - 1}
+        return r, mirror[i], self._held
+
+    def _lengths(self, r: int, held: dict) -> np.ndarray:
+        if "s" not in held:
+            design = self._cache.get(r)
+            held["s"] = design[0] if design is not None else geometry.exit_lengths(
+                self.domain, self.grid.centers, self.angular.nodes[r])
+        return held["s"]
 
     def path_lengths(self, i: int) -> np.ndarray:
         """Backward path length s(x, n_i) to the boundary from every node, (M,)."""
-        return geometry.exit_lengths(self.domain, self.grid.centers, self.angular.nodes[i])
+        r, mirror, held = self._orbit(i)
+        s = self._lengths(r, held)
+        return s if mirror is None else s[mirror[1]]
 
-    def _design(self, i: int):
-        cached = self._cache.get(i)
-        if cached is not None:
-            return cached
-        design = self._ray_design(self.grid.centers, self.path_lengths(i), self.angular.nodes[i])
+    def _design(self, r: int, held: dict):
+        design = self._cache.get(r, held.get("design"))
+        if design is not None:
+            return design
+        design = self._ray_design(self.grid.centers, self._lengths(r, held),
+                                  self.angular.nodes[r])
         s, starts, (corners, corner_w), base_w, depth = design
         nbytes = sum(a.nbytes for a in (s, starts, corners, corner_w, base_w, depth))
         if self._cache_used + nbytes <= self._cache_budget:
-            self._cache[i] = design
+            self._cache[r] = design
             self._cache_used += nbytes
+        else:
+            held["design"] = design
         return design
 
     def _ray_design(self, end_points: np.ndarray, s: np.ndarray, direction: np.ndarray):
@@ -773,32 +861,33 @@ class RaySweeper:
         pos = end_points.T[:, np.repeat(np.arange(s.size), counts)] - direction[:, None] * depth
         return s, starts, self.grid.sample(pos.T), base_w, depth
 
-    def _integrate(self, design, box: np.ndarray, rates):
-        """Per-ray integral of exp(-rate depth) * source over the design's samples.
-
-        The sweep is linear in the box: for each distinct rate u it is the
-        sparse (rays, N_box) matrix  W_u = R diag(base_w e^{-u depth}) G,  with
-        G the trilinear stencils of the samples and R the sum over each ray's
-        samples.  W_u is built in CSR form straight from the stencils, one
-        row per ray holding its samples' corners, and the product sums the
-        repeated corner columns.  Channels sharing a rate share one product.
-        """
+    def _operator(self, design, rate: float):
+        """The sweep of a design at one decay rate as a sparse (rays, N_box)
+        matrix  W = R diag(base_w e^{-rate depth}) G,  with G the trilinear
+        stencils of the samples and R the sum over each ray's samples, built
+        in CSR form straight from the stencils: one row per ray holding its
+        samples' corners, repeated corner columns unsummed."""
         from scipy import sparse
 
         s, starts, (corners, corner_w), base_w, depth = design
+        data = corner_w * (base_w * np.exp(-rate * depth))[:, None]
+        return sparse.csr_matrix((data.reshape(-1), corners.reshape(-1),
+                                  8 * np.append(starts, base_w.size)),
+                                 shape=(s.size, self.grid.inside.size))
+
+    def _integrate(self, operator, rays: int, box: np.ndarray, rates):
+        """Per-ray integral of exp(-rate depth) * source over ``rays`` rays:
+        ``operator(u)``, the sweep W_u at rate u (``_operator``), applied to
+        the box.  Channels sharing a rate share one product."""
         flat_box = box.reshape(self.grid.inside.size, -1)
-        indptr = 8 * np.append(starts, base_w.size)
         rates_arr = np.broadcast_to(np.asarray(rates, dtype=float), flat_box.shape[1:])
         uniq = np.unique(rates_arr)
-        contrib = np.empty((s.size, flat_box.shape[1]))
-        for u in uniq:
-            data = corner_w * (base_w * np.exp(-u * depth))[:, None]
-            W_u = sparse.csr_matrix((data.reshape(-1), corners.reshape(-1), indptr),
-                                    shape=(s.size, flat_box.shape[0]))
-            if uniq.size == 1:  # one product over the whole box, no column copies
-                contrib = W_u @ flat_box
-            else:
-                contrib[:, rates_arr == u] = W_u @ flat_box[:, rates_arr == u]
+        if uniq.size == 1:  # one product over the whole box, no column copies
+            contrib = operator(uniq[0]) @ flat_box
+        else:
+            contrib = np.empty((rays, flat_box.shape[1]))
+            for u in uniq:
+                contrib[:, rates_arr == u] = operator(u) @ flat_box[:, rates_arr == u]
         if np.ndim(rates) == 0:
             return contrib[:, 0]
         return contrib
@@ -809,8 +898,31 @@ class RaySweeper:
         ``box`` has shape (nx, ny, nz) or (nx, ny, nz, C); ``rates`` has one
         decay rate per channel.  Returns ``(values (M, C) or (M,), s (M,))``.
         """
-        design = self._design(i)
-        return self._integrate(design, box, rates), design[0]
+        r, mirror, held = self._orbit(i)
+        uniq = np.unique(rates)
+        if uniq.size == 1:
+            if held.get("rate") != uniq[0]:
+                # Held for the orbit, so an uncached design is let go first.
+                W = self._operator(self._design(r, held), uniq[0])
+                held.pop("design", None)
+                if held["images"] and box.size > self.grid.inside.size:
+                    # Summing the repeated corners of each row cuts the
+                    # nonzeros by a half to two thirds, at the cost of about
+                    # 20 one-column products: it pays when the orbit reuses
+                    # the operator on several channels.  In CSC form each
+                    # column lists its rows in order, so no sort is needed.
+                    W = W.tocsc()
+                    W.sum_duplicates()
+                held.update(rate=uniq[0], W=W)
+            operator = lambda u: held["W"]
+        else:
+            design = self._design(r, held)
+            operator = lambda u: self._operator(design, u)
+        s = self._lengths(r, held)
+        if mirror is None:
+            return self._integrate(operator, s.size, box, rates), s
+        axes, perm = mirror
+        return self._integrate(operator, s.size, np.flip(box, axes), rates)[perm], s[perm]
 
     def radiance(self, i: int, box: np.ndarray, rates: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Formal solution at every node for direction i, (M, C).
@@ -828,14 +940,16 @@ class RaySweeper:
         embedded into a box) and its boundary radiance from ``gvals[i]``.
         """
         out = np.empty(Phi.shape)
-        for i in range(self.angular.n_nodes):
+        for i in self.orbit_order():
             out[:, i, :] = self.radiance(i, self.grid.embed(Phi[:, i, :]), rates, gvals[i])
         return out
 
     def boundary_term(self, rates: np.ndarray, gvals: np.ndarray) -> np.ndarray:
         """Formal solution without sources, g_i e^{-rate s}, for every direction, (M, A, J)."""
-        return np.stack([_attenuated(gvals[i], self.path_lengths(i), rates)
-                         for i in range(self.angular.n_nodes)], axis=1)
+        out = np.empty((self.grid.n_nodes, self.angular.n_nodes, np.shape(gvals)[1]))
+        for i in self.orbit_order():
+            out[:, i, :] = _attenuated(gvals[i], self.path_lengths(i), rates)
+        return out
 
     def chord_radiance(self, i: int, points: np.ndarray, box: np.ndarray,
                        rates: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -846,7 +960,8 @@ class RaySweeper:
         """
         n = self.angular.nodes[i]
         chords = geometry.boundary_chord(self.domain, points, n)
-        contrib = self._integrate(self._ray_design(points, chords, n), box, rates)
+        design = self._ray_design(points, chords, n)
+        contrib = self._integrate(lambda u: self._operator(design, u), chords.size, box, rates)
         return _attenuated(g, chords, rates) + contrib
 
 
@@ -976,7 +1091,7 @@ def conservation_residual(
         boxes = grid.embed(src_nodes)  # (nx, ny, nz, J)
         gvals = g.evaluate(angular.nodes, nus)  # (A, J)
         absorbed = np.zeros(grid.n_nodes)
-        for i in range(angular.n_nodes):
+        for i in sweeper.orbit_order():
             I_i = sweeper.radiance(i, boxes, beta, gvals[i])
             absorbed += angular.weights[i] * np.sum(q * alphas_a * I_i, axis=1)
         rhs = absorbed / FOUR_PI

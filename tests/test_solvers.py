@@ -335,7 +335,8 @@ def test_scattering_boundary_radiance_matches_reference(unit_ball, beam_source):
                            radiation=I)
     angular, nus = grids.angular, grids.spectral.nodes
     pts, _, normals = geometry.surface_quadrature(unit_ball, angular.nodes, angular.weights)
-    got = sol.boundary_radiance(pts, normals)
+    got = np.stack([sol.boundary_radiance(i, pts, normals) for i in range(angular.n_nodes)],
+                   axis=1)
 
     K, _ = med.kernel_matrix(angular)
     Kw = K * angular.weights[None, :]

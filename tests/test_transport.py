@@ -380,25 +380,21 @@ def _sample_reference(grid, box, points):
 
 
 def _gather_line_integrals_reference(sweeper, i, box, rates):
-    """The eight-gather trilinear sweep that the sparse operators replaced."""
-    s, starts, _, base_w, depth = sweeper._design(i)
-    ray_of = np.repeat(np.arange(s.size), np.diff(np.append(starts, depth.size)))
-    pos = sweeper.grid.centers[ray_of] - depth[:, None] * sweeper.angular.nodes[i]
-    vals = _sample_reference(sweeper.grid, box, pos)
-    rates_arr = np.atleast_1d(np.asarray(rates, dtype=float))
-    uniq, inv = np.unique(rates_arr, return_inverse=True)
-    att = np.exp(-np.outer(depth, uniq))[:, inv]
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    contrib = np.add.reduceat(vals * att * base_w[:, None], starts, axis=0)
-    if np.isscalar(rates) or np.asarray(rates).ndim == 0:
-        return contrib[:, 0], s
-    return contrib, s
+    """The eight-gather trilinear sweep that the sparse operators replaced, on
+    a design of its own: the rays of direction i from every node, with the
+    sweeper's path lengths, summed by ``_chord_integrals_reference``."""
+    s = sweeper.path_lengths(i)
+    channels = box if box.ndim == 4 else box[..., None]
+    rates_c = np.broadcast_to(np.asarray(rates, dtype=float), channels.shape[3:])
+    contrib = _chord_integrals_reference(sweeper.grid, channels, sweeper.grid.centers, s,
+                                         sweeper.angular.nodes[i], rates_c, sweeper.ray_h)
+    return (contrib[:, 0] if np.ndim(rates) == 0 else contrib), s
 
 
 def test_line_integrals_match_gather_reference(unit_ball, ellipsoid_211):
-    # Same samples and weights as the gather sweep; only the summation
-    # order differs, so agreement is to rounding.
+    # Same samples and weights as the gather sweep, for every direction,
+    # whether it owns its design or reads its orbit representative's through
+    # a mirror; only the summation order differs, so agreement is to rounding.
     rng = np.random.default_rng(11)
     ang = build_angular(4, 8)
     cases = [
@@ -410,15 +406,63 @@ def test_line_integrals_match_gather_reference(unit_ball, ellipsoid_211):
     for domain in (unit_ball, ellipsoid_211):
         grid = build_spatial(domain, 0.25)
         sweeper = transport.RaySweeper(domain, grid, ang, ray_h=0.1)
+        for i in range(ang.n_nodes):
+            # Mirrored lengths are the direct ones to a few ulps.
+            direct = geometry.exit_lengths(domain, grid.centers, ang.nodes[i])
+            assert np.max(np.abs(sweeper.path_lengths(i) - direct)) <= 8 * np.spacing(
+                np.max(direct))
         for ndim, rates in cases:
             channels = () if ndim == 3 else (np.size(rates),)
             box = grid.embed(rng.random((grid.n_nodes,) + channels))
-            for i in (0, 5, ang.n_nodes - 1):
+            for i in sweeper.orbit_order():
                 got, s = sweeper.line_integrals(i, box, rates)
                 ref, s_ref = _gather_line_integrals_reference(sweeper, i, box, rates)
                 assert got.shape == ref.shape == (grid.n_nodes,) + channels
                 assert np.array_equal(s, s_ref)
                 np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+
+
+def test_mirror_orbits_of_the_lattice(unit_ball):
+    # The sharing rests on build_spatial centring the lattice on the body and
+    # on build_angular grids being closed under sign flips of the axes.
+    def orbits(domain, h, ang):
+        rep, mirror, order = transport._mirror_orbits(build_spatial(domain, h), ang)
+        assert np.array_equal(np.sort(order), np.arange(ang.n_nodes))
+        assert np.all(np.diff(rep[order]) >= 0) and np.all(rep[rep] == rep)
+        return np.bincount(rep)[np.unique(rep)], {m[0] for m in mirror if m is not None}
+
+    sizes, flips = orbits(unit_ball, 0.125, build_angular(8, 16))
+    assert sizes.tolist() == [8] * 16 and len(flips) == 7
+    # An odd azimuth count has no x flip: the y and z flips, a group of 4.
+    sizes, flips = orbits(unit_ball, 0.25, build_angular(3, 5))
+    assert max(sizes) == 4 and flips == {(1,), (2,), (1, 2)}
+
+    # One pass over every direction in orbit order at one shared rate builds
+    # one design and one operator per orbit.
+    grid = build_spatial(unit_ball, 0.25)
+    ang = build_angular(4, 8)
+    sweeper = RaySweeper(unit_ball, grid, ang, ray_h=0.1, cache_bytes=0)
+    built = []
+    sweeper._ray_design = lambda *args, real=sweeper._ray_design: built.append(1) or real(*args)
+    box = grid.embed(np.random.default_rng(3).random((grid.n_nodes, 2)))
+    for i in sweeper.orbit_order():
+        sweeper.line_integrals(i, box, np.full(2, 0.8))
+    assert len(built) == ang.n_nodes // 8
+
+    # Off centre, the lattice's mask is not symmetric: every direction is its
+    # own orbit and reads the direct path lengths.
+    domain = ConvexDomain.ball([0.3, -0.2, 0.1], 1.3)
+    grid = build_spatial(domain, 0.1)
+    rep, mirror, _ = transport._mirror_orbits(grid, ang)
+    assert np.array_equal(rep, np.arange(ang.n_nodes)) and mirror == [None] * ang.n_nodes
+    sweeper = RaySweeper(domain, grid, ang, ray_h=0.2)
+    rates = np.array([0.5, 0.5, 1.5])
+    box = grid.embed(np.random.default_rng(5).random((grid.n_nodes, rates.size)))
+    for i in range(0, ang.n_nodes, 3):
+        got, s = sweeper.line_integrals(i, box, rates)
+        ref, _ = _gather_line_integrals_reference(sweeper, i, box, rates)
+        assert np.array_equal(s, geometry.exit_lengths(domain, grid.centers, ang.nodes[i]))
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
 
 
 def test_line_integrals_same_with_and_without_design_cache(unit_ball):
@@ -437,7 +481,8 @@ def test_line_integrals_same_with_and_without_design_cache(unit_ball):
             for _ in range(2):
                 got, s_got = cached.line_integrals(i, box, rates)
                 assert np.array_equal(got, want) and np.array_equal(s_got, s)
-    assert len(cached._cache) == ang.n_nodes and not one_pass._cache
+    # One design per orbit: all eight sign flips map this lattice onto itself.
+    assert len(cached._cache) == ang.n_nodes // 8 and not one_pass._cache
 
 
 def test_sweep_matches_direction_loop(unit_ball, ellipsoid_211):
