@@ -12,7 +12,7 @@ computed state is from thermal equilibrium.
 All physics is expressed in natural units (see :mod:`radbody.spectral`).
 """
 
-from radbody.geometry import ConvexDomain, RayHit
+from radbody.geometry import ConvexDomain
 from radbody.quadrature import AngularGrid, SpatialGrid, SpectralGrid
 from radbody.spectral import AbsorptionProfile
 from radbody.transport import BoundarySource, MediumSpec, RadiationField, ScalarField
@@ -33,7 +33,6 @@ __all__ = [
     "ConvexDomain",
     "MediumSpec",
     "RadiationField",
-    "RayHit",
     "ScalarField",
     "SolverReport",
     "SpatialGrid",

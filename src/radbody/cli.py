@@ -72,7 +72,7 @@ def _merge(defaults, user, path=""):
     for key, dval in defaults.items():
         if key in user:
             uval = user[key]
-            if isinstance(dval, dict) and not key == "boundary" and not key == "medium":
+            if isinstance(dval, dict) and key != "boundary":
                 out[key] = _merge(dval, uval, f"{path}{key}.")
             else:
                 out[key] = uval
@@ -104,7 +104,7 @@ def _profile_from(value, key: str) -> AbsorptionProfile:
         if value < 0:
             raise ConfigInvalid(f"'{key}' must be {what}")
         return AbsorptionProfile.constant(float(value))
-    if isinstance(value, dict) and "table" in value:
+    if isinstance(value, dict) and set(value) == {"table"}:
         rows = value["table"]
         _check_numbers(rows, f"{key}.table", (None, 2), "a list of finite [nu, value] rows")
         try:
@@ -138,18 +138,18 @@ def _check_int(value, key: str, least: int):
 
 
 # Boundary values checked where their kind reads them: (kind, key, shape, what).
+# The last entry of the value (of each row, for a table) must be >= 0.
 _BOUNDARY_NUMBERS = (
-    ("constant", "value", (), "a finite radiance"),
-    ("equilibrium", "temperature", (), "a finite temperature"),
-    ("tabulated", "spectrum", (None, 2), "a list of finite [nu, g] rows"),
-    ("tabulated", "angular_profile", (None, 2), "a list of finite [mu, a] rows"),
+    ("constant", "value", (), "a finite radiance >= 0"),
+    ("equilibrium", "temperature", (), "a finite temperature >= 0"),
+    ("tabulated", "spectrum", (None, 2), "a list of finite [nu, g] rows with g >= 0"),
+    ("tabulated", "angular_profile", (None, 2), "a list of finite [mu, a] rows with a >= 0"),
 )
 
 
 def validate_config(cfg: dict):
-    for section in ("medium", "boundary"):
-        if not isinstance(cfg[section], dict):
-            raise ConfigInvalid(f"config key '{section}' must be a mapping")
+    if not isinstance(cfg["boundary"], dict):
+        raise ConfigInvalid("config key 'boundary' must be a mapping")
     dom = cfg["domain"]
     if dom.get("shape") not in ("ball", "ellipsoid"):
         raise ConfigInvalid("'domain.shape' must be 'ball' or 'ellipsoid'")
@@ -173,9 +173,15 @@ def validate_config(cfg: dict):
         _check_numbers(kernel["phase_table"], "medium.kernel.phase_table", (None, 2),
                        "a list of finite [cos_theta, p] rows")
     bnd = cfg["boundary"]
+    known = {"kind", "axis"} | {name for _, name, _, _ in _BOUNDARY_NUMBERS}
+    for key in bnd:
+        if key not in known:
+            raise ConfigInvalid(f"unknown config key 'boundary.{key}'")
     for kind, name, shape, what in _BOUNDARY_NUMBERS:
         if bnd.get("kind") == kind and name in bnd:
-            _check_numbers(bnd[name], f"boundary.{name}", shape, what)
+            values = _check_numbers(bnd[name], f"boundary.{name}", shape, what)
+            if np.any(np.atleast_1d(values)[..., -1] < 0.0):
+                raise ConfigInvalid(f"'boundary.{name}' must be {what}")
     if bnd.get("kind") == "tabulated" and bnd.get("axis") is not None:
         what = "three finite coordinates, not all zero"
         if not np.any(_check_numbers(bnd["axis"], "boundary.axis", (3,), what)):
@@ -214,6 +220,13 @@ def validate_config(cfg: dict):
     _check_int(gr["spectral"].get("n_nodes"), "grids.spectral.n_nodes", 8)
     _check_numbers(gr["spectral"].get("t_ref"), "grids.spectral.t_ref", (),
                    "a finite positive temperature", positive=True)
+    _check_numbers(cfg["oracle"]["tolerance"], "oracle.tolerance", (), "a finite positive bound",
+                   positive=True)
+    if not isinstance(cfg["output"]["dir"], str):
+        raise ConfigInvalid("'output.dir' must be a path")
+    for key in ("dump_field", "entropy"):
+        if not isinstance(cfg["output"][key], bool):
+            raise ConfigInvalid(f"'output.{key}' must be true or false")
 
 
 def build_domain(cfg: dict) -> ConvexDomain:
@@ -227,7 +240,7 @@ def build_medium(cfg: dict) -> MediumSpec:
     med = cfg["medium"]
     kernel = med.get("kernel", "isotropic")
     if kernel != "isotropic":
-        if not (isinstance(kernel, dict) and "phase_table" in kernel):
+        if not (isinstance(kernel, dict) and set(kernel) == {"phase_table"}):
             raise ConfigInvalid(
                 "'medium.kernel' must be 'isotropic' or {phase_table: [[mu, p], ...]}"
             )

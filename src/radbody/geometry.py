@@ -16,21 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Tolerances, in shape-function units: F(x) = |(x - center)/axes|^2 - 1.
-BOUNDARY_TOL = 1e-8
+# Tolerance on unit-vector components, for matching direction nodes.
 UNIT_TOL = 1e-12
-
-
-class NotInterior(ValueError):
-    """A point that must lie strictly inside the domain does not."""
-
-
-class NotUnit(ValueError):
-    """A direction vector deviates from unit length beyond tolerance."""
-
-
-class NotOnBoundary(ValueError):
-    """A point that must lie on the boundary does not."""
 
 
 @dataclass(frozen=True)
@@ -93,26 +80,14 @@ def shape_residual(domain: ConvexDomain, x) -> np.ndarray | float:
     return np.sum(u * u, axis=-1) - 1.0
 
 
-def contains(domain: ConvexDomain, x) -> bool:
-    """True iff ``x`` is strictly inside the domain (boundary excluded)."""
-    return bool(shape_residual(domain, x) < 0.0)
-
-
 def contains_many(domain: ConvexDomain, x: np.ndarray) -> np.ndarray:
+    """True where ``x`` is strictly inside the domain (boundary excluded)."""
     return np.asarray(shape_residual(domain, x)) < 0.0
 
 
 def diameter(domain: ConvexDomain) -> float:
     """Largest distance between two points of the closed domain."""
     return 2.0 * float(np.max(domain.semi_axes))
-
-
-@dataclass(frozen=True)
-class RayHit:
-    """Backward-ray boundary intersection: x = entry_point + path_length * n."""
-
-    entry_point: np.ndarray
-    path_length: float
 
 
 def exit_lengths(domain: ConvexDomain, x: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -135,42 +110,8 @@ def exit_lengths(domain: ConvexDomain, x: np.ndarray, n: np.ndarray) -> np.ndarr
     return (um + np.sqrt(np.maximum(disc, 0.0))) / mm
 
 
-def backward_exit(domain: ConvexDomain, x, n) -> RayHit:
-    """Entry point and path length of the backward ray from ``x`` along ``-n``.
-
-    Raises
-    ------
-    NotInterior
-        If ``x`` is not strictly inside the domain.
-    NotUnit
-        If ``|n|`` deviates from 1 beyond ``UNIT_TOL``.
-    """
-    x = np.asarray(x, dtype=float).reshape(3)
-    n = np.asarray(n, dtype=float).reshape(3)
-    if not contains(domain, x):
-        raise NotInterior(f"point {x} is not strictly inside the domain")
-    if abs(float(np.linalg.norm(n)) - 1.0) > UNIT_TOL:
-        raise NotUnit(f"direction {n} is not unit length")
-    s = float(exit_lengths(domain, x, n))
-    return RayHit(entry_point=x - s * n, path_length=s)
-
-
-def outward_normal(domain: ConvexDomain, y) -> np.ndarray:
-    """Unit outward normal at a boundary point ``y``.
-
-    Raises
-    ------
-    NotOnBoundary
-        If the shape residual at ``y`` exceeds ``BOUNDARY_TOL``.
-    """
-    y = np.asarray(y, dtype=float).reshape(3)
-    if abs(float(shape_residual(domain, y))) > BOUNDARY_TOL:
-        raise NotOnBoundary(f"point {y} is not on the boundary")
-    grad = (y - domain.center) / (domain.semi_axes * domain.semi_axes)
-    return grad / np.linalg.norm(grad)
-
-
 def outward_normals_many(domain: ConvexDomain, y: np.ndarray) -> np.ndarray:
+    """Unit outward normals at boundary points ``y``."""
     grad = (np.asarray(y, dtype=float) - domain.center) / (domain.semi_axes**2)
     return grad / np.linalg.norm(grad, axis=-1, keepdims=True)
 

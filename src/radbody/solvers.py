@@ -16,14 +16,13 @@ iterates the kernel at the medium's own rates on the original lattice; the
 spectral step's frequency sum runs through ``transport.rate_interpolation``,
 and its boundary term reads the same interpolated row masses.
 
-The combined regime is organized as a nested iteration: the outer loop
-updates the emission field w = f(T); each outer step solves the linear
-transport problem at frozen temperature.  For isotropic scattering that
-linear problem closes in the angle-integrated radiance and is solved with
-the lattice kernel (``scattered_mean_intensity``; with constant
-coefficients on one channel, the absorption-weighted frequency sum); for
-tabulated kernels an angular source-iteration sweep is used instead.  Both
-inner solves stop at ``transport.INNER_MAX_ITER`` iterations with
+With isotropic scattering the combined regime runs on the same driver
+with no inner solve: constant coefficients take the grey map at rate
+alpha_a + alpha_s and then recover the angle-integrated radiance J0 once
+(``scattered_mean_intensity``); otherwise the driver iterates J0 itself, one
+per-channel kernel apply a step.  A tabulated kernel stays nested: each outer
+step on w = f(T) runs angular source-iteration sweeps at frozen temperature.
+Both linear solves stop at ``transport.INNER_MAX_ITER`` iterations with
 ``InnerDiverged``.
 
 The ray-marching loops with in-scattering (scattering solver, tabulated-kernel
@@ -383,14 +382,16 @@ def solve_combined(
     tol: float = 1e-8,
     max_iter: int = 500,
 ):
-    """Nested iteration for scattering plus emission-absorption.
+    """Scattering plus emission-absorption; ``report.extra["route"]`` names the route.
 
-    Outer Picard step on w = f(T); each step solves the linear transport
-    problem at frozen temperature (warm-started, tolerance tied to the outer
-    residual).  Returns (w, T, radiation, report, J0) where J0 holds the
-    angle-integrated radiance per frequency.  ``radiation`` is the radiance
-    the angular inner solve iterates for a tabulated kernel, and None for an
-    isotropic one, whose radiance ``Solution`` evaluates on demand.
+    An isotropic kernel runs no inner solve.  Constant coefficients take the
+    grey map at rate alpha_a + alpha_s ("grey": scattering drops out of grey
+    radiative equilibrium), w = alpha_a a, then recover J0 once at the
+    converged T, both to min(tol, 1e-10).  Otherwise the driver iterates the mean intensity ("joint"),
+    J0 <- b4pi + (4pi/beta) K_beta[alpha_a B(T) + (alpha_s/4pi) J0] with
+    T = f^-1(sum_j q_j alpha_a J0_j / 4pi).  A tabulated kernel runs nested
+    angular inner solves ("angular").  Returns (w, T, radiation, report, J0):
+    ``radiation`` is the angular route's radiance, else None.
     """
     t0 = time.perf_counter()
     grid, angular, sgrid = grids.spatial, grids.angular, grids.spectral
@@ -403,49 +404,43 @@ def solve_combined(
         )
     if not medium.is_isotropic:
         return _solve_combined_angular(domain, medium, g, grids, tol, max_iter, t0)
-    b4pi = FOUR_PI * boundary_attenuation_nodes(domain, grid, g, alphas_a + alphas_s,
-                                                angular, sgrid)
-
+    beta = alphas_a + alphas_s
+    b4pi = FOUR_PI * boundary_attenuation_nodes(domain, grid, g, beta, angular, sgrid)
+    qa = sgrid.weights * alphas_a
     M, J = grid.n_nodes, sgrid.n_nodes
-    T = np.zeros(M)
-    report = SolverReport(tolerance=tol, norm="L1(Omega), relative")
-    report.extra["certificate_bound"] = float(np.max(duhamel_theta(alphas_a, alphas_s,
-                                                                   geometry.diameter(domain))))
-    # Constant coefficients close the inner solve on one channel, the
-    # absorption-weighted frequency sum U = sum_j q_j alpha_a J0_j with
-    # emission f(T); otherwise iterate the per-frequency system.
-    collapsed = medium.absorption.is_constant and medium.scattering.is_constant
-    J0 = None if collapsed else np.zeros((M, J))
-    U = np.zeros((M, 1))
-    inner_tol = 1e-2
 
-    def step(w):
-        nonlocal T, J0, U, inner_tol
-        T = spectral.invert_emission_many(medium.absorption, w, sgrid, t_guess=T)
-        if collapsed:
-            fT = spectral.emission_integral(medium.absorption, T, sgrid)
-            bU = b4pi @ (sgrid.weights * alphas_a)
-            U, _ = scattered_mean_intensity(
-                grid, sgrid, alphas_a[:1], alphas_s[:1], fT[:, None], bU[:, None],
-                tol=inner_tol, init=U)
-            w_new = U[:, 0] / FOUR_PI
-        else:
-            B = spectral.planck(sgrid.nodes, T[:, None])
-            J0, _ = scattered_mean_intensity(grid, sgrid, alphas_a, alphas_s, B, b4pi,
-                                             tol=inner_tol, init=J0)
-            w_new = (sgrid.weights * alphas_a) @ J0.T / FOUR_PI
-        inner_tol = _inner_tolerance(w, w_new, tol)
-        return w_new
-
-    w = _fixed_point(step, np.zeros(M), report, tol, max_iter, grid.cell_volume, t0)
-    T = spectral.invert_emission_many(medium.absorption, w, sgrid, t_guess=T)
-    if J0 is None:
-        # Recover the per-frequency mean intensities at the converged state
-        # (warm start: blackbody proportions hold near equilibrium).
+    if medium.absorption.is_constant and medium.scattering.is_constant:
+        # One tolerance for T and the J0 recovery, whose warm start 4pi B(T)
+        # is then accurate to it: a looser T costs more batched recovery
+        # applies than the tighter one-channel solve takes.
+        tight = min(tol, 1e-10)
+        a, _, report = solve_grey(domain, beta[0], g, grids, tight, max_iter)
+        w = alphas_a[0] * a.values
+        T = spectral.invert_emission_many(medium.absorption, w, sgrid)
         B = spectral.planck(sgrid.nodes, T[:, None])
-        J0, _ = scattered_mean_intensity(
-            grid, sgrid, alphas_a, alphas_s, B, b4pi,
-            tol=min(tol, 1e-10), init=FOUR_PI * B)
+        J0, _ = scattered_mean_intensity(grid, sgrid, alphas_a, alphas_s, B, b4pi,
+                                         tol=tight, init=FOUR_PI * B)
+        report.extra["route"] = "grey"
+    else:
+        T = np.zeros(M)
+        gain = np.divide(FOUR_PI, beta, out=np.zeros(J), where=beta > 0.0)
+        report = SolverReport(tolerance=tol, norm="L1(Omega x frequency nodes) of J0, relative",
+                              extra={"route": "joint"})
+
+        def step(x):
+            nonlocal T
+            J0 = x.reshape(M, J)
+            T = spectral.invert_emission_many(medium.absorption, J0 @ qa / FOUR_PI, sgrid,
+                                              t_guess=T)
+            src = alphas_a * spectral.planck(sgrid.nodes, T[:, None]) + alphas_s / FOUR_PI * J0
+            return (b4pi + gain * transport.apply_attenuation_batch(grid, beta, src.T).T).ravel()
+
+        J0 = _fixed_point(step, np.zeros(M * J), report, tol, max_iter, grid.cell_volume,
+                          t0).reshape(M, J)
+        w = J0 @ qa / FOUR_PI
+        T = spectral.invert_emission_many(medium.absorption, w, sgrid, t_guess=T)
+    report.extra["certificate_bound"] = float(np.max(duhamel_theta(
+        alphas_a, alphas_s, geometry.diameter(domain))))
     return ScalarField(w, "f_of_T"), ScalarField(T, "temperature"), None, report, J0
 
 
@@ -456,7 +451,7 @@ def _solve_combined_angular(domain, medium, g, grids, tol, max_iter, t0):
     qa = sgrid.weights * sw.alphas_a
     T = np.zeros(grids.spatial.n_nodes)
     I = sw.rays.boundary_term(sw.beta, sw.gvals)
-    report = SolverReport(tolerance=tol, norm="L1(Omega), relative")
+    report = SolverReport(tolerance=tol, norm="L1(Omega), relative", extra={"route": "angular"})
     inner_tol = 1e-2
 
     def step(w):
@@ -474,7 +469,8 @@ def _solve_combined_angular(domain, medium, g, grids, tol, max_iter, t0):
         else:
             raise InnerDiverged("angular inner solve hit its iteration cap")
         w_new = qa @ sw.angle_integral(I).T / FOUR_PI
-        inner_tol = _inner_tolerance(w, w_new, tol)
+        rel = float(np.sum(np.abs(w_new - w))) / max(float(np.sum(np.abs(w_new))), 1e-300)
+        inner_tol = max(min(0.05 * rel, 1e-2), 0.02 * tol)
         return w_new
 
     w = _fixed_point(step, np.zeros(grids.spatial.n_nodes), report, tol, max_iter,
@@ -482,12 +478,6 @@ def _solve_combined_angular(domain, medium, g, grids, tol, max_iter, t0):
     T = spectral.invert_emission_many(medium.absorption, w, sgrid, t_guess=T)
     return (ScalarField(w, "f_of_T"), ScalarField(T, "temperature"), RadiationField(I),
             report, sw.angle_integral(I))
-
-
-def _inner_tolerance(w, w_new, tol):
-    """Inner-solve tolerance for the next outer step, tied to this step's change."""
-    rel = float(np.sum(np.abs(w_new - w))) / max(float(np.sum(np.abs(w_new))), 1e-300)
-    return max(min(0.05 * rel, 1e-2), 0.02 * tol)
 
 
 # ---------------------------------------------------------------------------

@@ -973,12 +973,6 @@ def _attenuated(g, s: np.ndarray, rates, weight: float = 1.0) -> np.ndarray:
     return weight * np.take(np.exp(-np.outer(s, uniq)), inv, axis=1) * g
 
 
-def flux(I: RadiationField, m: int, angular: AngularGrid, spectral_grid: SpectralGrid) -> np.ndarray:
-    """Radiative energy flux vector at node m: double quadrature of n * I."""
-    return np.einsum("j,i,ic,ij->c", spectral_grid.weights, angular.weights,
-                     angular.nodes, I.values[m])
-
-
 # ---------------------------------------------------------------------------
 # Fixed-point defect (conservation residual)
 # ---------------------------------------------------------------------------

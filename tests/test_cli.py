@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radbody import cli, spectral, transport
 
@@ -251,6 +253,72 @@ def test_solve_bad_config_value_rejected(tmp_path, capsys, edits, key):
     assert not (tmp_path / "out_bad").exists()
 
 
+# Valid documented configs (the README schema) that the property test mutates.
+DOCUMENTED = [
+    BASE_EQ,
+    _edited(BASE_EQ, {"domain": {"shape": "ellipsoid", "center": [0.0, 0.0, 0.0],
+                                 "semi_axes": [2.0, 1.0, 1.0]},
+                      "medium": {"absorption": {"table": MILD_TABLE}, "scattering": 0.5,
+                                 "kernel": {"phase_table": [[-1.0, 1.0], [1.0, 2.0]]}},
+                      "boundary": BEAM, "solver.mode": "combined", "grids.ray.h": None,
+                      "oracle": {"tolerance": 5e-3}}),
+]
+WRONG_TYPES = ["x", True, None, [], {}, {"x": 1}, [[1.0, 2.0]]]
+BAD_NUMBERS = [NAN, float("inf"), float("-inf"), -1.0, 0.0, -1e-300, 1e308]
+
+
+def _paths(node, prefix=()):
+    """Every key path of a config, mappings included."""
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+
+
+def _reshaped(value):
+    """Badly shaped variants of a vector or table."""
+    out = [value[:-1], value + value[-1:], [value], []]
+    if value and isinstance(value[0], list):
+        out += [value[0], [row[:1] for row in value], [row + [0.0] for row in value]]
+    return out
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_load_config_mutations_load_or_name_the_key(tmp_path_factory, data):
+    # One mutation of a documented config either loads, or raises
+    # ConfigInvalid naming the mutated key (or the key whose mapping holds
+    # it, as for {table: ...}), never any other exception.  An unknown key
+    # and a non-finite number never load.
+    cfg = json.loads(json.dumps(data.draw(st.sampled_from(DOCUMENTED))))
+    path = data.draw(st.sampled_from(sorted(_paths(cfg))))
+    *parents, last = path
+    node = cfg
+    for name in parents:
+        node = node[name]
+    value = node[last]
+    kinds = ["type", "number", "unknown"] + (["shape"] if isinstance(value, list) else [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "unknown":
+        holder, at = (value, path) if isinstance(value, dict) else (node, tuple(parents))
+        holder["bogus"] = 1.0
+        key = ".".join(at + ("bogus",))
+    else:
+        choices = {"type": WRONG_TYPES, "number": BAD_NUMBERS}.get(kind) or _reshaped(value)
+        node[last] = data.draw(st.sampled_from(choices))
+        key = ".".join(path)
+    cfg_path = write_cfg(tmp_path_factory.mktemp("cfg"), cfg)
+    try:
+        loaded = cli.load_config(cfg_path)
+        for build in (cli.build_domain, cli.build_medium, cli.build_source):
+            build(loaded)
+    except cli.ConfigInvalid as exc:
+        assert key in str(exc) or key.rsplit(".", 1)[0] in str(exc), (key, str(exc))
+        return
+    assert kind != "unknown", f"unknown key '{key}' loaded"
+    assert kind != "number" or np.isfinite(node[last]), f"'{key}' = {node[last]} loaded"
+
+
 IMPORT_PROBE = """
 import sys
 from radbody import cli
@@ -364,8 +432,9 @@ def test_solve_negative_boundary_sink_exits_3(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("absorption", [1.0, {"table": [[0.01, 1.25], [60.0, 0.75]]}],
                          ids=["constant", "table"])
 def test_solve_inner_cap_exits_3(tmp_path, monkeypatch, capsys, absorption):
-    # One iteration cannot reach the inner tolerance of an isotropic combined
-    # solve, neither on one collapsed channel nor per frequency.
+    # One iteration cannot reach the tolerance of the kernel linear solve:
+    # neither the J0 recovery after the grey route (constant coefficients)
+    # nor the node-table residual after the joint iteration (a table).
     monkeypatch.setattr(transport, "INNER_MAX_ITER", 1)
     cfg = json.loads(json.dumps(BASE_EQ))
     cfg["medium"].update(absorption=absorption, scattering=0.5)
@@ -379,7 +448,7 @@ def test_solve_inner_cap_exits_3(tmp_path, monkeypatch, capsys, absorption):
 def test_solve_high_albedo_combined_residual_within_inner_cap(tmp_path):
     # Albedo 0.98: from a cold start the node-table residual's inner solve
     # needs more than the inner cap (833 iterations); warm-started from the
-    # solver's J0 it needs 143, so the converged solve exits 0.
+    # solver's J0 it needs 141, so the converged solve exits 0.
     cfg = json.loads(json.dumps(BASE_EQ))
     cfg["medium"].update(absorption=0.2, scattering=12.0)
     cfg["grids"]["spatial"]["h"] = 0.3

@@ -19,43 +19,26 @@ def random_directions(rng, count):
 
 
 def test_contains_examples(unit_ball):
-    assert geometry.contains(unit_ball, [0.0, 0.0, 0.0])
-    assert not geometry.contains(unit_ball, [2.0, 0.0, 0.0])
+    x = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     # boundary points are not interior
-    assert not geometry.contains(unit_ball, [1.0, 0.0, 0.0])
+    assert geometry.contains_many(unit_ball, x).tolist() == [True, False, False]
 
 
 def test_backward_exit_examples(unit_ball, ellipsoid_211):
-    hit = geometry.backward_exit(unit_ball, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
-    np.testing.assert_allclose(hit.entry_point, [-1.0, 0.0, 0.0], atol=1e-14)
-    assert hit.path_length == pytest.approx(1.0, abs=1e-14)
-
-    hit = geometry.backward_exit(unit_ball, [0.5, 0.0, 0.0], [1.0, 0.0, 0.0])
-    np.testing.assert_allclose(hit.entry_point, [-1.0, 0.0, 0.0], atol=1e-14)
-    assert hit.path_length == pytest.approx(1.5, abs=1e-14)
-
-    hit = geometry.backward_exit(ellipsoid_211, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
-    assert hit.path_length == pytest.approx(2.0, abs=1e-14)
-
-
-def test_backward_exit_errors(unit_ball):
-    with pytest.raises(geometry.NotInterior):
-        geometry.backward_exit(unit_ball, [1.5, 0.0, 0.0], [1.0, 0.0, 0.0])
-    with pytest.raises(geometry.NotInterior):
-        geometry.backward_exit(unit_ball, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
-    with pytest.raises(geometry.NotUnit):
-        geometry.backward_exit(unit_ball, [0.0, 0.0, 0.0], [1.0, 1.0, 0.0])
+    e = np.array([1.0, 0.0, 0.0])
+    x = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+    s = geometry.exit_lengths(unit_ball, x, e)
+    np.testing.assert_allclose(s, [1.0, 1.5], atol=1e-14)
+    np.testing.assert_allclose(x - s[:, None] * e, [[-1.0, 0.0, 0.0]] * 2, atol=1e-14)
+    assert geometry.exit_lengths(ellipsoid_211, x[0], e) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_outward_normal_examples(unit_ball, ellipsoid_211):
-    np.testing.assert_allclose(geometry.outward_normal(unit_ball, [1.0, 0.0, 0.0]),
+    np.testing.assert_allclose(
+        geometry.outward_normals_many(unit_ball, np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])),
+        [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]], atol=1e-14)
+    np.testing.assert_allclose(geometry.outward_normals_many(ellipsoid_211, [2.0, 0.0, 0.0]),
                                [1.0, 0.0, 0.0], atol=1e-14)
-    np.testing.assert_allclose(geometry.outward_normal(unit_ball, [0.0, -1.0, 0.0]),
-                               [0.0, -1.0, 0.0], atol=1e-14)
-    np.testing.assert_allclose(geometry.outward_normal(ellipsoid_211, [2.0, 0.0, 0.0]),
-                               [1.0, 0.0, 0.0], atol=1e-14)
-    with pytest.raises(geometry.NotOnBoundary):
-        geometry.outward_normal(unit_ball, [0.5, 0.0, 0.0])
 
 
 def test_diameter(unit_ball, ellipsoid_211):
