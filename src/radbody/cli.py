@@ -24,7 +24,7 @@ import yaml
 from radbody import entropy as entropy_mod
 from radbody import geometry, solvers, spectral, transport
 from radbody.geometry import ConvexDomain
-from radbody.quadrature import build_angular, build_spatial, build_spectral
+from radbody.quadrature import build_angular, build_spatial, build_spectral, single_frequency_grid
 from radbody.solvers import Grids, Solution
 from radbody.spectral import AbsorptionProfile
 from radbody.transport import FOUR_PI, BoundarySource, MediumSpec
@@ -138,12 +138,14 @@ def _check_int(value, key: str, least: int):
 
 
 # Boundary values checked where their kind reads them: (kind, key, shape, what).
-# The last entry of the value (of each row, for a table) must be >= 0.
+# The last entry of the value (of each row, for a table) must be >= 0, and a
+# table's first column, the abscissae of np.interp, must increase strictly.
 _BOUNDARY_NUMBERS = (
     ("constant", "value", (), "a finite radiance >= 0"),
     ("equilibrium", "temperature", (), "a finite temperature >= 0"),
-    ("tabulated", "spectrum", (None, 2), "a list of finite [nu, g] rows with g >= 0"),
-    ("tabulated", "angular_profile", (None, 2), "a list of finite [mu, a] rows with a >= 0"),
+    ("tabulated", "spectrum", (None, 2), "a list of finite [nu, g] rows, nu increasing, g >= 0"),
+    ("tabulated", "angular_profile", (None, 2),
+     "a list of finite [mu, a] rows, mu increasing, a >= 0"),
 )
 
 
@@ -170,8 +172,10 @@ def validate_config(cfg: dict):
     scattering = _profile_from(cfg["medium"].get("scattering", 0.0), "medium.scattering")
     kernel = cfg["medium"].get("kernel")
     if isinstance(kernel, dict) and "phase_table" in kernel:
-        _check_numbers(kernel["phase_table"], "medium.kernel.phase_table", (None, 2),
-                       "a list of finite [cos_theta, p] rows")
+        what = "a list of finite [cos_theta, p] rows, cos_theta increasing, p >= 0"
+        rows = _check_numbers(kernel["phase_table"], "medium.kernel.phase_table", (None, 2), what)
+        if np.any(np.diff(rows[:, 0]) <= 0.0) or np.any(rows[:, 1] < 0.0):
+            raise ConfigInvalid(f"'medium.kernel.phase_table' must be {what}")
     bnd = cfg["boundary"]
     known = {"kind", "axis"} | {name for _, name, _, _ in _BOUNDARY_NUMBERS}
     for key in bnd:
@@ -179,8 +183,9 @@ def validate_config(cfg: dict):
             raise ConfigInvalid(f"unknown config key 'boundary.{key}'")
     for kind, name, shape, what in _BOUNDARY_NUMBERS:
         if bnd.get("kind") == kind and name in bnd:
-            values = _check_numbers(bnd[name], f"boundary.{name}", shape, what)
-            if np.any(np.atleast_1d(values)[..., -1] < 0.0):
+            values = np.atleast_1d(_check_numbers(bnd[name], f"boundary.{name}", shape, what))
+            if np.any(values[..., -1] < 0.0) or (
+                    values.ndim == 2 and np.any(np.diff(values[:, 0]) <= 0.0)):
                 raise ConfigInvalid(f"'boundary.{name}' must be {what}")
     if bnd.get("kind") == "tabulated" and bnd.get("axis") is not None:
         what = "three finite coordinates, not all zero"
@@ -269,15 +274,13 @@ def build_source(cfg: dict) -> BoundarySource:
     if kind == "tabulated":
         if "spectrum" not in b:
             raise ConfigInvalid("'boundary.spectrum' is required for kind 'tabulated'")
-        spec_rows = b["spectrum"]
-        spectrum = ([r[0] for r in spec_rows], [r[1] for r in spec_rows])
+        spectrum = np.asarray(b["spectrum"], dtype=float).T
         axis = b.get("axis")
         profile = None
         if axis is not None:
             if "angular_profile" not in b:
                 raise ConfigInvalid("'boundary.angular_profile' is required with 'boundary.axis'")
-            prof_rows = b["angular_profile"]
-            profile = ([r[0] for r in prof_rows], [r[1] for r in prof_rows])
+            profile = np.asarray(b["angular_profile"], dtype=float).T
         return BoundarySource.tabulated(spectrum, axis=axis, angular_profile=profile)
     raise ConfigInvalid("'boundary.kind' must be zero|constant|equilibrium|tabulated")
 
@@ -585,8 +588,6 @@ def cmd_validate(args) -> int:
     s_m = geometry.exit_lengths(ball, pts - h * dirs, dirs)
     fd = (s_p - s_m) / (2 * h)
     check("ray_direction_identity", float(np.max(np.abs(fd - 1.0))), 0.0, 1e-4)
-
-    from radbody.quadrature import single_frequency_grid
 
     medium = MediumSpec(AbsorptionProfile.constant(1.0), AbsorptionProfile.constant(1.0))
     grids = Grids(build_spatial(ball, 0.25), build_angular(4, 8), single_frequency_grid(1.0))

@@ -1,10 +1,10 @@
 """Fixed-point solvers for the four radiative regimes.
 
-The temperature solvers share one driver, ``_fixed_point``: Picard iteration
-of a monotone contraction from zero, accelerated by safeguarded Anderson
-mixing.  Every recorded residual is the true residual of the map, recomputed
-with the operator, so the recorded history decays monotonically; a Picard
-step that raises it aborts the run.  Convergence norms follow the
+The temperature solvers share one driver, ``transport._fixed_point``: Picard
+iteration of a monotone contraction from zero, accelerated by safeguarded
+Anderson mixing.  Every recorded residual is the true residual of the map,
+recomputed with the operator, so the recorded history decays monotonically;
+a Picard step that raises it aborts the run.  Convergence norms follow the
 contraction proofs: sup-over-position of the angular L1 change for the
 scattering sweep, and the volume L1 norm for the temperature maps.  The
 driver records the last residual as the report's conservation norm.
@@ -20,10 +20,10 @@ With isotropic scattering the combined regime runs on the same driver
 with no inner solve: constant coefficients take the grey map at rate
 alpha_a + alpha_s and then recover the angle-integrated radiance J0 once
 (``scattered_mean_intensity``); otherwise the driver iterates J0 itself, one
-per-channel kernel apply a step.  A tabulated kernel stays nested: each outer
-step on w = f(T) runs angular source-iteration sweeps at frozen temperature.
-Both linear solves stop at ``transport.INNER_MAX_ITER`` iterations with
-``InnerDiverged``.
+per-channel kernel apply of the J0 map (``transport._j0_map``) a step.  A
+tabulated kernel stays nested: each outer step on w = f(T) runs angular
+source-iteration sweeps at frozen temperature.  Both linear solves stop at
+``transport.INNER_MAX_ITER`` applies with ``InnerDiverged``.
 
 The ray-marching loops with in-scattering (scattering solver, tabulated-kernel
 inner solve, ``compute_H``, oracle) share one ``AngularSweep``, and
@@ -37,7 +37,7 @@ alpha_a B(T) + (alpha_s/4pi) J0; an isotropic combined solve stores none.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,9 +50,14 @@ from radbody.transport import (
     BoundarySource,
     InnerDiverged,
     MediumSpec,
+    MonotonicityError,
     RadiationField,
     RaySweeper,
     ScalarField,
+    SolverReport,
+    _finish,
+    _fixed_point,
+    _push_residual,
     attenuation_operator,
     boundary_attenuation_nodes,
     scattered_mean_intensity,
@@ -67,10 +72,6 @@ class TooLarge(ValueError):
     """Problem size exceeds the brute-force oracle budget."""
 
 
-class MonotonicityError(RuntimeError):
-    """Residuals increased for a map that must contract monotonically."""
-
-
 @dataclass(frozen=True)
 class Grids:
     """Resolution bundle shared by the solvers."""
@@ -79,119 +80,6 @@ class Grids:
     angular: AngularGrid
     spectral: SpectralGrid
     ray_h: float | None = None
-
-
-@dataclass
-class SolverReport:
-    iterations: int = 0
-    residual_history: list = field(default_factory=list)
-    contraction_estimates: list = field(default_factory=list)
-    conservation_norm: float = 0.0
-    wall_time: float = 0.0
-    status: str = "converged"
-    tolerance: float = 0.0
-    norm: str = ""
-    rejected_steps: int = 0
-    extra: dict = field(default_factory=dict)
-
-    @property
-    def operator_applies(self) -> int:
-        """Evaluations of the map: every recorded iterate plus every rejected one."""
-        return self.iterations + self.rejected_steps
-
-    def as_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "residual_history": [float(r) for r in self.residual_history],
-            "contraction_estimates": [float(r) for r in self.contraction_estimates],
-            "conservation_norm": float(self.conservation_norm),
-            "wall_time": float(self.wall_time),
-            "status": self.status,
-            "tolerance": float(self.tolerance),
-            "norm": self.norm,
-            "operator_applies": self.operator_applies,
-            "rejected_steps": self.rejected_steps,
-            "extra": self.extra,
-        }
-
-
-def _push_residual(report: SolverReport, value: float, scale: float):
-    """Record a residual and fail the run on non-monotone decay.
-
-    Rounding-level wobble near the floor is tolerated; any genuine increase
-    of a contracting iteration indicates a broken operator.
-    """
-    hist = report.residual_history
-    if hist:
-        prev = hist[-1]
-        floor = 1e3 * np.finfo(float).eps * max(scale, 1e-300)
-        if prev > floor and value > prev * 1.0001 + floor:
-            report.status = "invariant_violation"
-            raise MonotonicityError(
-                f"residual increased: {prev:.3e} -> {value:.3e} at iteration {len(hist)}"
-            )
-        if prev > 0.0:
-            report.contraction_estimates.append(value / prev)
-    hist.append(value)
-
-
-def _finish(report: SolverReport, converged: bool, t0: float):
-    report.wall_time = time.perf_counter() - t0
-    report.iterations = len(report.residual_history)
-    report.status = "converged" if converged else "max_iter"
-
-
-# Anderson depth: the number of residual differences in the mixing.
-ANDERSON_DEPTH = 5
-
-
-def _fixed_point(step, x0, report: SolverReport, tol: float, max_iter: int,
-                 cell_volume: float, t0: float) -> np.ndarray:
-    """Solve x = step(x) for x >= 0; returns step(x*) at the accepted x*.
-
-    Picard iteration accelerated by Anderson mixing (Walker & Ni, SIAM J.
-    Numer. Anal. 49, 2011) over the last ``ANDERSON_DEPTH`` residual
-    differences, projected onto x >= 0.  Each residual |step(x) - x| (volume
-    L1) is computed with the operator.  A mixed iterate whose residual
-    exceeds the last accepted one is rejected unrecorded; the history is
-    cleared and the Picard step from the last accepted point is taken
-    instead, which must not raise the residual (``_push_residual``).  Stops
-    when the residual is at most ``tol`` times |step(x)|, or after
-    ``max_iter`` applications of ``step``, rejected ones included.
-    """
-    g, f = x0, None  # step(x) and step(x) - x at the last accepted x
-    G, F = [], []  # accepted (g, f) pairs, oldest first
-    applies = 0
-    converged = False
-    while applies < max_iter:
-        mixed = len(F) > 1
-        if mixed:
-            dF = np.diff(np.array(F), axis=0).T
-            gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
-            x_new = np.maximum(g - np.diff(np.array(G), axis=0).T @ gamma, 0.0)
-        else:
-            x_new = g
-        g_new = step(x_new)
-        applies += 1
-        f_new = g_new - x_new
-        change = float(np.sum(np.abs(f_new))) * cell_volume
-        if mixed and change > report.residual_history[-1]:
-            report.rejected_steps += 1
-            G.clear()
-            F.clear()
-            continue
-        scale = float(np.sum(np.abs(g_new))) * cell_volume
-        _push_residual(report, change, scale + 1e-300)
-        g, f = g_new, f_new
-        if change <= tol * max(scale, 1e-300):
-            converged = True
-            break
-        G.append(g)
-        F.append(f)
-        del G[:-ANDERSON_DEPTH - 1], F[:-ANDERSON_DEPTH - 1]
-    _finish(report, converged, t0)
-    report.conservation_norm = float(report.residual_history[-1]) if report.residual_history else 0.0
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +187,14 @@ def solve_grey(
     if alpha <= 0.0:
         raise ValueError("grey absorption coefficient must be positive")
     grid, sgrid = grids.spatial, grids.spectral
-    op = attenuation_operator(grid, alpha)
     b_freq = boundary_attenuation_nodes(domain, grid, g, np.full(sgrid.n_nodes, alpha),
                                         grids.angular, sgrid)
-    b = b_freq @ sgrid.weights
+    return _grey_iteration(grid, alpha, b_freq @ sgrid.weights, tol, max_iter, t0)
 
+
+def _grey_iteration(grid, alpha, b, tol, max_iter, t0):
+    """``solve_grey`` after its boundary term: iterates a <- K_alpha a + b."""
+    op = attenuation_operator(grid, alpha)
     report = SolverReport(tolerance=tol, norm="L1(Omega), relative")
     a = _fixed_point(lambda x: op.apply(x) + b, np.zeros(grid.n_nodes), report, tol,
                      max_iter, grid.cell_volume, t0)
@@ -387,7 +278,8 @@ def solve_combined(
     An isotropic kernel runs no inner solve.  Constant coefficients take the
     grey map at rate alpha_a + alpha_s ("grey": scattering drops out of grey
     radiative equilibrium), w = alpha_a a, then recover J0 once at the
-    converged T, both to min(tol, 1e-10).  Otherwise the driver iterates the mean intensity ("joint"),
+    converged T, both to min(tol, 1e-10), with one boundary term for both.
+    Otherwise the driver iterates the mean intensity ("joint"),
     J0 <- b4pi + (4pi/beta) K_beta[alpha_a B(T) + (alpha_s/4pi) J0] with
     T = f^-1(sum_j q_j alpha_a J0_j / 4pi).  A tabulated kernel runs nested
     angular inner solves ("angular").  Returns (w, T, radiation, report, J0):
@@ -405,7 +297,8 @@ def solve_combined(
     if not medium.is_isotropic:
         return _solve_combined_angular(domain, medium, g, grids, tol, max_iter, t0)
     beta = alphas_a + alphas_s
-    b4pi = FOUR_PI * boundary_attenuation_nodes(domain, grid, g, beta, angular, sgrid)
+    b_freq = boundary_attenuation_nodes(domain, grid, g, beta, angular, sgrid)
+    b4pi = FOUR_PI * b_freq
     qa = sgrid.weights * alphas_a
     M, J = grid.n_nodes, sgrid.n_nodes
 
@@ -414,16 +307,16 @@ def solve_combined(
         # is then accurate to it: a looser T costs more batched recovery
         # applies than the tighter one-channel solve takes.
         tight = min(tol, 1e-10)
-        a, _, report = solve_grey(domain, beta[0], g, grids, tight, max_iter)
+        a, _, report = _grey_iteration(grid, float(beta[0]), b_freq @ sgrid.weights, tight,
+                                       max_iter, t0)
         w = alphas_a[0] * a.values
         T = spectral.invert_emission_many(medium.absorption, w, sgrid)
         B = spectral.planck(sgrid.nodes, T[:, None])
-        J0, _ = scattered_mean_intensity(grid, sgrid, alphas_a, alphas_s, B, b4pi,
-                                         tol=tight, init=FOUR_PI * B)
+        J0, _ = scattered_mean_intensity(grid, alphas_a, alphas_s, B, b4pi, tol=tight,
+                                         init=FOUR_PI * B)
         report.extra["route"] = "grey"
     else:
         T = np.zeros(M)
-        gain = np.divide(FOUR_PI, beta, out=np.zeros(J), where=beta > 0.0)
         report = SolverReport(tolerance=tol, norm="L1(Omega x frequency nodes) of J0, relative",
                               extra={"route": "joint"})
 
@@ -432,8 +325,8 @@ def solve_combined(
             J0 = x.reshape(M, J)
             T = spectral.invert_emission_many(medium.absorption, J0 @ qa / FOUR_PI, sgrid,
                                               t_guess=T)
-            src = alphas_a * spectral.planck(sgrid.nodes, T[:, None]) + alphas_s / FOUR_PI * J0
-            return (b4pi + gain * transport.apply_attenuation_batch(grid, beta, src.T).T).ravel()
+            B = spectral.planck(sgrid.nodes, T[:, None])
+            return transport._j0_map(grid, alphas_a, alphas_s, B, b4pi, J0).ravel()
 
         J0 = _fixed_point(step, np.zeros(M * J), report, tol, max_iter, grid.cell_volume,
                           t0).reshape(M, J)

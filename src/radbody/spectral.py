@@ -101,23 +101,6 @@ def planck_dT(nu, T):
     return out
 
 
-def brightness_temperature(nu, I):
-    """Temperature whose blackbody radiance at ``nu`` equals ``I``; 0 for I=0."""
-    nu_arr = np.asarray(nu, dtype=float)
-    I_arr = np.asarray(I, dtype=float)
-    if np.any(nu_arr <= 0.0):
-        raise NonPositiveFrequency("brightness_temperature requires nu > 0")
-    if np.any(I_arr < 0.0):
-        raise NegativeIntensity("brightness_temperature requires I >= 0")
-    nu_b, I_b = np.broadcast_arrays(nu_arr, I_arr)
-    out = np.zeros(nu_b.shape)
-    pos = I_b > 0.0
-    out[pos] = nu_b[pos] / np.log1p(2.0 * nu_b[pos] ** 3 / I_b[pos])
-    if np.isscalar(nu) and np.isscalar(I):
-        return float(out)
-    return out
-
-
 @dataclass(frozen=True)
 class AbsorptionProfile:
     """Frequency-dependent nonnegative coefficient, constant or tabulated.

@@ -15,13 +15,18 @@ balance and used deliberately side by side:
 
 Solvers iterate the convolution route; the angular solvers, the oracle and
 the diagnostics sweep rays, and the ray route serves as a consistency check.
+
+Every lattice-kernel fixed point runs on ``_fixed_point``, defined here:
+the temperature maps of ``solvers`` and the frozen-temperature J0 solve
+``scattered_mean_intensity`` (map ``_j0_map``).
 """
 
 from __future__ import annotations
 
 import itertools
+import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,12 +69,6 @@ class RadiationField:
             raise ValueError("radiation field must have shape (nodes, angles, frequencies)")
         object.__setattr__(self, "values", v)
 
-    def validate(self):
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("radiation field contains non-finite values")
-        if np.any(self.values < 0.0):
-            raise ValueError("radiation field contains negative values")
-
 
 @dataclass(frozen=True)
 class MediumSpec:
@@ -100,8 +99,8 @@ class MediumSpec:
         mu_tab, p_tab = self.kernel
         mu_tab = np.asarray(mu_tab, dtype=float)
         p_tab = np.asarray(p_tab, dtype=float)
-        if np.any(p_tab < 0.0):
-            raise ValueError("scattering phase table must be nonnegative")
+        if np.any(p_tab < 0.0) or np.any(np.diff(mu_tab) <= 0.0):
+            raise ValueError("scattering phase table needs strictly increasing cosines, p >= 0")
         cosines = np.clip(angular.nodes @ angular.nodes.T, -1.0, 1.0)
         K = np.interp(cosines, mu_tab, p_tab)
         mass = angular.weights @ K  # per column i'
@@ -117,35 +116,24 @@ class BoundarySource:
     Supported variants are position independent: zero, a constant isotropic
     value, blackbody equilibrium at a fixed temperature, and a tabulated
     product form  S(nu) * A(n . axis)  describing a spectral table modulated
-    by a beam profile around a unit axis.
+    by a beam profile around a unit axis.  Each table is a pair (abscissae,
+    values) with strictly increasing abscissae and nonnegative values.
     """
 
     def __init__(self, kind: str, *, value: float = 0.0, temperature: float = 0.0,
-                 spectrum=None, axis=None, angular_profile=None, scale: float = 1.0):
+                 spectrum=None, axis=None, angular_profile=None):
         if kind not in ("zero", "constant", "equilibrium", "tabulated"):
             raise ValueError(f"unknown boundary source kind {kind!r}")
         self.kind = kind
         self.value = float(value)
         self.temperature = float(temperature)
-        self.scale = float(scale)
         if kind == "tabulated":
-            nus, svals = spectrum
-            self.spectrum_nu = np.asarray(nus, dtype=float)
-            self.spectrum_val = np.asarray(svals, dtype=float)
-            if np.any(self.spectrum_val < 0.0):
-                raise ValueError("boundary spectrum must be nonnegative")
-            if axis is None:
-                self.axis = None
-                self.profile_mu = None
-                self.profile_val = None
-            else:
+            self.spectrum_nu, self.spectrum_val = _table(spectrum, "spectrum")
+            self.axis = self.profile_mu = self.profile_val = None
+            if axis is not None:
                 self.axis = np.asarray(axis, dtype=float)
                 self.axis = self.axis / np.linalg.norm(self.axis)
-                mus, avals = angular_profile
-                self.profile_mu = np.asarray(mus, dtype=float)
-                self.profile_val = np.asarray(avals, dtype=float)
-                if np.any(self.profile_val < 0.0):
-                    raise ValueError("boundary angular profile must be nonnegative")
+                self.profile_mu, self.profile_val = _table(angular_profile, "angular profile")
 
     @classmethod
     def zero(cls) -> "BoundarySource":
@@ -173,24 +161,18 @@ class BoundarySource:
             self.kind == "tabulated" and self.axis is None
         )
 
-    def scaled(self, factor: float) -> "BoundarySource":
-        out = BoundarySource.__new__(BoundarySource)
-        out.__dict__.update(self.__dict__)
-        out.scale = self.scale * float(factor)
-        return out
-
     def spectral_values(self, nus: np.ndarray) -> np.ndarray:
         """Direction-independent spectral factor, shape (J,)."""
         nus = np.asarray(nus, dtype=float)
         if self.kind == "zero":
             return np.zeros(nus.shape)
         if self.kind == "constant":
-            return np.full(nus.shape, self.value * self.scale)
+            return np.full(nus.shape, self.value)
         if self.kind == "equilibrium":
             if self.temperature == 0.0:
                 return np.zeros(nus.shape)
-            return self.scale * spectral.planck(nus, self.temperature)
-        return self.scale * np.interp(nus, self.spectrum_nu, self.spectrum_val)
+            return spectral.planck(nus, self.temperature)
+        return np.interp(nus, self.spectrum_nu, self.spectrum_val)
 
     def evaluate(self, dirs: np.ndarray, nus: np.ndarray) -> np.ndarray:
         """Radiance table over (directions, frequencies), shape (A, J)."""
@@ -201,6 +183,14 @@ class BoundarySource:
         mu = dirs @ self.axis
         ang = np.interp(mu, self.profile_mu, self.profile_val)
         return np.outer(ang, spec_vals)
+
+
+def _table(pairs, name: str):
+    """A boundary table (abscissae, values) as float arrays, checked for np.interp."""
+    x, y = (np.asarray(v, dtype=float) for v in pairs)
+    if np.any(y < 0.0) or np.any(np.diff(x) <= 0.0):
+        raise ValueError(f"boundary {name} needs strictly increasing abscissae and values >= 0")
+    return x, y
 
 
 # ---------------------------------------------------------------------------
@@ -974,12 +964,129 @@ def _attenuated(g, s: np.ndarray, rates, weight: float = 1.0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Fixed-point defect (conservation residual)
+# Anderson fixed-point iteration, the frozen-temperature J0 solve, the residual
 # ---------------------------------------------------------------------------
 
 
-# Iteration cap of the kernel inner solve (``scattered_mean_intensity``) and
-# of the angular inner sweeps of the combined regime.
+class MonotonicityError(RuntimeError):
+    """Residuals increased for a map that must contract monotonically."""
+
+
+@dataclass
+class SolverReport:
+    iterations: int = 0
+    residual_history: list = field(default_factory=list)
+    contraction_estimates: list = field(default_factory=list)
+    conservation_norm: float = 0.0
+    wall_time: float = 0.0
+    status: str = "converged"
+    tolerance: float = 0.0
+    norm: str = ""
+    rejected_steps: int = 0
+    extra: dict = field(default_factory=dict)
+
+    @property
+    def operator_applies(self) -> int:
+        """Evaluations of the map: every recorded iterate plus every rejected one."""
+        return self.iterations + self.rejected_steps
+
+    def as_dict(self) -> dict:
+        return {
+            "iterations": self.iterations,
+            "residual_history": [float(r) for r in self.residual_history],
+            "contraction_estimates": [float(r) for r in self.contraction_estimates],
+            "conservation_norm": float(self.conservation_norm),
+            "wall_time": float(self.wall_time),
+            "status": self.status,
+            "tolerance": float(self.tolerance),
+            "norm": self.norm,
+            "operator_applies": self.operator_applies,
+            "rejected_steps": self.rejected_steps,
+            "extra": self.extra,
+        }
+
+
+def _push_residual(report: SolverReport, value: float, scale: float):
+    """Record a residual and fail the run on non-monotone decay.
+
+    Rounding-level wobble near the floor is tolerated; any genuine increase
+    of a contracting iteration indicates a broken operator.
+    """
+    hist = report.residual_history
+    if hist:
+        prev = hist[-1]
+        floor = 1e3 * np.finfo(float).eps * max(scale, 1e-300)
+        if prev > floor and value > prev * 1.0001 + floor:
+            report.status = "invariant_violation"
+            raise MonotonicityError(
+                f"residual increased: {prev:.3e} -> {value:.3e} at iteration {len(hist)}"
+            )
+        if prev > 0.0:
+            report.contraction_estimates.append(value / prev)
+    hist.append(value)
+
+
+def _finish(report: SolverReport, converged: bool, t0: float):
+    report.wall_time = time.perf_counter() - t0
+    report.iterations = len(report.residual_history)
+    report.status = "converged" if converged else "max_iter"
+
+
+# Anderson depth: the number of residual differences in the mixing.
+ANDERSON_DEPTH = 5
+
+
+def _fixed_point(step, x0, report: SolverReport, tol: float, max_iter: int,
+                 cell_volume: float, t0: float) -> np.ndarray:
+    """Solve x = step(x) for x >= 0; returns step(x*) at the accepted x*.
+
+    Picard iteration accelerated by Anderson mixing (Walker & Ni, SIAM J.
+    Numer. Anal. 49, 2011) over the last ``ANDERSON_DEPTH`` residual
+    differences, projected onto x >= 0.  Each residual |step(x) - x| (volume
+    L1) is computed with the operator.  A mixed iterate whose residual
+    exceeds the last accepted one is rejected unrecorded; the history is
+    cleared and the Picard step from the last accepted point is taken
+    instead, which must not raise the residual (``_push_residual``).  Stops
+    when the residual is at most ``tol`` times |step(x)|, or after
+    ``max_iter`` applications of ``step``, rejected ones included.
+    """
+    g, f = x0, None  # step(x) and step(x) - x at the last accepted x
+    G, F = [], []  # accepted (g, f) pairs, oldest first
+    applies = 0
+    converged = False
+    while applies < max_iter:
+        mixed = len(F) > 1
+        if mixed:
+            dF = np.diff(np.array(F), axis=0).T
+            gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
+            x_new = np.maximum(g - np.diff(np.array(G), axis=0).T @ gamma, 0.0)
+        else:
+            x_new = g
+        g_new = step(x_new)
+        applies += 1
+        f_new = g_new - x_new
+        change = float(np.sum(np.abs(f_new))) * cell_volume
+        if mixed and change > report.residual_history[-1]:
+            report.rejected_steps += 1
+            G.clear()
+            F.clear()
+            continue
+        scale = float(np.sum(np.abs(g_new))) * cell_volume
+        _push_residual(report, change, scale + 1e-300)
+        g, f = g_new, f_new
+        if change <= tol * max(scale, 1e-300):
+            converged = True
+            break
+        G.append(g)
+        F.append(f)
+        del G[:-ANDERSON_DEPTH - 1], F[:-ANDERSON_DEPTH - 1]
+    _finish(report, converged, t0)
+    report.conservation_norm = float(report.residual_history[-1]) if report.residual_history else 0.0
+    return g
+
+
+# Cap of the applies of the frozen-temperature J0 solve (``scattered_mean_intensity``)
+# and of the angular inner sweeps of the combined regime.
 INNER_MAX_ITER = 800
 
 
@@ -987,9 +1094,17 @@ class InnerDiverged(RuntimeError):
     """An inner linear-transport solve hit its iteration cap."""
 
 
+def _j0_map(grid, alpha_a, alpha_s, B, b4pi, J0):
+    """The J0 map at emission B, (M, J):
+    b4pi + (4pi/beta) K_beta[alpha_a B + (alpha_s/4pi) J0] per frequency."""
+    beta = alpha_a + alpha_s
+    gain = np.divide(FOUR_PI, beta, out=np.zeros(beta.size), where=beta > 0.0)
+    src = alpha_a * B + alpha_s / FOUR_PI * J0
+    return b4pi + gain * apply_attenuation_batch(grid, beta, src.T).T
+
+
 def scattered_mean_intensity(
     grid: SpatialGrid,
-    spectral_grid: SpectralGrid,
     alpha_a: np.ndarray,
     alpha_s: np.ndarray,
     B: np.ndarray,
@@ -1003,25 +1118,21 @@ def scattered_mean_intensity(
 
         J0 = b4pi + integral e^{-beta r}/r^2 [alpha_a B + (alpha_s/4pi) J0],
 
-    by Picard iteration with the lattice kernel.  Emission B and the
-    boundary term b4pi are (M, J) arrays; returns (J0, iterations).  Raises
-    ``InnerDiverged`` if ``INNER_MAX_ITER`` iterations do not reach ``tol``.
+    with ``_fixed_point`` on ``_j0_map`` from ``init`` (default 0) to relative
+    L1 change ``tol``.  B and b4pi are (M, J) arrays; returns (J0, applies).
+    Raises ``InnerDiverged`` if ``INNER_MAX_ITER`` applies do not reach ``tol``.
     """
     M, J = B.shape
-    beta = alpha_a + alpha_s
-    J0 = np.zeros((M, J)) if init is None else init.copy()
-    scale = max(float(np.max(np.abs(b4pi))) + float(np.max(np.abs(B))), 1e-300)
-    with np.errstate(divide="ignore"):
-        gain = np.where(beta > 0.0, FOUR_PI / np.where(beta > 0, beta, 1.0), 0.0)
-    for its in range(1, INNER_MAX_ITER + 1):
-        srcs = (alpha_a * B + (alpha_s / FOUR_PI) * J0).T  # (J, M)
-        conv = apply_attenuation_batch(grid, beta, srcs)
-        new = b4pi + (conv * gain[:, None]).T
-        delta = float(np.max(np.abs(new - J0)))
-        J0 = new
-        if delta <= tol * scale:
-            return J0, its
-    raise InnerDiverged(f"inner transport solve hit its iteration cap ({INNER_MAX_ITER})")
+    report = SolverReport(tolerance=tol)
+
+    def step(x):
+        return _j0_map(grid, alpha_a, alpha_s, B, b4pi, x.reshape(M, J)).ravel()
+
+    x0 = np.zeros(M * J) if init is None else init.ravel()
+    J0 = _fixed_point(step, x0, report, tol, INNER_MAX_ITER, grid.cell_volume, time.perf_counter())
+    if report.status != "converged":
+        raise InnerDiverged(f"inner transport solve hit its iteration cap ({INNER_MAX_ITER})")
+    return J0.reshape(M, J), report.operator_applies
 
 
 def conservation_residual(
@@ -1065,10 +1176,8 @@ def conservation_residual(
             f"{representation}-representation residual supports isotropic scattering only")
 
     if has_scattering:
-        b_field = boundary_attenuation_nodes(domain, grid, g, beta, angular, spectral_grid)
-        J0, _ = scattered_mean_intensity(
-            grid, spectral_grid, alphas_a, alphas_s, B, FOUR_PI * b_field, init=J0_guess
-        )
+        b4pi = FOUR_PI * boundary_attenuation_nodes(domain, grid, g, beta, angular, spectral_grid)
+        J0, _ = scattered_mean_intensity(grid, alphas_a, alphas_s, B, b4pi, init=J0_guess)
     if representation == "kernel":
         if not has_scattering:
             qa = q * alphas_a

@@ -244,13 +244,15 @@ def test_criterion_11_regime_reductions(ball):
 def test_criterion_12_grey_linearity(ball):
     grids = Grids(build_spatial(ball, 0.125), build_angular(6, 12),
                   build_spectral(T0, 32), ray_h=0.0625)
-    beam = BoundarySource.tabulated(
-        spectrum=([0.5, 1.0, 3.0, 10.0], [0.5, 1.0, 0.7, 0.05]),
-        axis=[0, 0, 1], angular_profile=([-1.0, 0.0, 1.0], [0.1, 0.4, 1.5]))
-    a1, _, _ = solvers.solve_grey(ball, 1.0, beam, grids, tol=1e-12)
+    def beam(c):
+        return BoundarySource.tabulated(
+            spectrum=([0.5, 1.0, 3.0, 10.0], c * np.array([0.5, 1.0, 0.7, 0.05])),
+            axis=[0, 0, 1], angular_profile=([-1.0, 0.0, 1.0], [0.1, 0.4, 1.5]))
+
+    a1, _, _ = solvers.solve_grey(ball, 1.0, beam(1.0), grids, tol=1e-12)
     worst = 0.0
     for c in (0.5, 2.0, 10.0):
-        ac, _, _ = solvers.solve_grey(ball, 1.0, beam.scaled(c), grids, tol=1e-12)
+        ac, _, _ = solvers.solve_grey(ball, 1.0, beam(c), grids, tol=1e-12)
         worst = max(worst, float(np.max(np.abs(ac.values - c * a1.values))
                                  / np.max(np.abs(c * a1.values))))
     _report(12, "grey_source_linearity", worst, 1e-10, worst <= 1e-10)

@@ -240,6 +240,15 @@ def _edited(cfg, edits):
     ({"grids.angular.n_polar": NAN}, "grids.angular.n_polar"),
     ({"grids.angular.n_azimuth": "x"}, "grids.angular.n_azimuth"),
     ({"seed": 3}, "seed"),
+    ({"boundary": dict(BEAM, spectrum=[[3.0, 1.0], [1.0, 5.0], [2.0, 0.0]])}, "boundary.spectrum"),
+    ({"boundary": dict(BEAM, angular_profile=[[1.0, 2.0], [-1.0, 1.0]])},
+     "boundary.angular_profile"),
+    ({"solver.mode": "combined", "medium.scattering": 0.5,
+      "medium.kernel": {"phase_table": [[1.0, 2.0], [-1.0, 1.0]]}},
+     "medium.kernel.phase_table"),
+    ({"solver.mode": "combined", "medium.scattering": 0.5,
+      "medium.kernel": {"phase_table": [[-1.0, -1.0], [1.0, 2.0]]}},
+     "medium.kernel.phase_table"),
 ])
 def test_solve_bad_config_value_rejected(tmp_path, capsys, edits, key):
     # Regression: each of these used to run on (to a wrong answer or to the
@@ -283,13 +292,19 @@ def _reshaped(value):
     return out
 
 
+def _reordered(table):
+    """Variants of a table whose first column does not increase strictly:
+    reversed, first two rows swapped, first row repeated."""
+    return [table[::-1], [table[1], table[0]] + table[2:], table[:1] + table]
+
+
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(data=st.data())
 def test_load_config_mutations_load_or_name_the_key(tmp_path_factory, data):
     # One mutation of a documented config either loads, or raises
     # ConfigInvalid naming the mutated key (or the key whose mapping holds
-    # it, as for {table: ...}), never any other exception.  An unknown key
-    # and a non-finite number never load.
+    # it, as for {table: ...}), never any other exception.  An unknown key,
+    # a non-finite number and a table out of order never load.
     cfg = json.loads(json.dumps(data.draw(st.sampled_from(DOCUMENTED))))
     path = data.draw(st.sampled_from(sorted(_paths(cfg))))
     *parents, last = path
@@ -298,13 +313,16 @@ def test_load_config_mutations_load_or_name_the_key(tmp_path_factory, data):
         node = node[name]
     value = node[last]
     kinds = ["type", "number", "unknown"] + (["shape"] if isinstance(value, list) else [])
+    if isinstance(value, list) and len(value) > 1 and isinstance(value[0], list):
+        kinds.append("order")
     kind = data.draw(st.sampled_from(kinds))
     if kind == "unknown":
         holder, at = (value, path) if isinstance(value, dict) else (node, tuple(parents))
         holder["bogus"] = 1.0
         key = ".".join(at + ("bogus",))
     else:
-        choices = {"type": WRONG_TYPES, "number": BAD_NUMBERS}.get(kind) or _reshaped(value)
+        choices = {"type": WRONG_TYPES, "number": BAD_NUMBERS}.get(kind) or (
+            _reordered(value) if kind == "order" else _reshaped(value))
         node[last] = data.draw(st.sampled_from(choices))
         key = ".".join(path)
     cfg_path = write_cfg(tmp_path_factory.mktemp("cfg"), cfg)
@@ -315,8 +333,19 @@ def test_load_config_mutations_load_or_name_the_key(tmp_path_factory, data):
     except cli.ConfigInvalid as exc:
         assert key in str(exc) or key.rsplit(".", 1)[0] in str(exc), (key, str(exc))
         return
-    assert kind != "unknown", f"unknown key '{key}' loaded"
+    assert kind not in ("unknown", "order"), f"{kind} '{key}' loaded"
     assert kind != "number" or np.isfinite(node[last]), f"'{key}' = {node[last]} loaded"
+
+
+def _run_python(code, *args):
+    """stdout lines of ``code`` run in a fresh interpreter on this checkout's radbody."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
 
 
 IMPORT_PROBE = """
@@ -339,13 +368,32 @@ def test_ray_free_solves_import_no_scipy(tmp_path):
             _edited(small, {"output.entropy": True})]
     paths = [write_cfg(tmp_path, c, f"run{k}.yaml") for k, c in enumerate(cfgs)]
     outs = [str(tmp_path / f"out{k}") for k in range(len(cfgs))]
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *paths, *outs], env=env,
-                          capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "0"]
+    assert _run_python(IMPORT_PROBE, *paths, *outs) == ["[]", "0"]
+
+
+SETUP_PROBE = """
+import sys
+from radbody import cli
+for path in sys.argv[1:]:
+    cfg = cli.load_config(path)
+    domain = cli.build_domain(cfg)
+    cli.build_medium(cfg)
+    cli.build_source(cfg)
+    cli.build_grids(cfg, domain)
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_setup_path_imports_no_scipy(tmp_path):
+    # The benchmark's setup_s times this path, about 0.2 s: import the CLI,
+    # load a config and build what a solve needs.  Importing scipy.sparse
+    # would add about 0.14 s to it.  Configs: grey equilibrium, spectral
+    # table, grey beam with the entropy report, combined with a phase table.
+    spectral_cfg = {"solver.mode": "spectral", "medium.absorption": {"table": MILD_TABLE}}
+    cfgs = [BASE_EQ, _edited(BASE_EQ, spectral_cfg), _edited(BASE_EQ, {"boundary": BEAM}),
+            DOCUMENTED[1]]
+    paths = [write_cfg(tmp_path, c, f"run{k}.yaml") for k, c in enumerate(cfgs)]
+    assert _run_python(SETUP_PROBE, *paths) == ["[]"]
 
 
 def test_solve_spectral_truncation_exit_code(tmp_path, capsys):
@@ -446,9 +494,9 @@ def test_solve_inner_cap_exits_3(tmp_path, monkeypatch, capsys, absorption):
 
 
 def test_solve_high_albedo_combined_residual_within_inner_cap(tmp_path):
-    # Albedo 0.98: from a cold start the node-table residual's inner solve
-    # needs more than the inner cap (833 iterations); warm-started from the
-    # solver's J0 it needs 141, so the converged solve exits 0.
+    # Albedo 0.98: the node-table residual's J0 solve, warm-started from the
+    # solver's J0, takes 8 applies (29 from a cold start), within the inner
+    # cap, so the converged solve exits 0.
     cfg = json.loads(json.dumps(BASE_EQ))
     cfg["medium"].update(absorption=0.2, scattering=12.0)
     cfg["grids"]["spatial"]["h"] = 0.3

@@ -83,11 +83,12 @@ def test_production_density_nonnegative_random():
 
 def _two_planck_production(nu, T, I, kappa):
     """The production formula that evaluates B(T_nu) with a second Planck
-    call, T_nu from ``spectral.brightness_temperature``."""
+    call, T_nu the brightness temperature nu / log1p(2 nu^3 / I)."""
     nu_b, T_b, I_b, k_b = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (nu, T, I, kappa)))
     out = np.zeros(nu_b.shape)
-    Tnu = spectral.brightness_temperature(nu_b, I_b)
+    with np.errstate(divide="ignore"):
+        Tnu = nu_b / np.log1p(2.0 * nu_b**3 / I_b)
     live = (T_b > 0.0) & (Tnu > 0.0)
     BT = spectral.planck(nu_b[live], T_b[live])
     Bnu = spectral.planck(nu_b[live], Tnu[live])

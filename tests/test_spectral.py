@@ -68,24 +68,6 @@ def test_stefan_sigma_identity():
     assert val2 == pytest.approx(16.0 * SIGMA, rel=1e-8)
 
 
-def test_brightness_temperature_round_trip():
-    for nu, T0 in [(1.0, 1.0), (2.0, 0.5), (0.3, 3.0)]:
-        I = spectral.planck(nu, T0)
-        assert spectral.brightness_temperature(nu, I) == pytest.approx(T0, rel=1e-12)
-    assert spectral.brightness_temperature(1.0, 0.0) == 0.0
-    with pytest.raises(spectral.NegativeIntensity):
-        spectral.brightness_temperature(1.0, -1.0)
-
-
-def test_brightness_temperature_monotone():
-    rng = np.random.default_rng(21)
-    nu = rng.uniform(0.1, 5.0, 300)
-    I1 = rng.uniform(1e-6, 10.0, 300)
-    I2 = I1 * rng.uniform(1.01, 3.0, 300)
-    assert np.all(spectral.brightness_temperature(nu, I2)
-                  > spectral.brightness_temperature(nu, I1))
-
-
 def test_absorption_profile_validation():
     with pytest.raises(ValueError):
         AbsorptionProfile.constant(-1.0)
