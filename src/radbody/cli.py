@@ -131,10 +131,10 @@ def _check_numbers(value, key: str, shape: tuple, what: str,
 
 
 def _check_int(value, key: str, least: int):
-    """Reject the config value unless it is an integer >= ``least``."""
+    """Reject the config value unless it is an integer in [``least``, 2^31)."""
     integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not integral or value < least:
-        raise ConfigInvalid(f"'{key}' must be an integer >= {least}")
+    if isinstance(value, bool) or not integral or not least <= value < 2**31:
+        raise ConfigInvalid(f"'{key}' must be an integer in [{least}, 2^31)")
 
 
 # Boundary values checked where their kind reads them: (kind, key, shape, what).
@@ -478,6 +478,15 @@ def solution_from_dump(header: dict, arrays: dict) -> Solution:
     medium = build_medium(cfg)
     source = build_source(cfg)
     grids = build_grids(cfg, domain)
+    M, A, J = grids.spatial.n_nodes, grids.angular.n_nodes, grids.spectral.n_nodes
+    shapes = {"T": (M,), "w": (M,), "J0": (M, J), "I": (M, A, J)}
+    for name, values in arrays.items():
+        if values.shape != shapes.get(name, values.shape):
+            raise ArtifactUnreadable(f"dump array '{name}' has shape {list(values.shape)}; "
+                                     f"its config's grids give {list(shapes[name])}")
+        if not np.all(np.isfinite(values)) or name == "T" and np.any(values < 0.0):
+            raise ArtifactUnreadable(f"dump array '{name}' holds non-finite"
+                                     + (" or negative" if name == "T" else "") + " values")
     sol = Solution(mode, domain, grids, medium, source, solvers.SolverReport())
     if "T" in arrays:
         sol.T = transport.ScalarField(arrays["T"], "temperature")

@@ -16,17 +16,17 @@ iterates the kernel at the medium's own rates on the original lattice; the
 spectral step's frequency sum runs through ``transport.rate_interpolation``,
 and its boundary term reads the same interpolated row masses.
 
-With isotropic scattering the combined regime runs on the same driver
-with no inner solve: constant coefficients take the grey map at rate
+The combined regime runs on the same driver with no inner solve.  With
+isotropic scattering, constant coefficients take the grey map at rate
 alpha_a + alpha_s and then recover the angle-integrated radiance J0 once
-(``scattered_mean_intensity``); otherwise the driver iterates J0 itself, one
-per-channel kernel apply of the J0 map (``transport._j0_map``) a step.  A
-tabulated kernel stays nested: each outer step on w = f(T) runs angular
-source-iteration sweeps at frozen temperature.  Both linear solves stop at
-``transport.INNER_MAX_ITER`` applies with ``InnerDiverged``.
+(``scattered_mean_intensity``, which stops at ``transport.INNER_MAX_ITER``
+applies with ``InnerDiverged``); otherwise the driver iterates J0 itself, one
+per-channel kernel apply of the J0 map (``transport._j0_map``) a step.  With
+a tabulated kernel the driver iterates the radiance I, one angular sweep a
+step: the oracle's map.
 
 The ray-marching loops with in-scattering (scattering solver, tabulated-kernel
-inner solve, ``compute_H``, oracle) share one ``AngularSweep``, and
+combined route, ``compute_H``, oracle) share one ``AngularSweep``, and
 ``AngularSweep.source`` is the only code that applies the scattering kernel
 to a radiance field.  ``Solution`` re-evaluates radiance on demand: from the
 stored radiance through ``AngularSweep.source`` where the solver keeps one
@@ -48,7 +48,6 @@ from radbody.spectral import AbsorptionProfile
 from radbody.transport import (
     FOUR_PI,
     BoundarySource,
-    InnerDiverged,
     MediumSpec,
     MonotonicityError,
     RadiationField,
@@ -281,9 +280,11 @@ def solve_combined(
     converged T, both to min(tol, 1e-10), with one boundary term for both.
     Otherwise the driver iterates the mean intensity ("joint"),
     J0 <- b4pi + (4pi/beta) K_beta[alpha_a B(T) + (alpha_s/4pi) J0] with
-    T = f^-1(sum_j q_j alpha_a J0_j / 4pi).  A tabulated kernel runs nested
-    angular inner solves ("angular").  Returns (w, T, radiation, report, J0):
-    ``radiation`` is the angular route's radiance, else None.
+    T = f^-1(sum_j q_j alpha_a J0_j / 4pi).  A tabulated kernel makes the
+    driver iterate the radiance I itself, one sweep a step ("angular"); there
+    ``max_iter`` counts sweeps and ``tol`` bounds the relative L1 change of I.
+    Returns (w, T, radiation, report, J0): ``radiation`` is the angular
+    route's radiance, else None.
     """
     t0 = time.perf_counter()
     grid, angular, sgrid = grids.spatial, grids.angular, grids.spectral
@@ -338,39 +339,35 @@ def solve_combined(
 
 
 def _solve_combined_angular(domain, medium, g, grids, tol, max_iter, t0):
-    """Fallback for tabulated kernels: angular source-iteration inner solves."""
+    """Tabulated kernels: the driver iterates the radiance I, one sweep a step.
+
+    The step is the oracle's map: T = f^-1(sum_j q_j alpha_a,j J0_j / 4pi)
+    from the angle integral J0 of I, warm-started from the last T, then
+    ``AngularSweep.sweep`` of I with the emission alpha_a B(T).  It starts
+    from the boundary term, the map's value at I = 0.
+    """
     sgrid = grids.spectral
     sw = AngularSweep(domain, medium, g, grids)
     qa = sgrid.weights * sw.alphas_a
-    T = np.zeros(grids.spatial.n_nodes)
-    I = sw.rays.boundary_term(sw.beta, sw.gvals)
-    report = SolverReport(tolerance=tol, norm="L1(Omega), relative", extra={"route": "angular"})
-    inner_tol = 1e-2
+    shape = (grids.spatial.n_nodes, grids.angular.n_nodes, sgrid.n_nodes)
+    T = np.zeros(shape[0])
+    report = SolverReport(tolerance=tol, norm="L1(Omega x directions x frequency nodes) of I, "
+                          "relative", extra={"route": "angular"})
 
-    def step(w):
-        nonlocal T, I, inner_tol
-        T = spectral.invert_emission_many(medium.absorption, w, sgrid, t_guess=T)
+    def step(x):
+        nonlocal T
+        I = x.reshape(shape)
+        T = spectral.invert_emission_many(medium.absorption, sw.angle_integral(I) @ qa / FOUR_PI,
+                                          sgrid, t_guess=T)
         B = spectral.planck(sgrid.nodes, T[:, None])
-        emit = sw.alphas_a * B  # (M, J)
-        i_scale = float(np.max(np.abs(I))) + float(np.max(np.abs(emit))) + 1e-300
-        for _ in range(transport.INNER_MAX_ITER):
-            I_new = sw.sweep(I, emit[:, None, :])
-            delta = float(np.max(np.abs(I_new - I)))
-            I = I_new
-            if delta <= inner_tol * i_scale:
-                break
-        else:
-            raise InnerDiverged("angular inner solve hit its iteration cap")
-        w_new = qa @ sw.angle_integral(I).T / FOUR_PI
-        rel = float(np.sum(np.abs(w_new - w))) / max(float(np.sum(np.abs(w_new))), 1e-300)
-        inner_tol = max(min(0.05 * rel, 1e-2), 0.02 * tol)
-        return w_new
+        return sw.sweep(I, (sw.alphas_a * B)[:, None, :]).ravel()
 
-    w = _fixed_point(step, np.zeros(grids.spatial.n_nodes), report, tol, max_iter,
-                     grids.spatial.cell_volume, t0)
+    I = _fixed_point(step, sw.rays.boundary_term(sw.beta, sw.gvals).ravel(), report, tol, max_iter,
+                     grids.spatial.cell_volume, t0).reshape(shape)
+    J0 = sw.angle_integral(I)
+    w = J0 @ qa / FOUR_PI
     T = spectral.invert_emission_many(medium.absorption, w, sgrid, t_guess=T)
-    return (ScalarField(w, "f_of_T"), ScalarField(T, "temperature"), RadiationField(I),
-            report, sw.angle_integral(I))
+    return ScalarField(w, "f_of_T"), ScalarField(T, "temperature"), RadiationField(I), report, J0
 
 
 # ---------------------------------------------------------------------------

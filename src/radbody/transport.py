@@ -16,9 +16,9 @@ balance and used deliberately side by side:
 Solvers iterate the convolution route; the angular solvers, the oracle and
 the diagnostics sweep rays, and the ray route serves as a consistency check.
 
-Every lattice-kernel fixed point runs on ``_fixed_point``, defined here:
-the temperature maps of ``solvers`` and the frozen-temperature J0 solve
-``scattered_mean_intensity`` (map ``_j0_map``).
+``_fixed_point``, defined here, iterates the maps of every temperature
+solver (the tabulated-kernel radiance sweep included) and of the
+frozen-temperature J0 solve ``scattered_mean_intensity`` (``_j0_map``).
 """
 
 from __future__ import annotations
@@ -1051,42 +1051,43 @@ def _fixed_point(step, x0, report: SolverReport, tol: float, max_iter: int,
     ``max_iter`` applications of ``step``, rejected ones included.
     """
     g, f = x0, None  # step(x) and step(x) - x at the last accepted x
-    G, F = [], []  # accepted (g, f) pairs, oldest first
+    dG, dF = np.empty((2, ANDERSON_DEPTH, x0.size))  # accepted differences, oldest first
+    k = -1  # differences held; -1 until (g, f) is an accepted step of the history
     applies = 0
     converged = False
     while applies < max_iter:
-        mixed = len(F) > 1
-        if mixed:
-            dF = np.diff(np.array(F), axis=0).T
-            gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
-            x_new = np.maximum(g - np.diff(np.array(G), axis=0).T @ gamma, 0.0)
+        if k > 0:
+            gamma = np.linalg.lstsq(dF[:k].T, f, rcond=None)[0]
+            x_new = np.maximum(g - dG[:k].T @ gamma, 0.0)
         else:
             x_new = g
         g_new = step(x_new)
         applies += 1
         f_new = g_new - x_new
         change = float(np.sum(np.abs(f_new))) * cell_volume
-        if mixed and change > report.residual_history[-1]:
+        if k > 0 and change > report.residual_history[-1]:
             report.rejected_steps += 1
-            G.clear()
-            F.clear()
+            k = -1
             continue
         scale = float(np.sum(np.abs(g_new))) * cell_volume
         _push_residual(report, change, scale + 1e-300)
-        g, f = g_new, f_new
         if change <= tol * max(scale, 1e-300):
-            converged = True
+            g, converged = g_new, True
             break
-        G.append(g)
-        F.append(f)
-        del G[:-ANDERSON_DEPTH - 1], F[:-ANDERSON_DEPTH - 1]
+        if k == ANDERSON_DEPTH:  # drop the oldest difference
+            for r in range(k - 1):
+                dG[r], dF[r] = dG[r + 1], dF[r + 1]
+            k -= 1
+        if k >= 0:
+            np.subtract(g_new, g, out=dG[k])
+            np.subtract(f_new, f, out=dF[k])
+        g, f, k = g_new, f_new, k + 1
     _finish(report, converged, t0)
     report.conservation_norm = float(report.residual_history[-1]) if report.residual_history else 0.0
     return g
 
 
-# Cap of the applies of the frozen-temperature J0 solve (``scattered_mean_intensity``)
-# and of the angular inner sweeps of the combined regime.
+# Cap of the applies of the frozen-temperature J0 solve (``scattered_mean_intensity``).
 INNER_MAX_ITER = 800
 
 

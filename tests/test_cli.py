@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import struct
@@ -298,14 +300,10 @@ def _reordered(table):
     return [table[::-1], [table[1], table[0]] + table[2:], table[:1] + table]
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
-@given(data=st.data())
-def test_load_config_mutations_load_or_name_the_key(tmp_path_factory, data):
-    # One mutation of a documented config either loads, or raises
-    # ConfigInvalid naming the mutated key (or the key whose mapping holds
-    # it, as for {table: ...}), never any other exception.  An unknown key,
-    # a non-finite number and a table out of order never load.
-    cfg = json.loads(json.dumps(data.draw(st.sampled_from(DOCUMENTED))))
+def _mutate_config(cfg, data):
+    """Apply one drawn mutation to ``cfg`` in place: a wrong type, a bad
+    number, an unknown key, a bad shape or a table out of order at a drawn
+    key path.  Returns (kind, dotted key, new value)."""
     path = data.draw(st.sampled_from(sorted(_paths(cfg))))
     *parents, last = path
     node = cfg
@@ -319,12 +317,22 @@ def test_load_config_mutations_load_or_name_the_key(tmp_path_factory, data):
     if kind == "unknown":
         holder, at = (value, path) if isinstance(value, dict) else (node, tuple(parents))
         holder["bogus"] = 1.0
-        key = ".".join(at + ("bogus",))
-    else:
-        choices = {"type": WRONG_TYPES, "number": BAD_NUMBERS}.get(kind) or (
-            _reordered(value) if kind == "order" else _reshaped(value))
-        node[last] = data.draw(st.sampled_from(choices))
-        key = ".".join(path)
+        return kind, ".".join(at + ("bogus",)), 1.0
+    choices = {"type": WRONG_TYPES, "number": BAD_NUMBERS}.get(kind) or (
+        _reordered(value) if kind == "order" else _reshaped(value))
+    node[last] = data.draw(st.sampled_from(choices))
+    return kind, ".".join(path), node[last]
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_load_config_mutations_load_or_name_the_key(tmp_path_factory, data):
+    # One mutation of a documented config either loads, or raises
+    # ConfigInvalid naming the mutated key (or the key whose mapping holds
+    # it, as for {table: ...}), never any other exception.  An unknown key,
+    # a non-finite number and a table out of order never load.
+    cfg = json.loads(json.dumps(data.draw(st.sampled_from(DOCUMENTED))))
+    kind, key, value = _mutate_config(cfg, data)
     cfg_path = write_cfg(tmp_path_factory.mktemp("cfg"), cfg)
     try:
         loaded = cli.load_config(cfg_path)
@@ -334,7 +342,7 @@ def test_load_config_mutations_load_or_name_the_key(tmp_path_factory, data):
         assert key in str(exc) or key.rsplit(".", 1)[0] in str(exc), (key, str(exc))
         return
     assert kind not in ("unknown", "order"), f"{kind} '{key}' loaded"
-    assert kind != "number" or np.isfinite(node[last]), f"'{key}' = {node[last]} loaded"
+    assert kind != "number" or np.isfinite(value), f"'{key}' = {value} loaded"
 
 
 def _run_python(code, *args):
@@ -626,6 +634,30 @@ def _config_header(config: dict) -> bytes:
                        "config": {"medium": {"absorption": 1.0}, **config}}).encode()
 
 
+@pytest.fixture(scope="module")
+def combined_dump(tmp_path_factory):
+    """(header, arrays) of the field dump of a small isotropic combined run."""
+    out = tmp_path_factory.mktemp("combined_dump")
+    cfg = _edited(BASE_EQ, {"solver.mode": "combined", "medium.scattering": 0.5,
+                            "grids.spatial.h": 0.3, "grids.angular.n_polar": 2,
+                            "grids.angular.n_azimuth": 4, "grids.spectral.n_nodes": 8,
+                            "output.entropy": False, "output.dir": str(out)})
+    assert cli.main(["--quiet", "solve", "--config", write_cfg(out, cfg)]) == 0
+    return cli.read_field_dump(str(out / "solution.rbf"))
+
+
+def _dump_of(header: dict, arrays: dict) -> bytes:
+    """A field dump of ``arrays`` under ``header``, whose array list is rebuilt."""
+    header = dict(header, arrays=[{"name": k, "shape": list(v.shape)} for k, v in arrays.items()])
+    return _dump_bytes(json.dumps(header).encode()) + b"".join(
+        np.ascontiguousarray(v, dtype="<f8").tobytes() for v in arrays.values())
+
+
+def _changed(name, change):
+    """A case: the combined run's dump with array ``name`` replaced by change(array)."""
+    return lambda header, arrays: _dump_of(header, dict(arrays, **{name: change(arrays[name])}))
+
+
 @pytest.mark.parametrize("content, key", [
     (b"not a dump", ""),
     (_dump_bytes(b"{}", header_len=2**64 - 1), ""),
@@ -640,16 +672,87 @@ def _config_header(config: dict) -> bytes:
      "'I'"),
     (_dump_bytes(_config_header({"domain": {"shape": "cube"}})), "domain.shape"),
     (_dump_bytes(_config_header({"grids": {"spatial": {"h": "x"}}})), "grids.spatial.h"),
+    (_changed("T", lambda T: np.concatenate([[NAN], T[1:]])), "'T'"),
+    (_changed("T", np.negative), "'T'"),
+    (_changed("T", lambda T: T[:-1]), "'T'"),
+    (_changed("w", lambda w: w[:-1]), "'w'"),
+    (_changed("J0", lambda J0: J0[:, :-1]), "'J0'"),
 ], ids=["junk", "header_len_max", "header_past_end", "header_list", "arrays_int",
         "array_without_shape", "array_past_end", "no_temperature", "no_radiance",
-        "config_domain_cube", "config_spatial_h_text"])
-def test_entropy_command_unreadable(tmp_path, capsys, content, key):
+        "config_domain_cube", "config_spatial_h_text", "temperature_nan",
+        "temperature_negated", "temperature_short", "w_short", "J0_short"])
+def test_entropy_command_unreadable(tmp_path, capsys, combined_dump, content, key):
     # Regression: a huge or overlong header length, a header of the wrong
     # structure and a grey dump without its temperature ended in a traceback
     # (OverflowError, TypeError, KeyError, AttributeError); a bad config in
-    # a well-formed header exited 1 with a message that named no key.
+    # a well-formed header exited 1 with a message that named no key.  A NaN
+    # or negated temperature exited 0 with a meaningless report, a short
+    # temperature exited 1 with numpy's broadcast message, and a short w
+    # loaded silently.
+    if callable(content):
+        content = content(*combined_dump)
     bad = tmp_path / "junk.rbf"
     bad.write_bytes(content)
     assert cli.main(["entropy", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and key in err
+
+
+DUMP_MODES = ["scattering", "grey", "spectral", "combined", "bogus", None, 3]
+DUMP_NAMES = ["T", "w", "J0", "I", "X", ""]
+HEADER_LEN_AT = len(cli.DUMP_MAGIC) + 4  # offset of the u64 header length
+
+
+def _mutated_dump(header, arrays, raw, data):
+    """One drawn mutation of a dump: (bytes, whether an array holds a value that is
+    not finite, or a negative temperature)."""
+    kind = data.draw(st.sampled_from(
+        ["truncate", "header_len", "mode", "name", "shape", "config", "value"]))
+    header = json.loads(json.dumps(header))
+    (hlen,) = struct.unpack_from("<Q", raw, HEADER_LEN_AT)
+    body = raw[HEADER_LEN_AT + 8 + hlen:]
+    if kind == "truncate":
+        return raw[:data.draw(st.integers(0, len(raw) - 1))], False
+    if kind == "header_len":
+        new = data.draw(st.one_of(st.integers(0, hlen - 1), st.integers(hlen + 1, 2**64 - 1)))
+        return raw[:HEADER_LEN_AT] + struct.pack("<Q", new) + raw[HEADER_LEN_AT + 8:], False
+    if kind == "value":
+        name = data.draw(st.sampled_from(sorted(arrays)))
+        values = arrays[name].copy()
+        values.flat[data.draw(st.integers(0, values.size - 1))] = data.draw(
+            st.sampled_from([NAN, np.inf, -np.inf, -1.0]))
+        invalid = not np.all(np.isfinite(values)) or name == "T" and np.min(values) < 0.0
+        return _dump_of(header, dict(arrays, **{name: values})), invalid
+    if kind == "mode":
+        header["mode"] = data.draw(st.sampled_from(DUMP_MODES))
+    elif kind == "config":
+        _mutate_config(header["config"], data)
+    else:
+        item = data.draw(st.sampled_from(header["arrays"]))
+        if kind == "name":
+            item["name"] = data.draw(st.sampled_from(DUMP_NAMES))
+        else:
+            item["shape"] = data.draw(st.sampled_from(_reshaped(item["shape"]) + [
+                [n + 1 for n in item["shape"]], item["shape"] + [1], [0]]))
+    return _dump_bytes(json.dumps(header).encode()) + body, False
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_entropy_command_dump_mutations(tmp_path_factory, combined_dump, data):
+    # One mutation of a valid dump exits 0 with a report, or 1-3 with a
+    # message, never with a traceback; an array holding NaN or inf, or a
+    # negative temperature, never exits 0.
+    path = tmp_path_factory.mktemp("dump") / "mutated.rbf"
+    content, invalid = _mutated_dump(*combined_dump, _dump_of(*combined_dump), data)
+    path.write_bytes(content)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["entropy", str(path)])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert not invalid
+        assert "entropy report" in out.getvalue()
+    else:
+        assert err.getvalue().strip()
