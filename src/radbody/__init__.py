@@ -15,7 +15,7 @@ All physics is expressed in natural units (see :mod:`radbody.spectral`).
 from radbody.geometry import ConvexDomain
 from radbody.quadrature import AngularGrid, SpatialGrid, SpectralGrid
 from radbody.spectral import AbsorptionProfile
-from radbody.transport import BoundarySource, MediumSpec, RadiationField, ScalarField
+from radbody.transport import BoundarySource, MediumSpec
 from radbody.solvers import (
     SolverReport,
     compute_H,
@@ -32,8 +32,6 @@ __all__ = [
     "BoundarySource",
     "ConvexDomain",
     "MediumSpec",
-    "RadiationField",
-    "ScalarField",
     "SolverReport",
     "SpatialGrid",
     "SpectralGrid",

@@ -24,7 +24,8 @@ import yaml
 from radbody import entropy as entropy_mod
 from radbody import geometry, solvers, spectral, transport
 from radbody.geometry import ConvexDomain
-from radbody.quadrature import build_angular, build_spatial, build_spectral, single_frequency_grid
+from radbody.quadrature import (build_angular, build_spatial, build_spectral, check_spacing,
+                                single_frequency_grid, spectral_cutoff)
 from radbody.solvers import Grids, Solution
 from radbody.spectral import AbsorptionProfile
 from radbody.transport import FOUR_PI, BoundarySource, MediumSpec
@@ -215,16 +216,24 @@ def validate_config(cfg: dict):
             f"mode-compatibility: 'solver.mode: {mode}' requires nonzero 'medium.absorption'"
         )
     gr = cfg["grids"]
-    _check_numbers(gr["spatial"].get("h"), "grids.spatial.h", (), "a finite positive spacing",
-                   positive=True)
+    h = _check_numbers(gr["spatial"].get("h"), "grids.spatial.h", (), "a finite positive spacing",
+                       positive=True)
+    try:
+        check_spacing(build_domain(cfg), float(h))
+    except ValueError as exc:
+        raise ConfigInvalid(f"'grids.spatial.h' does not fit 'domain': {exc}") from exc
     if gr["ray"].get("h") is not None:
         _check_numbers(gr["ray"]["h"], "grids.ray.h", (), "null or a finite positive step",
                        positive=True)
     _check_int(gr["angular"].get("n_polar"), "grids.angular.n_polar", 2)
     _check_int(gr["angular"].get("n_azimuth"), "grids.angular.n_azimuth", 4)
     _check_int(gr["spectral"].get("n_nodes"), "grids.spectral.n_nodes", 8)
-    _check_numbers(gr["spectral"].get("t_ref"), "grids.spectral.t_ref", (),
-                   "a finite positive temperature", positive=True)
+    t_ref = _check_numbers(gr["spectral"].get("t_ref"), "grids.spectral.t_ref", (),
+                           "a finite positive temperature", positive=True)
+    try:
+        spectral_cutoff(float(t_ref))
+    except ValueError as exc:
+        raise ConfigInvalid(f"'grids.spectral.t_ref' is out of range: {exc}") from exc
     _check_numbers(cfg["oracle"]["tolerance"], "oracle.tolerance", (), "a finite positive bound",
                    positive=True)
     if not isinstance(cfg["output"]["dir"], str):
@@ -336,20 +345,19 @@ def run_solver(cfg: dict, quiet: bool = False) -> Solution:
 def _node_residual(sol: Solution) -> np.ndarray:
     grids = sol.grids
     if sol.radiation is None:
-        residual, _ = transport.conservation_residual(
+        return transport.conservation_residual(
             sol.T, sol.source, sol.medium, sol.domain,
             grids.spatial, grids.angular, grids.spectral, representation="kernel",
-            J0_guess=sol.J0)
-        return residual.values
+            J0_guess=sol.J0)[0]
     # One more source-iteration sweep of the stored radiance.  Scattering
     # mode reports the sup over frequencies of the angular L1 change; with a
     # tabulated kernel (combined mode) the per-node energy defect
     # 4pi f(T) - sum_i w_i sum_j q_j alpha_a,j I_new.
-    sw = solvers.AngularSweep(sol.domain, sol.medium, sol.source, grids, cache_bytes=0)
-    I = sol.radiation.values
+    sw = sol.angular_sweep
+    I = sol.radiation
     if sol.mode == "scattering":
         return np.max(sw.angle_integral(np.abs(sw.sweep(I) - I)), axis=1)
-    B = spectral.planck(grids.spectral.nodes, sol.T.values[:, None])
+    B = spectral.planck(grids.spectral.nodes, sol.T[:, None])
     qa = grids.spectral.weights * sw.alphas_a
     I_new = sw.sweep(I, (sw.alphas_a * B)[:, None, :])
     return FOUR_PI * (B @ qa) - sw.angle_integral(I_new) @ qa
@@ -362,7 +370,7 @@ def _spectral_tail(sol: Solution) -> dict | None:
     """
     if sol.T is None:
         return None
-    t_max = float(np.max(sol.T.values))
+    t_max = float(np.max(sol.T))
     relative = 0.0
     if t_max > 0.0:
         absorption, sgrid = sol.medium.absorption, sol.grids.spectral
@@ -377,10 +385,9 @@ def write_node_table(path: str, sol: Solution):
     if sol.mode == "scattering":
         T = np.zeros(grids.spatial.n_nodes)  # temperature is indeterminate here
         w = np.einsum("j,i,mij->m", grids.spectral.weights, grids.angular.weights,
-                      sol.radiation.values) / FOUR_PI
+                      sol.radiation) / FOUR_PI
     else:
-        T = sol.T.values
-        w = sol.w.values
+        T, w = sol.T, sol.w
     resid = _node_residual(sol)
     with open(path, "w") as fh:
         fh.write("x,y,z,T,w,conservation_residual\n")
@@ -392,15 +399,8 @@ def write_node_table(path: str, sol: Solution):
 
 
 def write_field_dump(path: str, sol: Solution, cfg: dict):
-    arrays = {}
-    if sol.T is not None:
-        arrays["T"] = sol.T.values
-    if sol.w is not None:
-        arrays["w"] = sol.w.values
-    if sol.J0 is not None:
-        arrays["J0"] = sol.J0
-    if sol.radiation is not None:
-        arrays["I"] = sol.radiation.values
+    arrays = {name: v for name, v in (("T", sol.T), ("w", sol.w), ("J0", sol.J0),
+                                      ("I", sol.radiation)) if v is not None}
     header = {
         "version": 1,
         "mode": sol.mode,
@@ -487,17 +487,9 @@ def solution_from_dump(header: dict, arrays: dict) -> Solution:
         if not np.all(np.isfinite(values)) or name == "T" and np.any(values < 0.0):
             raise ArtifactUnreadable(f"dump array '{name}' holds non-finite"
                                      + (" or negative" if name == "T" else "") + " values")
-    sol = Solution(mode, domain, grids, medium, source, solvers.SolverReport())
-    if "T" in arrays:
-        sol.T = transport.ScalarField(arrays["T"], "temperature")
-    if "w" in arrays:
-        role = "sigma_T4" if mode == "grey" else "f_of_T"
-        sol.w = transport.ScalarField(arrays["w"], role)
-    if "J0" in arrays:
-        sol.J0 = arrays["J0"]
-    if "I" in arrays:
-        sol.radiation = transport.RadiationField(arrays["I"])
-    return sol
+    return Solution(mode, domain, grids, medium, source, solvers.SolverReport(),
+                    w=arrays.get("w"), T=arrays.get("T"), radiation=arrays.get("I"),
+                    J0=arrays.get("J0"))
 
 
 # ---------------------------------------------------------------------------
@@ -621,19 +613,19 @@ def cmd_oracle(args) -> int:
     oracle = solvers.oracle_solve(sol.domain, sol.medium, sol.source, sol.grids)
     wall = time.perf_counter() - t0
     if sol.mode == "scattering":
-        dev = np.abs(sol.radiation.values - oracle.radiation.values)
-        scale = float(np.max(np.abs(oracle.radiation.values))) or 1.0
+        dev = np.abs(sol.radiation - oracle.radiation)
+        scale = float(np.max(np.abs(oracle.radiation))) or 1.0
         max_dev, mean_dev = float(np.max(dev)) / scale, float(np.mean(dev)) / scale
         what = "radiance (relative)"
     else:
-        oracle_T = oracle.T.values
+        oracle_T = oracle.T
         if sol.mode == "grey":
             # Consistent temperature map: the grey solver converts with the
             # exact radiation constant, so derive the oracle temperature from
             # its emission field the same way.
             alpha = sol.medium.absorption.value
-            oracle_T = (oracle.w.values / (alpha * spectral.stefan_sigma())) ** 0.25
-        dev = np.abs(sol.T.values - oracle_T)
+            oracle_T = (oracle.w / (alpha * spectral.stefan_sigma())) ** 0.25
+        dev = np.abs(sol.T - oracle_T)
         max_dev, mean_dev = float(np.max(dev)), float(np.mean(dev))
         what = "temperature"
     print(f"[radbody] oracle comparison on {what}: max={max_dev:.6g} "

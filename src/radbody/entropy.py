@@ -120,37 +120,27 @@ def boundary_flows(radiance, surface_weights: np.ndarray, normals: np.ndarray,
     return {"phi_out": phi_out, "phi_in": phi_in, "i_out": i_out, "i_in": i_in}
 
 
-def solution_entropy_report(solution, diag_angular=None, diag_ray_h=None,
-                            surface_sphere=None) -> EntropyReport:
-    """Full entropy accounting of a converged solve.
+def solution_entropy_report(solution) -> EntropyReport:
+    """Full entropy accounting of a converged solve, on the solve's own grids.
 
-    Streams over directions: interior radiance is reconstructed one angular
-    node at a time for the production integral, and boundary radiance one
-    direction at a time, on a surface quadrature induced by a sphere rule.
-    The diagnostic resolutions default to the solve's own grids; passing a
-    coarser ``diag_angular``/larger ``diag_ray_h`` trades accuracy of the
-    report (not of the solve) for speed on large grids.
+    Streams over directions through the solution's ``AngularSweep``: interior
+    radiance is reconstructed one direction at a time, in its rays' orbit
+    order, for the production integral, and boundary radiance one direction
+    at a time, on the surface quadrature that the angular grid induces.
     """
-    from radbody.transport import RaySweeper
-
     grids = solution.grids
-    grid, sgrid = grids.spatial, grids.spectral
-    angular = solution.diagnostic_angular(diag_angular)
-    if diag_ray_h is None:
-        diag_ray_h = grids.ray_h
-    alphas_a = solution.medium.absorption(sgrid.nodes)
-    # One pass over the directions in orbit order builds each orbit's design
-    # and operator once; a design cache would never be reread.
-    sweeper = RaySweeper(solution.domain, grid, angular, diag_ray_h, cache_bytes=0)
+    grid, angular, sgrid = grids.spatial, grids.angular, grids.spectral
+    sw = solution.angular_sweep
+    alphas_a = sw.alphas_a
     production = 0.0
     min_pointwise = np.inf
     residual_term = 0.0
     if solution.T is not None and np.max(alphas_a) > 0.0:
-        T = solution.T.values
+        T = solution.T
         B = spectral.planck(sgrid.nodes, T[:, None])  # (M, J), shared by every direction
         absorbed = np.zeros(grid.n_nodes)
-        for i in sweeper.orbit_order():
-            I_i = solution.interior_radiance(i, angular=angular, _sweeper=sweeper)
+        for i in sw.rays.orbit_order():
+            I_i = solution.interior_radiance(i)
             dens = production_density(sgrid.nodes[None, :], T[:, None], I_i,
                                       alphas_a[None, :], B_T=B)
             min_pointwise = min(min_pointwise, float(np.min(dens)))
@@ -166,9 +156,9 @@ def solution_entropy_report(solution, diag_angular=None, diag_ray_h=None,
     else:
         min_pointwise = 0.0
 
-    sphere = surface_sphere if surface_sphere is not None else angular
-    pts, wts, normals = geometry.surface_quadrature(solution.domain, sphere.nodes, sphere.weights)
-    flows = boundary_flows((solution.boundary_radiance(i, pts, normals, angular, _sweeper=sweeper)
+    pts, wts, normals = geometry.surface_quadrature(solution.domain, angular.nodes,
+                                                    angular.weights)
+    flows = boundary_flows((solution.boundary_radiance(i, pts, normals)
                             for i in range(angular.n_nodes)), wts, normals, angular, sgrid)
     return EntropyReport(
         production_volume_integral=production,

@@ -61,13 +61,19 @@ def build_angular(n_polar: int, n_azimuth: int) -> AngularGrid:
     return AngularGrid(nodes=nodes, weights=weights)
 
 
+def spectral_cutoff(T_ref: float) -> float:
+    """nu_max = 50 T_ref, the top of the spectral grid; ValueError unless finite and > 0."""
+    nu_max = 50.0 * float(T_ref)
+    if not 0.0 < nu_max < np.inf:
+        raise ValueError(f"50 T_ref = {nu_max} must be finite and positive")
+    return nu_max
+
+
 def build_spectral(T_ref: float, n_nodes: int) -> SpectralGrid:
     """Composite Gauss-Legendre on [0, 50*T_ref], panels halving toward 0."""
     if n_nodes < 8:
         raise TooCoarse(f"need n_nodes >= 8, got {n_nodes}")
-    if T_ref <= 0.0:
-        raise ValueError("T_ref must be positive")
-    nu_max = 50.0 * float(T_ref)
+    nu_max = spectral_cutoff(T_ref)
     n_panels = max(1, min(n_nodes // 8, 10))
     edges = nu_max * np.concatenate([[0.0], 0.5 ** np.arange(n_panels - 1, -1.0, -1.0)])
     base, extra = divmod(n_nodes, n_panels)
@@ -172,13 +178,23 @@ class SpatialGrid:
         return np.ascontiguousarray(indices.T), np.ascontiguousarray(weights.reshape(8, -1).T)
 
 
+def check_spacing(domain: ConvexDomain, h: float):
+    """Raise ``TooCoarse`` if h > diameter/4, ``ValueError`` if the bounding box (counted
+    in floats) holds 2^31 cells or more, where ``SpatialGrid.sample``'s int32 indices wrap."""
+    if h > geometry.diameter(domain) / 4.0:
+        raise TooCoarse(f"h = {h} exceeds diameter/4 = {geometry.diameter(domain) / 4.0}")
+    with np.errstate(over="ignore"):
+        cells = float(np.prod(2.0 * np.ceil(domain.semi_axes / h) + 1.0))
+    if cells >= 2.0**31:
+        raise ValueError(f"h = {h} gives a bounding box of {cells:.3g} cells, not below 2^31")
+
+
 def build_spatial(domain: ConvexDomain, h: float) -> SpatialGrid:
     """Centered cubic lattice of spacing h; keeps strictly interior centers."""
     h = float(h)
     if h <= 0.0:
         raise ValueError("h must be positive")
-    if h > geometry.diameter(domain) / 4.0:
-        raise TooCoarse(f"h = {h} exceeds diameter/4 = {geometry.diameter(domain) / 4.0}")
+    check_spacing(domain, h)
     half = np.ceil(domain.semi_axes / h).astype(int)
     box_shape = tuple(2 * half + 1)
     origin = domain.center - half * h

@@ -28,16 +28,18 @@ step: the oracle's map.
 The ray-marching loops with in-scattering (scattering solver, tabulated-kernel
 combined route, ``compute_H``, oracle) share one ``AngularSweep``, and
 ``AngularSweep.source`` is the only code that applies the scattering kernel
-to a radiance field.  ``Solution`` re-evaluates radiance on demand: from the
+to a radiance field.  ``Solution`` re-evaluates radiance on demand on the
+solve's own grids, through one ``AngularSweep`` that it builds once: from the
 stored radiance through ``AngularSweep.source`` where the solver keeps one
 (scattering, tabulated-kernel combined), otherwise from the isotropic source
 alpha_a B(T) + (alpha_s/4pi) J0; an isotropic combined solve stores none.
+Solvers, the oracle and ``Solution`` hold plain ndarrays.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,9 +52,7 @@ from radbody.transport import (
     BoundarySource,
     MediumSpec,
     MonotonicityError,
-    RadiationField,
     RaySweeper,
-    ScalarField,
     SolverReport,
     _finish,
     _fixed_point,
@@ -160,7 +160,7 @@ def solve_scattering(
             break
     _finish(report, converged, t0)
     report.conservation_norm = report.residual_history[-1] if report.residual_history else 0.0
-    return RadiationField(I), report
+    return I, report
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +199,7 @@ def _grey_iteration(grid, alpha, b, tol, max_iter, t0):
                      max_iter, grid.cell_volume, t0)
     report.conservation_norm = float(np.max(np.abs(FOUR_PI * (a - op.apply(a) - b))))
     T = (a / spectral.stefan_sigma()) ** 0.25
-    return ScalarField(a, "sigma_T4"), ScalarField(T, "temperature"), report
+    return a, T, report
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +256,7 @@ def solve_spectral(
     T = spectral.invert_emission_many(profile, w, sgrid, t_guess=T)
     report.extra["emission_table"] = {"size": table.size,
                                       "fallbacks": table.fallbacks - fallbacks}
-    return ScalarField(w, "f_of_T"), ScalarField(T, "temperature"), report
+    return w, T, report
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +310,7 @@ def solve_combined(
         tight = min(tol, 1e-10)
         a, _, report = _grey_iteration(grid, float(beta[0]), b_freq @ sgrid.weights, tight,
                                        max_iter, t0)
-        w = alphas_a[0] * a.values
+        w = alphas_a[0] * a
         T = spectral.invert_emission_many(medium.absorption, w, sgrid)
         B = spectral.planck(sgrid.nodes, T[:, None])
         J0, _ = scattered_mean_intensity(grid, alphas_a, alphas_s, B, b4pi, tol=tight,
@@ -335,7 +335,7 @@ def solve_combined(
         T = spectral.invert_emission_many(medium.absorption, w, sgrid, t_guess=T)
     report.extra["certificate_bound"] = float(np.max(duhamel_theta(
         alphas_a, alphas_s, geometry.diameter(domain))))
-    return ScalarField(w, "f_of_T"), ScalarField(T, "temperature"), None, report, J0
+    return w, T, None, report, J0
 
 
 def _solve_combined_angular(domain, medium, g, grids, tol, max_iter, t0):
@@ -367,7 +367,7 @@ def _solve_combined_angular(domain, medium, g, grids, tol, max_iter, t0):
     J0 = sw.angle_integral(I)
     w = J0 @ qa / FOUR_PI
     T = spectral.invert_emission_many(medium.absorption, w, sgrid, t_guess=T)
-    return ScalarField(w, "f_of_T"), ScalarField(T, "temperature"), RadiationField(I), report, J0
+    return w, T, I, report, J0
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +463,9 @@ ORACLE_MAX_UNKNOWNS = 100_000
 
 @dataclass
 class OracleResult:
-    radiation: RadiationField
-    w: ScalarField | None
-    T: ScalarField | None
+    radiation: np.ndarray  # (M, A, J)
+    w: np.ndarray | None
+    T: np.ndarray | None
     iterations: int
 
 
@@ -515,9 +515,8 @@ def oracle_solve(
             break
     if emitting:
         T = spectral.invert_emission_many(medium.absorption, w, sgrid, t_guess=T)
-        return OracleResult(RadiationField(I), ScalarField(w, "f_of_T"),
-                            ScalarField(T, "temperature"), its)
-    return OracleResult(RadiationField(I), None, None, its)
+        return OracleResult(I, w, T, its)
+    return OracleResult(I, None, None, its)
 
 
 # ---------------------------------------------------------------------------
@@ -535,84 +534,65 @@ class Solution:
     medium: MediumSpec
     source: BoundarySource
     report: SolverReport
-    w: ScalarField | None = None
-    T: ScalarField | None = None
-    radiation: RadiationField | None = None
+    w: np.ndarray | None = None
+    T: np.ndarray | None = None
+    radiation: np.ndarray | None = None  # (M, A, J) radiance
     J0: np.ndarray | None = None  # (M, J) angle-integrated radiance
-    _sweep_cache: AngularSweep | None = None
+    _sweep: AngularSweep | None = field(default=None, init=False, repr=False)
     # The direction-independent part of the ray source: alpha_a B(T) at the
     # nodes with stored radiance, else the box of alpha_a B(T) + (alpha_s/4pi) J0.
-    _source_cache: np.ndarray | float | None = None
-    # The boundary source on the last angular grid asked for: (grid, (A, J)).
-    _boundary_cache: tuple | None = None
+    _source: np.ndarray | float | None = field(default=None, init=False, repr=False)
 
-    def source_box_for_angle(self, i: int, angular: AngularGrid | None = None):
-        """(box (nx,ny,nz,J), rates (J,)): the ray source for direction i.
+    @property
+    def angular_sweep(self) -> AngularSweep:
+        """The one ``AngularSweep`` on the solve's own grids that rebuilds radiance;
+        no design cache, since a pass in orbit order never rereads a design."""
+        if self._sweep is None:
+            self._sweep = AngularSweep(self.domain, self.medium, self.source, self.grids,
+                                       cache_bytes=0)
+        return self._sweep
+
+    def source_box_for_angle(self, i: int) -> np.ndarray:
+        """The ray source for direction i as a box (nx, ny, nz, J).
 
         The data held chooses the source.  With stored radiance (scattering
         mode, tabulated-kernel combined run) it is ``AngularSweep.source`` of
-        that radiance plus the emission alpha_a B(T), per direction and on
-        the native angular grid only.  Otherwise it is the cached,
-        direction-independent alpha_a B(T) + (alpha_s/4pi) J0, which is exact
-        for an isotropic kernel.
+        that radiance plus the emission alpha_a B(T), per direction.
+        Otherwise it is the cached, direction-independent
+        alpha_a B(T) + (alpha_s/4pi) J0, which is exact for an isotropic kernel.
         """
-        grid = self.grids.spatial
-        if self._sweep_cache is None:
+        if self._source is None:
             if self.radiation is None and self.T is None:
                 raise ValueError("solution holds neither radiance nor a temperature")
-            sw = AngularSweep(self.domain, self.medium, self.source, self.grids, cache_bytes=0)
+            sw = self.angular_sweep
             src = 0.0 if self.T is None else sw.alphas_a * spectral.planck(
-                self.grids.spectral.nodes, self.T.values[:, None])
+                self.grids.spectral.nodes, self.T[:, None])
             if self.radiation is None:
                 if self.J0 is not None:
                     src = src + (sw.alphas_s / FOUR_PI) * self.J0
-                src = grid.embed(src)
-            self._sweep_cache, self._source_cache = sw, src
-        sw = self._sweep_cache
+                src = self.grids.spatial.embed(src)
+            self._source = src
         if self.radiation is None:
-            return self._source_cache, sw.beta
-        if angular is not None and angular is not self.grids.angular:
-            raise ValueError("stored radiance is only defined on its native angular grid")
-        return grid.embed(sw.source(self.radiation.values, self._source_cache, i)), sw.beta
+            return self._source
+        return self.grids.spatial.embed(self.angular_sweep.source(self.radiation, self._source, i))
 
-    def diagnostic_angular(self, angular: AngularGrid | None) -> AngularGrid:
-        if angular is None or self.radiation is not None:
-            return self.grids.angular
-        return angular
+    def interior_radiance(self, i: int) -> np.ndarray:
+        """Radiance (M, J) for direction i of the solve's angular grid."""
+        sw = self.angular_sweep
+        return sw.rays.radiance(i, self.source_box_for_angle(i), sw.beta, sw.gvals[i])
 
-    def _boundary_table(self, angular: AngularGrid) -> np.ndarray:
-        """The boundary source g over (directions, frequencies), evaluated once per grid."""
-        if self._boundary_cache is None or self._boundary_cache[0] is not angular:
-            self._boundary_cache = (angular, self.source.evaluate(
-                angular.nodes, self.grids.spectral.nodes))
-        return self._boundary_cache[1]
-
-    def interior_radiance(self, i: int, angular: AngularGrid | None = None,
-                          ray_h: float | None = None,
-                          _sweeper: RaySweeper | None = None) -> np.ndarray:
-        """Radiance (M, J) for direction i of an angular grid (native default)."""
-        ang = self.diagnostic_angular(angular)
-        box, rates = self.source_box_for_angle(i, ang)
-        sweeper = _sweeper or RaySweeper(self.domain, self.grids.spatial, ang,
-                                         ray_h if ray_h is not None else self.grids.ray_h)
-        return sweeper.radiance(i, box, rates, self._boundary_table(ang)[i])
-
-    def boundary_radiance(self, i: int, points: np.ndarray, normals: np.ndarray,
-                          angular: AngularGrid | None = None, ray_h: float | None = None,
-                          _sweeper: RaySweeper | None = None) -> np.ndarray:
-        """Radiance (S, J) at boundary points for direction i of an angular grid.
+    def boundary_radiance(self, i: int, points: np.ndarray, normals: np.ndarray) -> np.ndarray:
+        """Radiance (S, J) at boundary points for direction i of the solve's angular grid.
 
         Where direction i enters the body it is the boundary source; where it
         leaves, the formal solution integrated along the full chord.
         """
-        ang = self.diagnostic_angular(angular)
-        g = self._boundary_table(ang)[i]
+        sw = self.angular_sweep
+        g = sw.gvals[i]
         out = np.empty((points.shape[0], g.size))
-        outgoing = normals @ ang.nodes[i] > 0.0
+        outgoing = normals @ self.grids.angular.nodes[i] > 0.0
         out[~outgoing] = g
         if np.any(outgoing):
-            box, rates = self.source_box_for_angle(i, ang)
-            sweeper = _sweeper or RaySweeper(self.domain, self.grids.spatial, ang,
-                                             ray_h if ray_h is not None else self.grids.ray_h)
-            out[outgoing] = sweeper.chord_radiance(i, points[outgoing], box, rates, g)
+            out[outgoing] = sw.rays.chord_radiance(i, points[outgoing],
+                                                   self.source_box_for_angle(i), sw.beta, g)
         return out

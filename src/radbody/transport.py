@@ -46,31 +46,6 @@ NEAR_SUBDIV = 16
 
 
 @dataclass(frozen=True)
-class ScalarField:
-    """Nodal scalar values with a role marker ("sigma_T4", "f_of_T", ...)."""
-
-    values: np.ndarray
-    role: str = "scalar"
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
-class RadiationField:
-    """Radiance samples I[node, direction, frequency]; nonnegative, finite."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 3:
-            raise ValueError("radiation field must have shape (nodes, angles, frequencies)")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
 class MediumSpec:
     """Absorption/scattering coefficients and the angular scattering kernel.
 
@@ -686,7 +661,7 @@ def boundary_attenuation_nodes(
     else:
         out = np.zeros((grid.n_nodes, spectral_grid.n_nodes))
         gvals = g.evaluate(angular.nodes, spectral_grid.nodes)  # (A, J)
-        rays = RaySweeper(domain, grid, angular, cache_bytes=0)
+        rays = RaySweeper(domain, grid, angular)
         for i in rays.orbit_order():
             out += _attenuated(gvals[i], rays.path_lengths(i), rates,
                                weight=angular.weights[i] / FOUR_PI)
@@ -960,7 +935,7 @@ def _attenuated(g, s: np.ndarray, rates, weight: float = 1.0) -> np.ndarray:
     quadrature weight: weight e^{-rate s} g, with one exponential per
     distinct rate."""
     uniq, inv = np.unique(np.ravel(rates), return_inverse=True)
-    return weight * np.take(np.exp(-np.outer(s, uniq)), inv, axis=1) * g
+    return np.take(weight * np.exp(-np.outer(s, uniq)), inv, axis=1) * g
 
 
 # ---------------------------------------------------------------------------
@@ -1137,7 +1112,7 @@ def scattered_mean_intensity(
 
 
 def conservation_residual(
-    T_field: ScalarField,
+    T: np.ndarray,
     g: BoundarySource,
     medium: MediumSpec,
     domain: ConvexDomain,
@@ -1159,9 +1134,8 @@ def conservation_residual(
     With scattering, ``J0_guess`` (the solver's mean intensities) warm-starts
     the inner solve for J0.
 
-    Returns ``(absolute ScalarField, relative ndarray)``.
+    Returns ``(absolute, relative)``, both (M,).
     """
-    T = np.asarray(T_field.values, dtype=float)
     alphas_a = medium.absorption(spectral_grid.nodes)
     alphas_s = medium.scattering(spectral_grid.nodes)
     beta = alphas_a + alphas_s
@@ -1202,4 +1176,4 @@ def conservation_residual(
 
     residual = FOUR_PI * (w - rhs)
     scale = FOUR_PI * np.maximum(w, np.max(w) * 1e-12 + 1e-300)
-    return ScalarField(residual, role="conservation_residual"), residual / scale
+    return residual, residual / scale

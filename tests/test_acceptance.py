@@ -118,12 +118,19 @@ def test_criterion_05_equilibrium_uniqueness(ball, equilibrium_runs):
     prod_scale = 4 * np.pi * SIGMA * T0**4 * ball.volume()
     for h, per_mode in equilibrium_runs.items():
         for mode, (sol, wall) in per_mode.items():
-            dev = float(np.max(np.abs(sol.T.values - T0)) / T0)
+            dev = float(np.max(np.abs(sol.T - T0)) / T0)
             _report(5, f"equilibrium_T_{mode}_h{h:g}", dev, budgets[h], dev <= budgets[h])
             if h == 0.05:
+                # The report runs on 4x8 directions with ray h 2h: none of
+                # these solutions stores radiance, so the ray source
+                # alpha_a B(T) + (alpha_s/4pi) J0 does not depend on the
+                # angular grid, and a copy on coarser grids is exact.
+                grids = Grids(sol.grids.spatial, build_angular(4, 8), sol.grids.spectral,
+                              ray_h=2 * h)
+                coarse = Solution(mode, ball, grids, sol.medium, sol.source, sol.report,
+                                  w=sol.w, T=sol.T, J0=sol.J0)
                 t0 = time.perf_counter()
-                er = entropy.solution_entropy_report(
-                    sol, diag_angular=build_angular(4, 8), diag_ray_h=2 * h)
+                er = entropy.solution_entropy_report(coarse)
                 total = wall + (time.perf_counter() - t0)
                 prod = er.production_volume_integral
                 _report(5, f"equilibrium_entropy_{mode}", prod, 1e-8 * prod_scale,
@@ -145,7 +152,7 @@ def test_criterion_06_scattering_contraction(ball):
 
     I, rep = solvers.solve_scattering(ball, med, BoundarySource.constant(3.0),
                                       grids, tol=1e-7, max_iter=300)
-    dev = float(np.max(np.abs(I.values - 3.0)))
+    dev = float(np.max(np.abs(I - 3.0)))
     _report(6, "scattering_constant_source", dev, 1e-6, dev <= 1e-6)
 
 
@@ -202,19 +209,19 @@ def test_criterion_10_oracle_equivalence(ball):
     med = MediumSpec(AbsorptionProfile.constant(1.0), AbsorptionProfile.constant(0.0))
     a, T, _ = solvers.solve_grey(ball, 1.0, g, grids, tol=1e-10)
     orc = solvers.oracle_solve(ball, med, g, grids)
-    dev = float(np.max(np.abs(T.values - (orc.w.values / SIGMA) ** 0.25)))
+    dev = float(np.max(np.abs(T - (orc.w / SIGMA) ** 0.25)))
     _report(10, "oracle_grey", dev, 5e-3, dev <= 5e-3)
 
     med = MediumSpec(MILD_PROFILE, AbsorptionProfile.constant(0.0))
     w, T, _ = solvers.solve_spectral(ball, MILD_PROFILE, g, grids, tol=1e-10)
     orc = solvers.oracle_solve(ball, med, g, grids)
-    dev = float(np.max(np.abs(T.values - orc.T.values)))
+    dev = float(np.max(np.abs(T - orc.T)))
     _report(10, "oracle_spectral", dev, 5e-3, dev <= 5e-3)
 
     med = MediumSpec(MILD_PROFILE, AbsorptionProfile.constant(0.5))
     w, T, _, _, _ = solvers.solve_combined(ball, med, g, grids, tol=1e-10)
     orc = solvers.oracle_solve(ball, med, g, grids)
-    dev = float(np.max(np.abs(T.values - orc.T.values)))
+    dev = float(np.max(np.abs(T - orc.T)))
     _report(10, "oracle_combined", dev, 5e-3, dev <= 5e-3)
 
     wall = time.perf_counter() - t_start
@@ -231,13 +238,13 @@ def test_criterion_11_regime_reductions(ball):
     w_s, T_s, _ = solvers.solve_spectral(ball, AbsorptionProfile.constant(1.0),
                                          beam, grids, tol=1e-10)
     a, T_g, _ = solvers.solve_grey(ball, 1.0, beam, grids, tol=1e-10)
-    dev = float(np.max(np.abs(T_s.values - T_g.values)))
+    dev = float(np.max(np.abs(T_s - T_g)))
     _report(11, "spectral_reduces_to_grey", dev, 1e-4, dev <= 1e-4)
 
     med = MediumSpec(MILD_PROFILE, AbsorptionProfile.constant(0.0))
     w_c, T_c, _, _, _ = solvers.solve_combined(ball, med, beam, grids, tol=1e-10)
     w_s2, T_s2, _ = solvers.solve_spectral(ball, MILD_PROFILE, beam, grids, tol=1e-10)
-    dev = float(np.max(np.abs(T_c.values - T_s2.values)))
+    dev = float(np.max(np.abs(T_c - T_s2)))
     _report(11, "combined_reduces_to_spectral", dev, 1e-4, dev <= 1e-4)
 
 
@@ -253,6 +260,6 @@ def test_criterion_12_grey_linearity(ball):
     worst = 0.0
     for c in (0.5, 2.0, 10.0):
         ac, _, _ = solvers.solve_grey(ball, 1.0, beam(c), grids, tol=1e-12)
-        worst = max(worst, float(np.max(np.abs(ac.values - c * a1.values))
-                                 / np.max(np.abs(c * a1.values))))
+        worst = max(worst, float(np.max(np.abs(ac - c * a1))
+                                 / np.max(np.abs(c * a1))))
     _report(12, "grey_source_linearity", worst, 1e-10, worst <= 1e-10)

@@ -12,7 +12,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radbody import cli, spectral, transport
+from radbody import cli, entropy, spectral, transport
 
 SIGMA = spectral.stefan_sigma()
 
@@ -182,6 +182,11 @@ def test_solve_combined_phase_table_beam_entropy(tmp_path, capsys):
     ({"shape": "ellipsoid", "semi_axes": [1.0, 1.0]}, "domain.semi_axes"),
     ({"shape": "ball", "radius": 1.0, "center": [0.0, float("inf"), 0.0]}, "domain.center"),
     ({"shape": "ball", "radius": 1.0, "center": [0.0, "x", 0.0]}, "domain.center"),
+    # Far larger than h: the bounding box would hold 2^31 cells or more.
+    ({"shape": "ball", "radius": 1e308}, "grids.spatial.h"),
+    ({"shape": "ball", "radius": 1e6}, "grids.spatial.h"),
+    # h = 0.2 exceeds diameter/4.
+    ({"shape": "ball", "radius": 0.2}, "grids.spatial.h"),
 ])
 def test_solve_bad_domain_size_rejected(tmp_path, capsys, domain, key):
     # Regression: a NaN radius passed validation and failed inside the
@@ -251,6 +256,8 @@ def _edited(cfg, edits):
     ({"solver.mode": "combined", "medium.scattering": 0.5,
       "medium.kernel": {"phase_table": [[-1.0, -1.0], [1.0, 2.0]]}},
      "medium.kernel.phase_table"),
+    ({"grids.spatial.h": 1.0}, "grids.spatial.h"),
+    ({"grids.spectral.t_ref": 1e308}, "grids.spectral.t_ref"),
 ])
 def test_solve_bad_config_value_rejected(tmp_path, capsys, edits, key):
     # Regression: each of these used to run on (to a wrong answer or to the
@@ -452,8 +459,39 @@ def test_dump_round_trip(tmp_path):
     assert h1 == h2
     assert all(np.array_equal(a1[k], a2[k]) for k in a1)
     assert set(a1) == {"T", "w"}
+    # The solution read back holds plain arrays equal to those the solve wrote.
+    sol = cli.solution_from_dump(h1, a1)
+    table = np.loadtxt(tmp_path / "out3" / "nodes.csv", delimiter=",", skiprows=1)
+    for got, column in ((sol.T, 3), (sol.w, 4)):
+        assert type(got) is np.ndarray and np.array_equal(got, table[:, column])
+    assert sol.radiation is None and sol.J0 is None
     # sidecar descriptor exists
     assert os.path.exists(dump + ".txt")
+
+
+@pytest.mark.parametrize("edits, built", [
+    ({"solver.mode": "combined", "medium.scattering": 0.5, "grids.spectral.n_nodes": 16,
+      "medium.kernel": {"phase_table": [[-1.0, 0.1], [0.0, 0.5], [1.0, 4.0]]}}, 1),
+    ({"solver.mode": "scattering", "medium.absorption": 0.0, "medium.scattering": 1.0,
+      "grids.spectral.n_nodes": 8}, 1),
+    ({}, 2),
+])
+def test_node_table_and_entropy_report_share_one_sweep(tmp_path, monkeypatch, edits, built):
+    # The node table's residual and the entropy report rebuild radiance with
+    # the solution's one AngularSweep; the grey run's kernel residual builds
+    # the only other ray sweeper, for its anisotropic boundary term.
+    cfg = _edited(BASE_EQ, {"grids.spatial.h": 0.25, "boundary": BEAM, **edits})
+    sol = cli.run_solver(cli.load_config(write_cfg(tmp_path, cfg)), quiet=True)
+    init, built_now = transport.RaySweeper.__init__, []
+
+    def counting_init(self, *args, **kwargs):
+        built_now.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(transport.RaySweeper, "__init__", counting_init)
+    cli.write_node_table(str(tmp_path / "nodes.csv"), sol)
+    entropy.solution_entropy_report(sol)
+    assert len(built_now) == built
 
 
 def test_validate_passes(capsys):

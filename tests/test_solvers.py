@@ -48,16 +48,16 @@ def test_scattering_constant_fixed_point(unit_ball, scatter_grids):
     I, report = solvers.solve_scattering(unit_ball, med, BoundarySource.constant(3.0),
                                          scatter_grids, tol=1e-7, max_iter=300)
     assert report.status == "converged"
-    assert np.max(np.abs(I.values - 3.0)) <= 1e-6
-    assert np.all(np.isfinite(I.values))
-    assert np.all(I.values >= 0.0)
+    assert np.max(np.abs(I - 3.0)) <= 1e-6
+    assert np.all(np.isfinite(I))
+    assert np.all(I >= 0.0)
 
 
 def test_scattering_zero_source(unit_ball, scatter_grids):
     med = MediumSpec(AbsorptionProfile.constant(0.0), AbsorptionProfile.constant(1.0))
     I, report = solvers.solve_scattering(unit_ball, med, BoundarySource.zero(),
                                          scatter_grids, tol=1e-10, max_iter=50)
-    assert np.max(np.abs(I.values)) == 0.0
+    assert np.max(np.abs(I)) == 0.0
 
 
 def test_scattering_contraction_and_monotonicity(unit_ball, scatter_grids, beam_source):
@@ -85,23 +85,22 @@ def test_scattering_requires_pure_scattering(unit_ball, scatter_grids):
 
 def test_grey_zero_source(unit_ball, eq_grids):
     a, T, report = solvers.solve_grey(unit_ball, 1.0, BoundarySource.zero(), eq_grids)
-    assert np.max(T.values) == 0.0
+    assert np.max(T) == 0.0
     assert report.status == "converged"
 
 
 def test_grey_equilibrium(unit_ball, eq_grids):
     g = BoundarySource.equilibrium(1.0)
     a, T, report = solvers.solve_grey(unit_ball, 1.0, g, eq_grids, tol=1e-10)
-    assert np.max(np.abs(T.values - 1.0)) <= 1e-2  # discretization budget
-    assert np.max(np.abs(T.values - 1.0)) <= 1e-6  # consistent source term is exact
-    assert a.role == "sigma_T4"
+    assert np.max(np.abs(T - 1.0)) <= 1e-2  # discretization budget
+    assert np.max(np.abs(T - 1.0)) <= 1e-6  # consistent source term is exact
     hist = report.residual_history
     assert all(b <= a_ * 1.0001 + 1e-12 for a_, b in zip(hist, hist[1:]))
 
 
 def test_grey_positivity(unit_ball, eq_grids, beam_source):
     a, T, _ = solvers.solve_grey(unit_ball, 1.0, beam_source, eq_grids, tol=1e-10)
-    assert np.min(a.values) > 0.0
+    assert np.min(a) > 0.0
 
 
 def test_grey_linearity(unit_ball, eq_grids, beam_source):
@@ -111,7 +110,7 @@ def test_grey_linearity(unit_ball, eq_grids, beam_source):
         scaled = BoundarySource.tabulated((b.spectrum_nu, c * b.spectrum_val), axis=b.axis,
                                           angular_profile=(b.profile_mu, b.profile_val))
         ac, _, _ = solvers.solve_grey(unit_ball, 1.0, scaled, eq_grids, tol=1e-12)
-        dev = np.max(np.abs(ac.values - c * a1.values)) / np.max(np.abs(c * a1.values))
+        dev = np.max(np.abs(ac - c * a1)) / np.max(np.abs(c * a1))
         assert dev <= 1e-10
 
 
@@ -120,7 +119,7 @@ def test_grey_rescaled_alpha(unit_ball, eq_grids):
     # equilibrium fixed point is preserved.
     g = BoundarySource.equilibrium(1.0)
     a, T, _ = solvers.solve_grey(unit_ball, 2.5, g, eq_grids, tol=1e-10)
-    assert np.max(np.abs(T.values - 1.0)) <= 1e-6
+    assert np.max(np.abs(T - 1.0)) <= 1e-6
 
 
 def test_grey_conservation_residual_after_convergence(unit_ball, eq_grids, beam_source):
@@ -130,8 +129,8 @@ def test_grey_conservation_residual_after_convergence(unit_ball, eq_grids, beam_
     res, rel = transport.conservation_residual(
         T, beam_source, med, unit_ball, eq_grids.spatial, eq_grids.angular,
         eq_grids.spectral, representation="kernel")
-    w = spectral.emission_integral(med.absorption, T.values, eq_grids.spectral)
-    assert np.max(np.abs(res.values)) <= 10.0 * tol * 4 * np.pi * np.max(w)
+    w = spectral.emission_integral(med.absorption, T, eq_grids.spectral)
+    assert np.max(np.abs(res)) <= 10.0 * tol * 4 * np.pi * np.max(w)
 
 
 # ---------------------------------------------------------------------------
@@ -142,17 +141,16 @@ def test_grey_conservation_residual_after_convergence(unit_ball, eq_grids, beam_
 def test_spectral_zero_source(unit_ball, eq_grids):
     prof = AbsorptionProfile.table([0.1, 10.0, 50.0], [1.0, 0.5, 0.1])
     w, T, report = solvers.solve_spectral(unit_ball, prof, BoundarySource.zero(), eq_grids)
-    assert np.max(np.abs(w.values)) == 0.0
+    assert np.max(np.abs(w)) == 0.0
 
 
 def test_spectral_equilibrium(unit_ball, eq_grids):
     prof = AbsorptionProfile.table([0.01, 1.0, 5.0, 20.0, 60.0], [1.2, 1.0, 0.5, 0.1, 0.02])
     g = BoundarySource.equilibrium(1.0)
     w, T, report = solvers.solve_spectral(unit_ball, prof, g, eq_grids, tol=1e-9)
-    assert np.max(np.abs(T.values - 1.0)) <= 1e-6
-    assert w.role == "f_of_T"
+    assert np.max(np.abs(T - 1.0)) <= 1e-6
     # iterates stayed inside the a-priori box [0, L]
-    assert np.max(w.values) <= report.extra["iterate_cap"]
+    assert np.max(w) <= report.extra["iterate_cap"]
     assert report.extra["kernel_row_mass_max"] < 1.0
 
 
@@ -166,14 +164,14 @@ def test_spectral_equilibrium_exact_under_rate_interpolation(unit_ball, eq_grids
     assert plan is not None and sum(plan["nodes_per_interval"]) < eq_grids.spectral.n_nodes
     assert plan["young_bound"] <= transport.RATE_L1_TOL
     assert report.extra["emission_table"]["size"] > 0
-    assert np.max(np.abs(T.values - 0.9)) <= 1e-10
+    assert np.max(np.abs(T - 0.9)) <= 1e-10
 
 
 def test_spectral_reduces_to_grey(unit_ball, eq_grids, beam_source):
     prof = AbsorptionProfile.constant(1.0)
     w, T_s, _ = solvers.solve_spectral(unit_ball, prof, beam_source, eq_grids, tol=1e-10)
     a, T_g, _ = solvers.solve_grey(unit_ball, 1.0, beam_source, eq_grids, tol=1e-10)
-    assert np.max(np.abs(T_s.values - T_g.values)) <= 1e-4
+    assert np.max(np.abs(T_s - T_g)) <= 1e-4
 
 
 def test_spectral_rejects_zero_profile(unit_ball, eq_grids):
@@ -216,7 +214,7 @@ def test_fixed_point_matches_picard_reference(unit_ball, beam_source, monkeypatc
                                            _thick_grids(unit_ball), tol=1e-11, max_iter=5000)
         _, T_s, rep_s = solvers.solve_spectral(unit_ball, MILD_PROFILE, beam_source,
                                                _thick_grids(unit_ball, 0.25), tol=1e-11)
-        return T_g.values, T_s.values, rep_g, rep_s
+        return T_g, T_s, rep_g, rep_s
 
     T_g, T_s, rep_g, rep_s = solve_both()
     monkeypatch.setattr(solvers, "_fixed_point", _picard)
@@ -240,8 +238,8 @@ def test_fixed_point_safeguard_thick_grey(unit_ball):
     assert report.operator_applies == report.iterations + report.rejected_steps
     hist = report.residual_history
     assert all(b <= a_ * 1.0001 + 1e-12 for a_, b in zip(hist, hist[1:]))
-    assert np.min(a.values) >= 0.0
-    assert np.max(np.abs(T.values - 1.0)) <= 1e-4
+    assert np.min(a) >= 0.0
+    assert np.max(np.abs(T - 1.0)) <= 1e-4
 
 
 def test_fixed_point_cap_counts_rejected_applies(unit_ball):
@@ -305,7 +303,7 @@ def test_fixed_point_buffers_match_stacked_history(unit_ball, beam_source, monke
         _, _, _, rep_j, J0 = solvers.solve_combined(unit_ball, joint, beam_source, grids)
         a50, _, rep50 = solvers.solve_grey(unit_ball, 50.0, BoundarySource.equilibrium(1.0),
                                            _thick_grids(unit_ball))
-        return [(a20.values, rep20), (w.values, rep_s), (J0, rep_j), (a50.values, rep50)]
+        return [(a20, rep20), (w, rep_s), (J0, rep_j), (a50, rep50)]
 
     new = solve_all()
     monkeypatch.setattr(solvers, "_fixed_point", _stacked_fixed_point)
@@ -350,7 +348,7 @@ def test_combined_equilibrium(unit_ball, eq_grids):
     med = MediumSpec(AbsorptionProfile.constant(1.0), AbsorptionProfile.constant(0.5))
     g = BoundarySource.equilibrium(1.0)
     w, T, I, report, J0 = solvers.solve_combined(unit_ball, med, g, eq_grids, tol=1e-9)
-    assert np.max(np.abs(T.values - 1.0)) <= 1e-6
+    assert np.max(np.abs(T - 1.0)) <= 1e-6
     assert I is None  # an isotropic kernel's radiance is evaluated on demand
     # the radiance of every direction is the blackbody field
     sol = solvers.Solution("combined", unit_ball, eq_grids, med, g, report, w=w, T=T, J0=J0)
@@ -364,7 +362,7 @@ def test_combined_zero_boundary(unit_ball, eq_grids):
     med = MediumSpec(AbsorptionProfile.constant(0.3), AbsorptionProfile.constant(0.4))
     w, T, I, report, _ = solvers.solve_combined(unit_ball, med, BoundarySource.zero(),
                                                 eq_grids, tol=1e-10)
-    assert np.max(np.abs(w.values)) == 0.0
+    assert np.max(np.abs(w)) == 0.0
 
 
 def test_combined_reduces_to_spectral(unit_ball, eq_grids, beam_source):
@@ -373,7 +371,7 @@ def test_combined_reduces_to_spectral(unit_ball, eq_grids, beam_source):
     w_c, T_c, _, _, _ = solvers.solve_combined(unit_ball, med, beam_source, eq_grids,
                                                tol=1e-10)
     w_s, T_s, _ = solvers.solve_spectral(unit_ball, prof, beam_source, eq_grids, tol=1e-10)
-    assert np.max(np.abs(T_c.values - T_s.values)) <= 1e-4
+    assert np.max(np.abs(T_c - T_s)) <= 1e-4
 
 
 def _nested_combined(domain, medium, g, grids, tol, max_iter=500):
@@ -419,7 +417,7 @@ def test_combined_routes_match_nested_reference(unit_ball, beam_source, absorpti
     assert report.status == "converged"
     assert report.extra["route"] == route
     T_ref = _nested_combined(unit_ball, med, g, grids, tol=1e-10)
-    assert np.max(np.abs(T.values - T_ref) / T_ref) <= 1e-9
+    assert np.max(np.abs(T - T_ref) / T_ref) <= 1e-9
 
 
 PHASE_TABLES = {"flat": (np.array([-1.0, 1.0]), np.array([1.0, 1.0])),
@@ -458,7 +456,7 @@ def test_combined_high_albedo_converges(unit_ball, absorption, scattering, table
     else:
         sol = solvers.Solution("combined", unit_ball, grids, med, g, report, w=w, T=T,
                                radiation=I, J0=J0)
-        rel = cli._node_residual(sol) / (transport.FOUR_PI * np.max(w.values))
+        rel = cli._node_residual(sol) / (transport.FOUR_PI * np.max(w))
     assert np.max(np.abs(rel)) <= 1e2 * tol
 
 
@@ -474,8 +472,8 @@ def test_combined_tabulated_isotropic_kernel_matches_fast_path(unit_ball):
                          kernel=(np.array([-1.0, 1.0]), np.array([1.0, 1.0])))
     w_i, T_i, _, _, _ = solvers.solve_combined(unit_ball, med_iso, g, grids, tol=1e-10)
     w_t, T_t, _, _, _ = solvers.solve_combined(unit_ball, med_tab, g, grids, tol=1e-10)
-    assert np.max(np.abs(T_i.values - 1.0)) <= 1e-6
-    assert np.max(np.abs(T_t.values - 1.0)) <= 1e-6
+    assert np.max(np.abs(T_i - 1.0)) <= 1e-6
+    assert np.max(np.abs(T_t - 1.0)) <= 1e-6
 
 
 def test_tabulated_kernel_solution_radiance_matches_stored(unit_ball, beam_source):
@@ -491,7 +489,7 @@ def test_tabulated_kernel_solution_radiance_matches_stored(unit_ball, beam_sourc
     sol = solvers.Solution("combined", unit_ball, grids, med, beam_source, report,
                            w=w, T=T, radiation=I, J0=J0)
     for i in range(grids.angular.n_nodes):
-        assert np.max(np.abs(sol.interior_radiance(i) - I.values[:, i])) <= 1e-8
+        assert np.max(np.abs(sol.interior_radiance(i) - I[:, i])) <= 1e-8
     assert abs(entropy.solution_entropy_report(sol).conservation_entropy_term) <= 1e-6
 
 
@@ -519,7 +517,7 @@ def test_scattering_boundary_radiance_matches_reference(unit_ball, beam_source):
     for i in range(angular.n_nodes):
         outgoing = normals @ angular.nodes[i] > 0.0
         want[~outgoing, i, :] = gvals[i]
-        box = grids.spatial.embed(np.einsum("k,mkj->mj", Kw[i], I.values) * beta)
+        box = grids.spatial.embed(np.einsum("k,mkj->mj", Kw[i], I) * beta)
         want[outgoing, i, :] = sweeper.chord_radiance(i, pts[outgoing], box, beta, gvals[i])
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -571,7 +569,7 @@ def test_oracle_scattering_constant(unit_ball):
                   single_frequency_grid(1.0))
     med = MediumSpec(AbsorptionProfile.constant(0.0), AbsorptionProfile.constant(1.0))
     res = solvers.oracle_solve(unit_ball, med, BoundarySource.constant(3.0), grids)
-    assert np.max(np.abs(res.radiation.values - 3.0)) <= 1e-8
+    assert np.max(np.abs(res.radiation - 3.0)) <= 1e-8
     assert res.T is None
 
 
@@ -580,7 +578,7 @@ def test_oracle_equilibrium(unit_ball):
                   build_spectral(1.0, 8))
     med = MediumSpec(AbsorptionProfile.constant(1.0), AbsorptionProfile.constant(0.0))
     res = solvers.oracle_solve(unit_ball, med, BoundarySource.equilibrium(1.0), grids)
-    assert np.max(np.abs(res.T.values - 1.0)) <= 1e-3
+    assert np.max(np.abs(res.T - 1.0)) <= 1e-3
 
 
 def test_oracle_grey_agreement(unit_ball):
@@ -591,8 +589,8 @@ def test_oracle_grey_agreement(unit_ball):
     a, T, _ = solvers.solve_grey(unit_ball, 1.0, g, grids, tol=1e-10)
     res = solvers.oracle_solve(unit_ball, med, g, grids)
     # consistent temperature map: derive both from the emission field
-    T_oracle = (res.w.values / SIGMA) ** 0.25
-    assert np.max(np.abs(T.values - T_oracle)) <= 5e-3
+    T_oracle = (res.w / SIGMA) ** 0.25
+    assert np.max(np.abs(T - T_oracle)) <= 5e-3
 
 
 def test_oracle_tabulated_kernel_agreement(unit_ball):
@@ -611,4 +609,4 @@ def test_oracle_tabulated_kernel_agreement(unit_ball):
         _, T, _, report, _ = solvers.solve_combined(unit_ball, med, g, grids, tol=1e-10)
         assert report.extra["route"] == "angular"
         res = solvers.oracle_solve(unit_ball, med, g, grids, tol=1e-10)
-        assert np.max(np.abs(T.values - res.T.values)) <= 1e-8
+        assert np.max(np.abs(T - res.T)) <= 1e-8
