@@ -375,7 +375,9 @@ def _spectral_tail(sol: Solution) -> dict | None:
     if t_max > 0.0:
         absorption, sgrid = sol.medium.absorption, sol.grids.spectral
         tail = spectral.emission_tail_bound(absorption.max_value(), sgrid.nu_max, t_max)
-        relative = tail / spectral.emission_integral(absorption, t_max, sgrid)
+        f = spectral.emission_integral(absorption, t_max, sgrid)
+        # A grid far above t_max resolves none of f(t_max): all of it is lost.
+        relative = tail / f if f > 0.0 else 1.0
     return {"t_max": t_max, "relative_tail": float(relative), "limit": SPECTRAL_TAIL_LIMIT}
 
 
@@ -526,10 +528,13 @@ def cmd_solve(args) -> int:
     if not args.quiet:
         print(f"[radbody] wrote {outdir}/nodes.csv and {outdir}/report.json")
     if tail is not None and tail["relative_tail"] > SPECTRAL_TAIL_LIMIT:
-        print(f"error: the emission cut off above nu_max = {sol.grids.spectral.nu_max:g} at "
-              f"the hottest node (T = {tail['t_max']:.6g}) is {tail['relative_tail']:.3g} of "
-              f"f(T), above {SPECTRAL_TAIL_LIMIT:g}; raise 'grids.spectral.t_ref' to at least "
-              f"the largest temperature", file=sys.stderr)
+        sgrid = sol.grids.spectral  # a hottest T below its first node misses the Planck peak
+        advice = ("lower it to about the body's temperatures" if tail["t_max"] < sgrid.nodes[0]
+                  else "raise it to at least the largest temperature")
+        print(f"error: the spectral grid on [{sgrid.nodes[0]:g}, {sgrid.nu_max:g}] cuts off "
+              f"{tail['relative_tail']:.3g} of f(T) at the hottest node (T = {tail['t_max']:.6g}), "
+              f"above {SPECTRAL_TAIL_LIMIT:g}; 'grids.spectral.t_ref' sets the grid: {advice}",
+              file=sys.stderr)
         return 2
     return 0 if sol.report.status == "converged" else 2
 

@@ -1,13 +1,13 @@
 """Fixed-point solvers for the four radiative regimes.
 
-The temperature solvers share one driver, ``transport._fixed_point``: Picard
-iteration of a monotone contraction from zero, accelerated by safeguarded
-Anderson mixing.  Every recorded residual is the true residual of the map,
+Every solver runs on one driver, ``transport._fixed_point``: Picard
+iteration of a monotone contraction, accelerated by safeguarded Anderson
+mixing.  Every recorded residual is the true residual of the map,
 recomputed with the operator, so the recorded history decays monotonically;
-a Picard step that raises it aborts the run.  Convergence norms follow the
-contraction proofs: sup-over-position of the angular L1 change for the
-scattering sweep, and the volume L1 norm for the temperature maps.  The
-driver records the last residual as the report's conservation norm.
+a Picard step that raises it aborts the run.  The convergence norm is the
+volume L1 norm of the change relative to the new iterate, for the
+temperature maps and for the radiance sweeps alike.  The driver records the
+last residual as the report's conservation norm.
 
 Each temperature solver takes its boundary term from
 ``transport.boundary_attenuation_nodes``, which picks the row-mass identity
@@ -54,9 +54,7 @@ from radbody.transport import (
     MonotonicityError,
     RaySweeper,
     SolverReport,
-    _finish,
     _fixed_point,
-    _push_residual,
     attenuation_operator,
     boundary_attenuation_nodes,
     scattered_mean_intensity,
@@ -137,9 +135,10 @@ def solve_scattering(
 ):
     """Source iteration for the scattering-only transfer equation.
 
-    Sweeps the integral map I <- boundary + ray integral of the in-scattered
-    field for every (node, direction, frequency); converges in the
-    sup-position, L1-direction norm with the optical-depth contraction.
+    The driver iterates the radiance I over (node, direction, frequency),
+    one ``AngularSweep.sweep`` a step: I <- boundary + ray integral of the
+    in-scattered field, which contracts with the optical depth.  ``tol``
+    bounds the relative L1 change of I.
     """
     t0 = time.perf_counter()
     if not medium.absorption.is_zero():
@@ -147,20 +146,18 @@ def solve_scattering(
     sw = AngularSweep(domain, medium, g, grids)
     if np.any(sw.beta <= 0.0):
         raise ValueError("scattering coefficient must be positive on the grid")
-    I = sw.rays.boundary_term(sw.beta, sw.gvals)  # start from the boundary-only term
-    report = SolverReport(tolerance=tol, norm="sup_x L1_n (per frequency)")
-    converged = False
-    for _ in range(max_iter):
-        I_new = sw.sweep(I)
-        change = float(np.max(sw.angle_integral(np.abs(I_new - I))))
-        I = I_new
-        _push_residual(report, change, float(np.max(np.abs(I))) + 1e-300)
-        if change <= tol:
-            converged = True
-            break
-    _finish(report, converged, t0)
-    report.conservation_norm = report.residual_history[-1] if report.residual_history else 0.0
-    return I, report
+    return _drive_radiance(sw, sw.sweep, tol, max_iter, grids, t0)
+
+
+def _drive_radiance(sw, step, tol, max_iter, grids, t0):
+    """Run the driver on radiance arrays (M, A, J): I <- step(I), from the
+    boundary term, the sweep's value at I = 0.  Returns (I, report)."""
+    report = SolverReport(tolerance=tol, norm="L1(Omega x directions x frequency nodes) of I, "
+                          "relative")
+    start = sw.rays.boundary_term(sw.beta, sw.gvals)
+    I = _fixed_point(lambda x: step(x.reshape(start.shape)).ravel(), start.ravel(), report, tol,
+                     max_iter, grids.spatial.cell_volume, t0)
+    return I.reshape(start.shape), report
 
 
 # ---------------------------------------------------------------------------
@@ -343,27 +340,22 @@ def _solve_combined_angular(domain, medium, g, grids, tol, max_iter, t0):
 
     The step is the oracle's map: T = f^-1(sum_j q_j alpha_a,j J0_j / 4pi)
     from the angle integral J0 of I, warm-started from the last T, then
-    ``AngularSweep.sweep`` of I with the emission alpha_a B(T).  It starts
-    from the boundary term, the map's value at I = 0.
+    ``AngularSweep.sweep`` of I with the emission alpha_a B(T).
     """
     sgrid = grids.spectral
     sw = AngularSweep(domain, medium, g, grids)
     qa = sgrid.weights * sw.alphas_a
-    shape = (grids.spatial.n_nodes, grids.angular.n_nodes, sgrid.n_nodes)
-    T = np.zeros(shape[0])
-    report = SolverReport(tolerance=tol, norm="L1(Omega x directions x frequency nodes) of I, "
-                          "relative", extra={"route": "angular"})
+    T = np.zeros(grids.spatial.n_nodes)
 
-    def step(x):
+    def step(I):
         nonlocal T
-        I = x.reshape(shape)
         T = spectral.invert_emission_many(medium.absorption, sw.angle_integral(I) @ qa / FOUR_PI,
                                           sgrid, t_guess=T)
         B = spectral.planck(sgrid.nodes, T[:, None])
-        return sw.sweep(I, (sw.alphas_a * B)[:, None, :]).ravel()
+        return sw.sweep(I, (sw.alphas_a * B)[:, None, :])
 
-    I = _fixed_point(step, sw.rays.boundary_term(sw.beta, sw.gvals).ravel(), report, tol, max_iter,
-                     grids.spatial.cell_volume, t0).reshape(shape)
+    I, report = _drive_radiance(sw, step, tol, max_iter, grids, t0)
+    report.extra["route"] = "angular"
     J0 = sw.angle_integral(I)
     w = J0 @ qa / FOUR_PI
     T = spectral.invert_emission_many(medium.absorption, w, sgrid, t_guess=T)

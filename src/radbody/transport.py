@@ -16,9 +16,9 @@ balance and used deliberately side by side:
 Solvers iterate the convolution route; the angular solvers, the oracle and
 the diagnostics sweep rays, and the ray route serves as a consistency check.
 
-``_fixed_point``, defined here, iterates the maps of every temperature
-solver (the tabulated-kernel radiance sweep included) and of the
-frozen-temperature J0 solve ``scattered_mean_intensity`` (``_j0_map``).
+``_fixed_point``, defined here, iterates the map of every solver (the
+radiance sweeps of the scattering and tabulated-kernel routes included) and
+of the frozen-temperature J0 solve ``scattered_mean_intensity`` (``_j0_map``).
 """
 
 from __future__ import annotations

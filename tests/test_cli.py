@@ -426,6 +426,18 @@ def test_solve_spectral_truncation_exit_code(tmp_path, capsys):
     assert report["spectral_truncation"]["relative_tail"] > 1e-8
 
 
+def test_solve_spectral_grid_above_body_exit_code(tmp_path, capsys):
+    # Regression: with t_ref far above the body the grid resolves no emission
+    # at the hottest node, and the tail check ended in a ZeroDivisionError.
+    cfg = _edited(BASE_EQ, {"boundary.temperature": 0.9, "grids.spectral.t_ref": 1000.0})
+    cfg["output"] = {"dir": str(tmp_path / "out_head"), "dump_field": False, "entropy": False}
+    code = cli.main(["--quiet", "solve", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 2
+    assert "grids.spectral.t_ref" in capsys.readouterr().err
+    report = json.loads((tmp_path / "out_head" / "report.json").read_text())
+    assert report["spectral_truncation"]["relative_tail"] == 1.0
+
+
 def test_solve_non_convergence_exit_code(tmp_path):
     cfg = json.loads(json.dumps(BASE_EQ))
     cfg["output"]["dir"] = str(tmp_path / "out2")
