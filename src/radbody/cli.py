@@ -499,6 +499,15 @@ def solution_from_dump(header: dict, arrays: dict) -> Solution:
 # ---------------------------------------------------------------------------
 
 
+def _peak_rss_mb() -> float | None:
+    """This process's own peak resident set size (VmHWM) in MiB; None without /proc."""
+    try:
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) / 1024.0 for line in fh if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        return None
+
+
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     if args.output is not None:
@@ -520,6 +529,7 @@ def cmd_solve(args) -> int:
         "n_nodes": sol.grids.spatial.n_nodes,
         "n_angles": sol.grids.angular.n_nodes,
         "n_frequencies": sol.grids.spectral.n_nodes,
+        "peak_rss_mb": _peak_rss_mb(),
     }
     with open(os.path.join(outdir, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

@@ -187,6 +187,7 @@ def emission_slope(profile: AbsorptionProfile, T, spectral_grid):
 # a deep Wien tail (T = nu_min / TABLE_COLD) up to t_max.
 TABLE_NODES = 4096
 TABLE_COLD = 40.0
+TABLE_BLOCK = 256  # temperatures per evaluation of f and f': (256, J) temporaries
 
 
 class EmissionTable:
@@ -200,8 +201,9 @@ class EmissionTable:
 
     def __init__(self, profile: AbsorptionProfile, spectral_grid, t_max: float):
         T = np.geomspace(spectral_grid.nodes[0] / TABLE_COLD, t_max, TABLE_NODES)
-        f = emission_integral(profile, T, spectral_grid)
-        slope = emission_slope(profile, T, spectral_grid)
+        blocks = np.array_split(T, TABLE_NODES // TABLE_BLOCK)
+        f = np.concatenate([emission_integral(profile, t, spectral_grid) for t in blocks])
+        slope = np.concatenate([emission_slope(profile, t, spectral_grid) for t in blocks])
         keep = (f > 0.0) & (slope > 0.0)  # a suffix: both increase with T
         self.log_f = np.log(f[keep])
         self.log_t = np.log(T[keep])

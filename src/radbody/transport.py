@@ -151,13 +151,10 @@ class BoundarySource:
 
     def evaluate(self, dirs: np.ndarray, nus: np.ndarray) -> np.ndarray:
         """Radiance table over (directions, frequencies), shape (A, J)."""
-        spec_vals = self.spectral_values(nus)
         dirs = np.asarray(dirs, dtype=float)
-        if self.is_isotropic:
-            return np.broadcast_to(spec_vals, (dirs.shape[0], spec_vals.shape[0])).copy()
-        mu = dirs @ self.axis
-        ang = np.interp(mu, self.profile_mu, self.profile_val)
-        return np.outer(ang, spec_vals)
+        ang = (np.ones(dirs.shape[0]) if self.is_isotropic
+               else np.interp(dirs @ self.axis, self.profile_mu, self.profile_val))
+        return np.outer(ang, self.spectral_values(nus))
 
 
 def _table(pairs, name: str):
@@ -282,50 +279,48 @@ def _stencil_parts(grid: SpatialGrid, beta: float):
 _MIRRORS = np.array(list(itertools.product((1, -1), repeat=3))[1:])
 
 
+def attenuation_stencil(grid: SpatialGrid, beta: float) -> np.ndarray:
+    """The stencil of rate ``beta`` over the lattice offsets, 2n - 1 per box
+    axis with offset 0 at n - 1: its octant (``_stencil_parts``) mirrored."""
+    octant, near = _stencil_parts(grid, beta)
+    stencil = octant[np.ix_(*(np.abs(np.arange(1 - n, n)) for n in grid.box_shape))]
+    # A near-field entry with negative offset components has the samples
+    # of its octant entry reversed along those axes (the subcell points
+    # are symmetric to the last bit); summed in that order, it is the
+    # value of a direct evaluation at the signed offset.
+    center = np.array(grid.box_shape) - 1
+    for o, kern in near:
+        for signs in _MIRRORS:
+            neg = signs < 0
+            sel = np.all(o[:, neg] > 0, axis=1)
+            if np.any(sel):
+                # Selecting rows copies them, in the mirrored order.
+                samples = np.flip(kern, axis=tuple(1 + np.flatnonzero(neg)))[sel]
+                idx = center + signs * o[sel]
+                stencil[idx[:, 0], idx[:, 1], idx[:, 2]] = (
+                    beta / FOUR_PI * np.mean(samples, axis=(1, 2, 3)) * grid.h**3)
+    return stencil
+
+
 class AttenuationOperator:
     """f |-> (beta/4pi) * integral over the body of exp(-beta r)/r^2 f.
 
-    Tabulated as a stencil over lattice offsets, mirrored from its octant
-    (``_stencil_parts``, or ``parts`` when already evaluated), and applied
-    by FFT convolution.
+    Applied by FFT convolution with ``attenuation_stencil``; the operator
+    keeps only the stencil's transform ``kernel_hat``.
     """
 
-    def __init__(self, grid: SpatialGrid, beta: float, parts: tuple | None = None):
+    def __init__(self, grid: SpatialGrid, beta: float):
         self.grid = grid
-        self.beta = float(beta)
         self._row_mass = None
-        nx, ny, nz = grid.box_shape
-        if self.beta == 0.0:
-            self.stencil = np.zeros((2 * nx - 1, 2 * ny - 1, 2 * nz - 1))
-            return
-        octant, near = parts if parts is not None else _stencil_parts(grid, self.beta)
-        stencil = octant[np.ix_(*(np.abs(np.arange(1 - n, n)) for n in (nx, ny, nz)))]
-        # A near-field entry with negative offset components has the samples
-        # of its octant entry reversed along those axes (the subcell points
-        # are symmetric to the last bit); summed in that order, it is the
-        # value of a direct evaluation at the signed offset.
-        center = np.array(grid.box_shape) - 1
-        for o, kern in near:
-            for signs in _MIRRORS:
-                neg = signs < 0
-                sel = np.all(o[:, neg] > 0, axis=1)
-                if np.any(sel):
-                    # Selecting rows copies them, in the mirrored order.
-                    samples = np.flip(kern, axis=tuple(1 + np.flatnonzero(neg)))[sel]
-                    idx = center + signs * o[sel]
-                    stencil[idx[:, 0], idx[:, 1], idx[:, 2]] = (
-                        self.beta / FOUR_PI * np.mean(samples, axis=(1, 2, 3)) * grid.h**3)
-        self.stencil = stencil
         # FFT of the stencil at the cyclic shape, computed once.  A cyclic
         # length of 2n - 1 per axis holds every stencil offset, so the crop
         # [n - 1, 2n - 1) of the cyclic convolution sees no wrapped terms.
         self.fshape = tuple(_next_fast_len(2 * n - 1) for n in grid.box_shape)
-        self.kernel_hat = np.fft.rfftn(stencil, s=self.fshape, axes=_BOX_AXES)
+        self.kernel_hat = np.fft.rfftn(attenuation_stencil(grid, float(beta)), s=self.fshape,
+                                       axes=_BOX_AXES)
 
     def apply_box(self, box: np.ndarray) -> np.ndarray:
         """Convolve box arrays; trailing grid axes, optional leading channels."""
-        if self.beta == 0.0:
-            return np.zeros(box.shape)
         fhat = np.fft.rfftn(box, s=self.fshape, axes=_BOX_AXES)
         return _crop(np.fft.irfftn(fhat * self.kernel_hat, s=self.fshape, axes=_BOX_AXES),
                      self.grid.box_shape)
@@ -357,16 +352,12 @@ _OPERATOR_CACHE: "OrderedDict[tuple, AttenuationOperator]" = OrderedDict()
 _OPERATOR_CACHE_MAX = 80
 
 
-def attenuation_operator(grid: SpatialGrid, beta: float,
-                         parts: tuple | None = None) -> AttenuationOperator:
-    """Cached stencil operator, keyed by grid fingerprint and decay rate.
-
-    ``parts``, an already evaluated ``_stencil_parts``, seeds a new operator.
-    """
+def attenuation_operator(grid: SpatialGrid, beta: float) -> AttenuationOperator:
+    """Cached stencil operator, keyed by grid fingerprint and decay rate."""
     key = (grid.token, float(beta))
     op = _OPERATOR_CACHE.get(key)
     if op is None:
-        op = AttenuationOperator(grid, beta, parts)
+        op = AttenuationOperator(grid, beta)
         _OPERATOR_CACHE[key] = op
         while len(_OPERATOR_CACHE) > _OPERATOR_CACHE_MAX:
             _OPERATOR_CACHE.popitem(last=False)
@@ -417,8 +408,7 @@ def rate_interpolation(grid: SpatialGrid, rates) -> RateInterpolation | None:
     """The cached interpolation of the kernels of the distinct positive ``rates``.
 
     None when no interpolation needs fewer kernels than there are distinct
-    rates; weighted sums then group channels by rate, exactly.  On first use
-    the stencils of the chosen nodes are left in the operator cache.
+    rates; weighted sums then group channels by rate, exactly.
     """
     # Sorted and deduplicated by hand: np.unique without an index output
     # imports numpy.ma, about 40 ms on first use.
@@ -454,7 +444,8 @@ def _plan_rates(grid: SpatialGrid, rates: np.ndarray) -> RateInterpolation | Non
     search starts from a radial estimate: a far-field entry at distance
     r = h sqrt(n) is close to (h/4pi) beta e^{-beta r} / n, so interpolating
     that function of beta over the multiset of n predicts the bound with no
-    stencil evaluation.
+    stencil evaluation.  Trials are evaluated as octants only; the chosen
+    nodes' operators are built when first applied.
     """
     nx, ny, nz = grid.box_shape
     ix, iy, iz = np.ogrid[:nx, :ny, :nz]
@@ -472,16 +463,15 @@ def _plan_rates(grid: SpatialGrid, rates: np.ndarray) -> RateInterpolation | Non
         return float(np.max(np.abs(_lagrange(nodes, sub).T @ g(nodes) - g(sub)) @ density))
 
     def trial(idx, k):
-        """(nodes, lagrange, Young bound, node stencil parts) of k Chebyshev rates."""
+        """(nodes, lagrange, Young bound) of k Chebyshev rates."""
         sub = rates[idx]
         nodes = _chebyshev_rates(sub[0], sub[-1], k)
         L = _lagrange(nodes, sub)
-        parts = [_stencil_parts(grid, b) for b in nodes]
-        octants = np.stack([octant for octant, _ in parts])
+        octants = np.stack([_stencil_parts(grid, b)[0] for b in nodes])
         bound = max(float(np.sum(mult * np.abs(np.tensordot(L[:, c], octants, axes=1)
                                                - exact[r])))
                     for c, r in enumerate(idx))
-        return nodes, L, bound, parts
+        return nodes, L, bound
 
     def fit(idx):
         """The smallest passing trial on rates[idx] with fewer nodes than rates."""
@@ -504,7 +494,7 @@ def _plan_rates(grid: SpatialGrid, rates: np.ndarray) -> RateInterpolation | Non
         return None
 
     def pieces(idx):
-        """Interpolated or exact pieces (idx, nodes, lagrange, bound, stencil parts)."""
+        """Interpolated or exact pieces (idx, nodes, lagrange, bound)."""
         if idx.size > 2:
             fitted = fit(idx)
             if fitted is not None:
@@ -513,22 +503,20 @@ def _plan_rates(grid: SpatialGrid, rates: np.ndarray) -> RateInterpolation | Non
             split = pieces(idx[rates[idx] <= mid]) + pieces(idx[rates[idx] > mid])
             if sum(p[1].size for p in split) < idx.size:
                 return split
-        return [(idx, rates[idx], np.eye(idx.size), 0.0, [None] * idx.size)]
+        return [(idx, rates[idx], np.eye(idx.size), 0.0)]
 
-    parts = pieces(np.arange(rates.size))
-    nodes = np.concatenate([p[1] for p in parts])
+    intervals = pieces(np.arange(rates.size))
+    nodes = np.concatenate([p[1] for p in intervals])
     if nodes.size >= rates.size:
         return None
     lagrange = np.zeros((nodes.size, rates.size))
     row = 0
-    for idx, part_nodes, L, _, stencil_parts in parts:
+    for idx, part_nodes, L, _ in intervals:
         lagrange[row:row + part_nodes.size, idx] = L
-        for b, node_parts in zip(part_nodes, stencil_parts):
-            attenuation_operator(grid, b, node_parts)
         row += part_nodes.size
     return RateInterpolation(rates=rates, nodes=nodes, lagrange=lagrange,
-                             nodes_per_interval=tuple(p[1].size for p in parts),
-                             bound=max(p[3] for p in parts))
+                             nodes_per_interval=tuple(p[1].size for p in intervals),
+                             bound=max(p[3] for p in intervals))
 
 
 def summed_row_masses(grid: SpatialGrid, rates) -> np.ndarray:
@@ -558,12 +546,13 @@ def apply_attenuation_batch(grid: SpatialGrid, betas: np.ndarray,
     summed before their transform, and where ``rate_interpolation`` gives an
     interpolation the rates are replaced by its nodes,
     sum_k conv_{nodes[k]}(sum_r lagrange[k, r] f_r), within its Young bound.
-    The products are summed in Fourier space, so one inverse transform
-    serves all channels.  Transforms are batched in chunks sized
-    to bound transient FFT memory.
+    The products are added into one Fourier-space sum a rate at a time, and
+    one inverse transform, in place, serves all channels.  Per-channel
+    transforms are batched in chunks sized to bound transient FFT memory.
     """
     betas = np.asarray(betas, dtype=float)
     C, M = fields.shape
+    fshape = tuple(_next_fast_len(2 * n - 1) for n in grid.box_shape)  # as the operators'
     if weights is not None:
         betas, group = np.unique(betas, return_inverse=True)
         summed = np.zeros((betas.size, M))
@@ -573,48 +562,43 @@ def apply_attenuation_batch(grid: SpatialGrid, betas: np.ndarray,
             summed[r] += w * field
         plan = rate_interpolation(grid, betas)
         if plan is not None:
-            summed, betas = plan.lagrange @ summed[betas > 0.0], plan.nodes
-        fields, C = summed, betas.size
-    out = np.zeros((C, M) if weights is None else M)
+            # The positive rates come last: a view, not a copy of the sums.
+            summed, betas = plan.lagrange @ summed[betas.size - plan.rates.size:], plan.nodes
+        acc = np.zeros(fshape[:-1] + (fshape[-1] // 2 + 1,), dtype=complex)
+        for field, b in zip(summed, betas):
+            if b > 0.0:
+                fhat = np.fft.rfftn(grid.node_values_to_box(field), s=fshape, axes=_BOX_AXES)
+                fhat *= attenuation_operator(grid, b).kernel_hat
+                acc += fhat
+                del fhat  # before the next rate's transform
+        # In place, axis by axis as np.fft.irfftn takes it: its values, without
+        # holding two more transforms next to the sum.
+        for axis in _BOX_AXES[:-1]:
+            np.fft.ifft(acc, axis=axis, out=acc)
+        full = np.fft.irfft(acc, fshape[-1], axis=_BOX_AXES[-1])
+        return _crop(full, grid.box_shape).reshape(-1)[grid.flat_index]
+    out = np.zeros((C, M))
     live = [c for c in range(C) if betas[c] > 0.0]
-    if not live:
-        return out
-    ops = {c: attenuation_operator(grid, betas[c]) for c in live}
-    fshape = ops[live[0]].fshape
     # ~16 bytes/complex sample; keep the batch under ~128 MB.
-    per_channel = 16 * np.prod(fshape)
-    chunk = max(1, int((128 << 20) / max(per_channel, 1)))
-    acc = 0.0
+    chunk = max(1, int((128 << 20) / (16 * np.prod(fshape))))
     for lo in range(0, len(live), chunk):
         sel = live[lo:lo + chunk]
         boxes = np.zeros((len(sel),) + grid.box_shape)
         boxes.reshape(len(sel), -1)[:, grid.flat_index] = fields[sel]
         fhat = np.fft.rfftn(boxes, s=fshape, axes=_BOX_AXES)
         for k, c in enumerate(sel):
-            fhat[k] *= ops[c].kernel_hat
-        if weights is None:
-            crop = _crop(np.fft.irfftn(fhat, s=fshape, axes=_BOX_AXES), grid.box_shape)
-            out[sel] = crop.reshape(len(sel), -1)[:, grid.flat_index]
-        else:
-            acc += fhat.sum(axis=0)
-    if weights is not None:
-        crop = _crop(np.fft.irfftn(acc, s=fshape, axes=_BOX_AXES), grid.box_shape)
-        out = crop.reshape(-1)[grid.flat_index]
+            fhat[k] *= attenuation_operator(grid, betas[c]).kernel_hat
+        crop = _crop(np.fft.irfftn(fhat, s=fshape, axes=_BOX_AXES), grid.box_shape)
+        out[sel] = crop.reshape(len(sel), -1)[:, grid.flat_index]
     return out
 
 
 def _node_index(grid: SpatialGrid, x) -> int:
     x = np.asarray(x, dtype=float).reshape(3)
-    idx = np.rint((x - grid.origin) / grid.h).astype(int)
-    if np.any(idx < 0) or np.any(idx >= np.array(grid.box_shape)):
-        raise ValueError(f"{x} is not a node of the grid")
-    flat = int(np.ravel_multi_index(tuple(idx), grid.box_shape))
-    pos = np.searchsorted(grid.flat_index, flat)
-    if pos >= grid.flat_index.size or grid.flat_index[pos] != flat:
+    pos = np.flatnonzero(np.all(np.abs(grid.centers - x) <= 1e-9 * max(1.0, grid.h), axis=1))
+    if pos.size != 1:
         raise ValueError(f"{x} is not an interior node of the grid")
-    if np.max(np.abs(grid.centers[pos] - x)) > 1e-9 * max(1.0, grid.h):
-        raise ValueError(f"{x} is not a node of the grid")
-    return int(pos)
+    return int(pos[0])
 
 
 # ---------------------------------------------------------------------------
@@ -934,7 +918,10 @@ def _attenuated(g, s: np.ndarray, rates, weight: float = 1.0) -> np.ndarray:
     """Boundary radiance g carried a path s with decay rates, times a
     quadrature weight: weight e^{-rate s} g, with one exponential per
     distinct rate."""
-    uniq, inv = np.unique(np.ravel(rates), return_inverse=True)
+    rates = np.ravel(rates)
+    if np.all(rates == rates[0]):  # one rate: no spreading over the channels
+        return np.outer(weight * np.exp(-rates[0] * s), g)
+    uniq, inv = np.unique(rates, return_inverse=True)
     return np.take(weight * np.exp(-np.outer(s, uniq)), inv, axis=1) * g
 
 

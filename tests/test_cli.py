@@ -386,6 +386,28 @@ def test_ray_free_solves_import_no_scipy(tmp_path):
     assert _run_python(IMPORT_PROBE, *paths, *outs) == ["[]", "0"]
 
 
+def test_solve_reports_own_peak_rss(tmp_path):
+    # report.json's peak_rss_mb is the solve's own VmHWM: positive and at most
+    # the child's ru_maxrss, which also keeps the high-water mark of the
+    # process it was forked from (here the test runner).
+    cfg = _edited(BASE_EQ, {"grids.spatial.h": 0.25, "output.dump_field": False,
+                            "output.entropy": False})
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    out = tmp_path / "out"
+    proc = subprocess.Popen([sys.executable, "-m", "radbody.cli", "--quiet", "solve", "--config",
+                             write_cfg(tmp_path, cfg), "--output", str(out)], env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    peak = json.loads((out / "report.json").read_text())["peak_rss_mb"]
+    if not os.path.exists("/proc/self/status"):
+        assert peak is None
+        return
+    assert 0.0 < peak <= usage.ru_maxrss / 1024.0
+
+
 SETUP_PROBE = """
 import sys
 from radbody import cli

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,3 +182,18 @@ def test_truncation_tail_bound():
         nu_max = 50.0 * 2.0  # grid built for T_max = 2
         tail = spectral.emission_tail_bound(1.0, nu_max, T)
         assert tail <= 1e-8 * SIGMA * T**4
+
+
+def test_emission_table_memory_peak():
+    # f and f' are evaluated on blocks of TABLE_BLOCK temperatures; on
+    # (TABLE_NODES, J) arrays the build's traced peak was 6.1 MiB at J = 32.
+    sgrid = build_spectral(1.0, 32)
+    profile = AbsorptionProfile.table([0.01, 5.0, 60.0], [1.25, 1.0, 0.75])
+    tracemalloc.start()
+    try:
+        table = spectral.EmissionTable(profile, sgrid, spectral.DEFAULT_T_MAX)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.size > 0
+    assert peak < 1 << 20, peak / (1 << 20)

@@ -1,3 +1,6 @@
+import tracemalloc
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -191,6 +194,7 @@ def test_fft_matches_direct_sum(unit_ball, ellipsoid_211):
         grid = build_spatial(domain, h)
         op = attenuation_operator(grid, 1.3)
         assert all(f >= 2 * n - 1 for f, n in zip(op.fshape, grid.box_shape))
+        stencil = transport.attenuation_stencil(grid, 1.3)
         vals = rng.random(grid.n_nodes)
         out = op.apply(vals)
         nx, ny, nz = grid.box_shape
@@ -198,7 +202,7 @@ def test_fft_matches_direct_sum(unit_ball, ellipsoid_211):
         direct = np.empty(grid.n_nodes)
         for a in range(grid.n_nodes):
             d = idx[a] - idx
-            entries = op.stencil[d[:, 0] + nx - 1, d[:, 1] + ny - 1, d[:, 2] + nz - 1]
+            entries = stencil[d[:, 0] + nx - 1, d[:, 1] + ny - 1, d[:, 2] + nz - 1]
             direct[a] = np.sum(entries * vals)
         assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
 
@@ -234,7 +238,7 @@ def test_near_field_matches_loop_reference(unit_ball, ellipsoid_211):
     assert min(np.array(thin.box_shape) - 1) < transport.NEAR_RANGE
     for grid in (build_spatial(unit_ball, 0.125), build_spatial(ellipsoid_211, 0.25), thin):
         for beta in (0.3, 1.7, 20.0):
-            stencil = transport.AttenuationOperator(grid, beta).stencil
+            stencil = transport.attenuation_stencil(grid, beta)
             ref = _near_field_reference(grid, beta)
             assert len(ref) > 0
             for index, value in ref.items():
@@ -266,7 +270,7 @@ def test_far_field_octant_matches_full_box_reference(unit_ball, ellipsoid_211):
         far = np.max(offsets, axis=0) > transport.NEAR_RANGE
         assert np.count_nonzero(far) > 0
         for beta in (0.3, 1.0, 20.0):
-            stencil = transport.AttenuationOperator(grid, beta).stencil
+            stencil = transport.attenuation_stencil(grid, beta)
             ref = _far_field_reference(grid, beta)
             assert np.all(np.abs(stencil[far] - ref[far]) <= 1e-13 * ref[far])
 
@@ -356,6 +360,58 @@ def test_weighted_apply_one_or_two_rates_is_exact(unit_ball):
         weights = sgrid.weights * alphas
         fused = apply_attenuation_batch(grid, alphas, fields, weights=weights)
         assert np.array_equal(fused, _grouped_weighted_reference(grid, alphas, fields, weights))
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_operator_holds_only_its_transform(unit_ball):
+    grid = build_spatial(unit_ball, 0.125)
+    op = AttenuationOperator(grid, 1.3)
+    held = sum(v.nbytes for v in vars(op).values() if isinstance(v, np.ndarray))
+    nx, ny, nz = op.fshape
+    assert held == op.kernel_hat.nbytes == 16 * nx * ny * (nz // 2 + 1)
+
+
+def test_weighted_apply_memory_peak(unit_ball):
+    # Each rate node's product is added into one Fourier-space sum, inverted
+    # in place: besides the (K, M) node sums the traced peak stays below
+    # three transforms, whatever K (transforming all K nodes at once peaked
+    # at 17 transforms here).
+    grid = build_spatial(unit_ball, 0.125)
+    sgrid = build_spectral(1.0, 32)
+    alphas = AbsorptionProfile.table(*RATE_TABLES["mild"])(sgrid.nodes)
+    fields = np.random.default_rng(29).random((alphas.size, grid.n_nodes))
+    weights = sgrid.weights * alphas
+    first = apply_attenuation_batch(grid, alphas, fields, weights=weights)  # fills the caches
+    plan = transport.rate_interpolation(grid, alphas)
+    assert plan.nodes.size >= 8
+    transform = attenuation_operator(grid, plan.nodes[0]).kernel_hat.nbytes
+    out = []
+    peak = _traced_peak(lambda: out.append(
+        apply_attenuation_batch(grid, alphas, fields, weights=weights)))
+    assert np.array_equal(out[0], first)
+    assert peak < 3 * transform + plan.nodes.size * grid.n_nodes * 8, peak / transform
+
+
+def test_rate_plan_memory_peak(unit_ball, monkeypatch):
+    # Trial nodes are evaluated as octants, without keeping near-field
+    # samples or building operators: seeding operators from kept samples
+    # peaked at 12.2 MB here.
+    grid = build_spatial(unit_ball, 0.125)
+    alphas = AbsorptionProfile.table(*RATE_TABLES["mild"])(build_spectral(1.0, 32).nodes)
+    monkeypatch.setattr(transport, "_PLAN_CACHE", OrderedDict())
+    monkeypatch.setattr(transport, "_OPERATOR_CACHE", OrderedDict())
+    peak = _traced_peak(lambda: transport.rate_interpolation(grid, alphas))
+    assert peak < 4 << 20, peak / 1e6
+    assert transport.rate_interpolation(grid, alphas).nodes.size == 10
+    assert not transport._OPERATOR_CACHE
 
 
 def _sample_reference(grid, box, points):
@@ -590,8 +646,9 @@ def test_stencil_matches_scaled_unit_rate_reference(request, body, alpha):
     # The rate-alpha stencil is the unit-rate stencil of the lattice scaled
     # by alpha: (alpha/4pi) e^{-alpha r}/r^2 h^3 with r, h in original units.
     grid = build_spatial(request.getfixturevalue(body), 0.25)
-    ref = AttenuationOperator(_scaled_spatial(grid, alpha), 1.0).stencil
-    np.testing.assert_allclose(AttenuationOperator(grid, alpha).stencil, ref, rtol=1e-13, atol=0.0)
+    ref = transport.attenuation_stencil(_scaled_spatial(grid, alpha), 1.0)
+    np.testing.assert_allclose(transport.attenuation_stencil(grid, alpha), ref, rtol=1e-13,
+                               atol=0.0)
 
 
 def test_spectral_kernel_reduces_to_grey(unit_ball):
