@@ -5,8 +5,9 @@ radiation is fixed by two coupled statements: the stationary transfer of
 radiance along straight rays, and the requirement that the radiative energy
 flux be divergence free inside the body.  This package discretizes both and
 solves the resulting non-local fixed-point problems in four regimes: pure
-scattering, grey absorption, frequency-dependent absorption, and combined
-scattering plus absorption.  Entropy-based diagnostics quantify how far a
+scattering, grey absorption (the constant case of frequency-dependent
+absorption, solved by ``solve_spectral``), frequency-dependent absorption, and
+combined scattering plus absorption.  Entropy-based diagnostics quantify how far a
 computed state is from thermal equilibrium.
 
 All physics is expressed in natural units (see :mod:`radbody.spectral`).
@@ -21,7 +22,6 @@ from radbody.solvers import (
     compute_H,
     oracle_solve,
     solve_combined,
-    solve_grey,
     solve_scattering,
     solve_spectral,
 )
@@ -38,7 +38,6 @@ __all__ = [
     "compute_H",
     "oracle_solve",
     "solve_combined",
-    "solve_grey",
     "solve_scattering",
     "solve_spectral",
 ]

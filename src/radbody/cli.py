@@ -36,6 +36,10 @@ DUMP_MAGIC = b"RBFLD001"
 # spectral.emission_tail_bound at the hottest node, must stay below this
 # fraction of f(T) there; the README promises it for temperatures up to t_ref.
 SPECTRAL_TAIL_LIMIT = 1e-8
+# The grid's f(T) at the hottest node may differ from the reference
+# 64-node grid at that temperature by at most this fraction of the reference:
+# beyond it the grid misses the Planck peak (t_ref far above the body).
+SPECTRAL_HEAD_LIMIT = 0.5
 
 
 class ConfigInvalid(ValueError):
@@ -323,11 +327,7 @@ def run_solver(cfg: dict, quiet: bool = False) -> Solution:
     if mode == "scattering":
         I, report = solvers.solve_scattering(domain, medium, source, grids, tol, max_iter)
         sol = Solution(mode, domain, grids, medium, source, report, radiation=I)
-    elif mode == "grey":
-        a, T, report = solvers.solve_grey(domain, medium.absorption.value, source, grids,
-                                          tol, max_iter)
-        sol = Solution(mode, domain, grids, medium, source, report, w=a, T=T)
-    elif mode == "spectral":
+    elif mode in ("grey", "spectral"):
         w, T, report = solvers.solve_spectral(domain, medium.absorption, source, grids,
                                               tol, max_iter)
         sol = Solution(mode, domain, grids, medium, source, report, w=w, T=T)
@@ -363,22 +363,38 @@ def _node_residual(sol: Solution) -> np.ndarray:
     return FOUR_PI * (B @ qa) - sw.angle_integral(I_new) @ qa
 
 
+def _relative_head(absorption: AbsorptionProfile, t: float, sgrid) -> float:
+    """|f_grid(t) - f_ref(t)| / f_ref(t), with f_ref on ``build_spectral(t, 64)``;
+    0 at t = 0, and 1 where f_ref(t) underflows."""
+    if t <= 0.0:
+        return 0.0
+    f_ref = spectral.emission_integral(absorption, t, build_spectral(t, 64))
+    f = spectral.emission_integral(absorption, t, sgrid)
+    return abs(f - f_ref) / f_ref if f_ref > 0.0 else 1.0
+
+
 def _spectral_tail(sol: Solution) -> dict | None:
-    """The truncated emission tail at the hottest node, relative to f(T) there.
+    """How well the spectral grid resolves f(T): the truncated emission tail
+    at the hottest node relative to f(T) there, and the head error
+    ``_relative_head`` at the hottest and at the coldest positive node.
 
     None for scattering runs, which determine no temperature.
     """
     if sol.T is None:
         return None
+    absorption, sgrid = sol.medium.absorption, sol.grids.spectral
     t_max = float(np.max(sol.T))
+    t_min = float(np.min(sol.T[sol.T > 0.0], initial=t_max))
     relative = 0.0
     if t_max > 0.0:
-        absorption, sgrid = sol.medium.absorption, sol.grids.spectral
         tail = spectral.emission_tail_bound(absorption.max_value(), sgrid.nu_max, t_max)
         f = spectral.emission_integral(absorption, t_max, sgrid)
         # A grid far above t_max resolves none of f(t_max): all of it is lost.
         relative = tail / f if f > 0.0 else 1.0
-    return {"t_max": t_max, "relative_tail": float(relative), "limit": SPECTRAL_TAIL_LIMIT}
+    return {"t_max": t_max, "relative_tail": float(relative), "limit": SPECTRAL_TAIL_LIMIT,
+            "t_min": t_min, "relative_head": _relative_head(absorption, t_max, sgrid),
+            "relative_head_coldest": _relative_head(absorption, t_min, sgrid),
+            "head_limit": SPECTRAL_HEAD_LIMIT}
 
 
 def write_node_table(path: str, sol: Solution):
@@ -537,14 +553,18 @@ def cmd_solve(args) -> int:
         write_field_dump(os.path.join(outdir, "solution.rbf"), sol, cfg)
     if not args.quiet:
         print(f"[radbody] wrote {outdir}/nodes.csv and {outdir}/report.json")
-    if tail is not None and tail["relative_tail"] > SPECTRAL_TAIL_LIMIT:
+    if tail is not None and (tail["relative_tail"] > SPECTRAL_TAIL_LIMIT
+                             or tail["relative_head"] > SPECTRAL_HEAD_LIMIT):
         sgrid = sol.grids.spectral  # a hottest T below its first node misses the Planck peak
         advice = ("lower it to about the body's temperatures" if tail["t_max"] < sgrid.nodes[0]
                   else "raise it to at least the largest temperature")
-        print(f"error: the spectral grid on [{sgrid.nodes[0]:g}, {sgrid.nu_max:g}] cuts off "
-              f"{tail['relative_tail']:.3g} of f(T) at the hottest node (T = {tail['t_max']:.6g}), "
-              f"above {SPECTRAL_TAIL_LIMIT:g}; 'grids.spectral.t_ref' sets the grid: {advice}",
-              file=sys.stderr)
+        what, limit = ((f"cuts off {tail['relative_tail']:.3g} of f(T)", SPECTRAL_TAIL_LIMIT)
+                       if tail["relative_tail"] > SPECTRAL_TAIL_LIMIT else
+                       (f"gets f(T) wrong by {tail['relative_head']:.3g} (against 64 nodes at T)",
+                        SPECTRAL_HEAD_LIMIT))
+        print(f"error: the spectral grid on [{sgrid.nodes[0]:g}, {sgrid.nu_max:g}] {what} at "
+              f"the hottest node (T = {tail['t_max']:.6g}), above {limit:g}; "
+              f"'grids.spectral.t_ref' sets the grid: {advice}", file=sys.stderr)
         return 2
     return 0 if sol.report.status == "converged" else 2
 
@@ -633,14 +653,7 @@ def cmd_oracle(args) -> int:
         max_dev, mean_dev = float(np.max(dev)) / scale, float(np.mean(dev)) / scale
         what = "radiance (relative)"
     else:
-        oracle_T = oracle.T
-        if sol.mode == "grey":
-            # Consistent temperature map: the grey solver converts with the
-            # exact radiation constant, so derive the oracle temperature from
-            # its emission field the same way.
-            alpha = sol.medium.absorption.value
-            oracle_T = (oracle.w / (alpha * spectral.stefan_sigma())) ** 0.25
-        dev = np.abs(sol.T - oracle_T)
+        dev = np.abs(sol.T - oracle.T)
         max_dev, mean_dev = float(np.max(dev)), float(np.mean(dev))
         what = "temperature"
     print(f"[radbody] oracle comparison on {what}: max={max_dev:.6g} "

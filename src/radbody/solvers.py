@@ -9,15 +9,18 @@ volume L1 norm of the change relative to the new iterate, for the
 temperature maps and for the radiance sweeps alike.  The driver records the
 last residual as the report's conservation norm.
 
-Each temperature solver takes its boundary term from
+Grey absorption is the constant-coefficient case of ``solve_spectral``, with
+no solver of its own: T always comes from the profile's emission table.
+Each temperature solve takes its boundary term from
 ``transport.boundary_attenuation_nodes``, which picks the row-mass identity
 for isotropic sources and raises ``NegativeSource`` on a negative sink, and
 iterates the kernel at the medium's own rates on the original lattice; the
 spectral step's frequency sum runs through ``transport.rate_interpolation``,
-and its boundary term reads the same interpolated row masses.
+and its boundary term reads the same interpolated row masses.  A constant
+profile makes the map linear, one kernel apply a step.
 
 The combined regime runs on the same driver with no inner solve.  With
-isotropic scattering, constant coefficients take the grey map at rate
+isotropic scattering, constant coefficients run the grey solve at rate
 alpha_a + alpha_s and then recover the angle-integrated radiance J0 once
 (``scattered_mean_intensity``, which stops at ``transport.INNER_MAX_ITER``
 applies with ``InnerDiverged``); otherwise the driver iterates J0 itself, one
@@ -161,45 +164,6 @@ def _drive_radiance(sw, step, tol, max_iter, grids, t0):
 
 
 # ---------------------------------------------------------------------------
-# Grey absorption
-# ---------------------------------------------------------------------------
-
-
-def solve_grey(
-    domain: ConvexDomain,
-    alpha: float,
-    g: BoundarySource,
-    grids: Grids,
-    tol: float = 1e-8,
-    max_iter: int = 500,
-):
-    """Picard iteration for the grey (constant absorption) regime.
-
-    Iterates a <- kernel term + boundary term with the rate-alpha kernel on
-    every frequency.  Returns (a = sigma T^4, T, report).
-    """
-    t0 = time.perf_counter()
-    alpha = float(alpha)
-    if alpha <= 0.0:
-        raise ValueError("grey absorption coefficient must be positive")
-    grid, sgrid = grids.spatial, grids.spectral
-    b_freq = boundary_attenuation_nodes(domain, grid, g, np.full(sgrid.n_nodes, alpha),
-                                        grids.angular, sgrid)
-    return _grey_iteration(grid, alpha, b_freq @ sgrid.weights, tol, max_iter, t0)
-
-
-def _grey_iteration(grid, alpha, b, tol, max_iter, t0):
-    """``solve_grey`` after its boundary term: iterates a <- K_alpha a + b."""
-    op = attenuation_operator(grid, alpha)
-    report = SolverReport(tolerance=tol, norm="L1(Omega), relative")
-    a = _fixed_point(lambda x: op.apply(x) + b, np.zeros(grid.n_nodes), report, tol,
-                     max_iter, grid.cell_volume, t0)
-    report.conservation_norm = float(np.max(np.abs(FOUR_PI * (a - op.apply(a) - b))))
-    T = (a / spectral.stefan_sigma()) ** 0.25
-    return a, T, report
-
-
-# ---------------------------------------------------------------------------
 # Frequency-dependent absorption
 # ---------------------------------------------------------------------------
 
@@ -216,18 +180,32 @@ def solve_spectral(
 
     Iterates w <- kernel term + boundary term from w = 0; iterates stay in
     [0, L] where L is derived from the measured maximal kernel row mass.
+    A constant profile is the grey regime: there f(f^-1(w)) = w, so the map
+    is linear and a step is one kernel apply K_alpha w + b, with no
+    inversion; T is inverted once, at the end.
     The report's ``extra`` records the rate interpolation of the frequency
     sum (None when it is exact) and the emission table's size and fallbacks.
     Returns (w, T, report).
     """
     t0 = time.perf_counter()
-    grid, angular, sgrid = grids.spatial, grids.angular, grids.spectral
+    grid, sgrid = grids.spatial, grids.spectral
     alphas = profile(sgrid.nodes)
     if np.all(alphas == 0.0):
         raise ValueError("absorption profile vanishes on the spectral grid")
+    b = boundary_attenuation_nodes(domain, grid, g, alphas, grids.angular, sgrid,
+                                   weights=sgrid.weights * alphas)
+    return _emission_fixed_point(grid, sgrid, profile, b, tol, max_iter, t0)
+
+
+def _emission_fixed_point(grid, sgrid, profile, b, tol, max_iter, t0):
+    """``solve_spectral`` after its boundary term b: iterates
+    w <- sum_j q_j alpha_j K_alpha_j B_j(f^-1(w)) + b."""
+    alphas = profile(sgrid.nodes)
     qa = sgrid.weights * alphas
-    b = boundary_attenuation_nodes(domain, grid, g, alphas, angular, sgrid, weights=qa)
-    theta = float(np.max(transport.summed_row_masses(grid, alphas)))
+    # A constant profile's one kernel: its map is linear, K_alpha w + b.
+    op = attenuation_operator(grid, profile.value) if profile.is_constant else None
+    mass = transport.summed_row_masses(grid, alphas) if op is None else op.row_mass()
+    theta = float(np.max(mass))
     cap = float(np.max(b)) / max(1.0 - theta, 1e-12) * (1.0 + 1e-6) + 1e-300
     plan = transport.rate_interpolation(grid, alphas)
     table = spectral.emission_table(profile, sgrid)
@@ -240,9 +218,12 @@ def solve_spectral(
 
     def step(w):
         nonlocal T
-        T = spectral.invert_emission_many(profile, w, sgrid, t_guess=T)
-        B = spectral.planck(sgrid.nodes, T[:, None])  # (M, J)
-        w_new = transport.apply_attenuation_batch(grid, alphas, B.T, weights=qa) + b
+        if op is not None:
+            w_new = op.apply(w) + b
+        else:
+            T = spectral.invert_emission_many(profile, w, sgrid, t_guess=T)
+            B = spectral.planck(sgrid.nodes, T[:, None])  # (M, J)
+            w_new = transport.apply_attenuation_batch(grid, alphas, B.T, weights=qa) + b
         if float(np.max(w_new)) > cap:
             report.status = "invariant_violation"
             raise CapExceeded(f"iterate max {np.max(w_new):.3e} exceeded bound {cap:.3e}")
@@ -271,10 +252,11 @@ def solve_combined(
 ):
     """Scattering plus emission-absorption; ``report.extra["route"]`` names the route.
 
-    An isotropic kernel runs no inner solve.  Constant coefficients take the
-    grey map at rate alpha_a + alpha_s ("grey": scattering drops out of grey
-    radiative equilibrium), w = alpha_a a, then recover J0 once at the
-    converged T, both to min(tol, 1e-10), with one boundary term for both.
+    An isotropic kernel runs no inner solve.  Constant coefficients run the
+    grey solve (``solve_spectral``'s linear map) at rate alpha_a + alpha_s
+    ("grey": scattering drops out of grey radiative equilibrium), set
+    w = (alpha_a/beta) w_beta, then recover J0 once at the converged T, both
+    to min(tol, 1e-10), with one boundary term for both.
     Otherwise the driver iterates the mean intensity ("joint"),
     J0 <- b4pi + (4pi/beta) K_beta[alpha_a B(T) + (alpha_s/4pi) J0] with
     T = f^-1(sum_j q_j alpha_a J0_j / 4pi).  A tabulated kernel makes the
@@ -305,10 +287,11 @@ def solve_combined(
         # is then accurate to it: a looser T costs more batched recovery
         # applies than the tighter one-channel solve takes.
         tight = min(tol, 1e-10)
-        a, _, report = _grey_iteration(grid, float(beta[0]), b_freq @ sgrid.weights, tight,
-                                       max_iter, t0)
-        w = alphas_a[0] * a
-        T = spectral.invert_emission_many(medium.absorption, w, sgrid)
+        # f_beta = (beta/alpha_a) f_alpha, so the rate-beta solve's T is the
+        # medium's, at w = (alpha_a/beta) w_beta.
+        w, T, report = _emission_fixed_point(grid, sgrid, AbsorptionProfile.constant(beta[0]),
+                                             b_freq @ (sgrid.weights * beta), tight, max_iter, t0)
+        w = alphas_a[0] / beta[0] * w
         B = spectral.planck(sgrid.nodes, T[:, None])
         J0, _ = scattered_mean_intensity(grid, alphas_a, alphas_s, B, b4pi, tol=tight,
                                          init=FOUR_PI * B)

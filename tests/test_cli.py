@@ -449,15 +449,30 @@ def test_solve_spectral_truncation_exit_code(tmp_path, capsys):
 
 
 def test_solve_spectral_grid_above_body_exit_code(tmp_path, capsys):
-    # Regression: with t_ref far above the body the grid resolves no emission
-    # at the hottest node, and the tail check ended in a ZeroDivisionError.
+    # Regression: with t_ref far above the body the grid resolves almost no
+    # emission at the hottest node, and the tail check ended in a
+    # ZeroDivisionError.  The grid's f(T) there is off by all of it.
     cfg = _edited(BASE_EQ, {"boundary.temperature": 0.9, "grids.spectral.t_ref": 1000.0})
     cfg["output"] = {"dir": str(tmp_path / "out_head"), "dump_field": False, "entropy": False}
     code = cli.main(["--quiet", "solve", "--config", write_cfg(tmp_path, cfg)])
     assert code == 2
     assert "grids.spectral.t_ref" in capsys.readouterr().err
     report = json.loads((tmp_path / "out_head" / "report.json").read_text())
-    assert report["spectral_truncation"]["relative_tail"] == 1.0
+    assert report["spectral_truncation"]["relative_head"] >= 0.99
+
+
+def test_solve_grey_grid_misses_planck_peak_exit_code(tmp_path, capsys):
+    # t_ref 100 puts the grid's first node far above the Planck peak of a body
+    # at 0.9: the solve itself is consistent (T = 0.9), but the grid's f(T)
+    # is off by about 99 %, which the head check reports.
+    cfg = _edited(BASE_EQ, {"boundary.temperature": 0.9, "grids.spectral.t_ref": 100.0})
+    cfg["output"] = {"dir": str(tmp_path / "out_peak"), "dump_field": False, "entropy": False}
+    code = cli.main(["--quiet", "solve", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 2
+    assert "grids.spectral.t_ref" in capsys.readouterr().err
+    tail = json.loads((tmp_path / "out_peak" / "report.json").read_text())["spectral_truncation"]
+    assert tail["relative_head"] > cli.SPECTRAL_HEAD_LIMIT
+    assert tail["relative_tail"] <= cli.SPECTRAL_TAIL_LIMIT
 
 
 def test_solve_non_convergence_exit_code(tmp_path):

@@ -135,9 +135,9 @@ def test_boundary_flows_zero_and_symmetric(unit_ball):
 
 
 def _grey_solution(domain, grids, g, tol=1e-10):
-    a, T, report = solvers.solve_grey(domain, 1.0, g, grids, tol=tol)
     med = MediumSpec(AbsorptionProfile.constant(1.0), AbsorptionProfile.constant(0.0))
-    return Solution("grey", domain, grids, med, g, report, w=a, T=T)
+    w, T, report = solvers.solve_spectral(domain, med.absorption, g, grids, tol=tol)
+    return Solution("grey", domain, grids, med, g, report, w=w, T=T)
 
 
 def test_equilibrium_entropy_report(unit_ball, entropy_grids):

@@ -15,8 +15,6 @@ from radbody.solvers import Grids
 from radbody.spectral import AbsorptionProfile
 from radbody.transport import BoundarySource, MediumSpec
 
-SIGMA = spectral.stefan_sigma()
-
 
 @pytest.fixture(scope="module")
 def scatter_grids(unit_ball):
@@ -105,15 +103,20 @@ def test_scattering_requires_pure_scattering(unit_ball, scatter_grids):
 # ---------------------------------------------------------------------------
 
 
+def grey(alpha):
+    """Grey absorption: the constant profile, which ``solve_spectral`` iterates linearly."""
+    return AbsorptionProfile.constant(alpha)
+
+
 def test_grey_zero_source(unit_ball, eq_grids):
-    a, T, report = solvers.solve_grey(unit_ball, 1.0, BoundarySource.zero(), eq_grids)
+    w, T, report = solvers.solve_spectral(unit_ball, grey(1.0), BoundarySource.zero(), eq_grids)
     assert np.max(T) == 0.0
     assert report.status == "converged"
 
 
 def test_grey_equilibrium(unit_ball, eq_grids):
     g = BoundarySource.equilibrium(1.0)
-    a, T, report = solvers.solve_grey(unit_ball, 1.0, g, eq_grids, tol=1e-10)
+    w, T, report = solvers.solve_spectral(unit_ball, grey(1.0), g, eq_grids, tol=1e-10)
     assert np.max(np.abs(T - 1.0)) <= 1e-2  # discretization budget
     assert np.max(np.abs(T - 1.0)) <= 1e-6  # consistent source term is exact
     hist = report.residual_history
@@ -121,32 +124,57 @@ def test_grey_equilibrium(unit_ball, eq_grids):
 
 
 def test_grey_positivity(unit_ball, eq_grids, beam_source):
-    a, T, _ = solvers.solve_grey(unit_ball, 1.0, beam_source, eq_grids, tol=1e-10)
-    assert np.min(a) > 0.0
+    w, T, _ = solvers.solve_spectral(unit_ball, grey(1.0), beam_source, eq_grids, tol=1e-10)
+    assert np.min(w) > 0.0
 
 
 def test_grey_linearity(unit_ball, eq_grids, beam_source):
-    a1, _, _ = solvers.solve_grey(unit_ball, 1.0, beam_source, eq_grids, tol=1e-12)
+    w1, _, _ = solvers.solve_spectral(unit_ball, grey(1.0), beam_source, eq_grids, tol=1e-12)
     b = beam_source
     for c in (0.5, 2.0, 10.0):
         scaled = BoundarySource.tabulated((b.spectrum_nu, c * b.spectrum_val), axis=b.axis,
                                           angular_profile=(b.profile_mu, b.profile_val))
-        ac, _, _ = solvers.solve_grey(unit_ball, 1.0, scaled, eq_grids, tol=1e-12)
-        dev = np.max(np.abs(ac - c * a1)) / np.max(np.abs(c * a1))
+        wc, _, _ = solvers.solve_spectral(unit_ball, grey(1.0), scaled, eq_grids, tol=1e-12)
+        dev = np.max(np.abs(wc - c * w1)) / np.max(np.abs(c * w1))
         assert dev <= 1e-10
+
+
+@pytest.mark.parametrize("t_b, n_nodes", [(0.9, 32), (0.3, 32), (0.1, 32), (0.9, 16)])
+def test_grey_equilibrium_returns_boundary_temperature(unit_ball, t_b, n_nodes):
+    # The boundary term, the kernel sum and the inversion share one spectral
+    # grid, so an equilibrium boundary at T_b is the discrete fixed point
+    # T = T_b (the uniqueness theorem) to rounding, far from t_ref too.
+    grids = Grids(build_spatial(unit_ball, 0.2), build_angular(4, 8),
+                  build_spectral(1.0, n_nodes))
+    _, T, report = solvers.solve_spectral(unit_ball, grey(1.0), BoundarySource.equilibrium(t_b),
+                                          grids, tol=1e-12)
+    assert report.status == "converged"
+    assert np.max(np.abs(T - t_b)) <= 1e-10 * t_b
+
+
+def test_grey_inverts_emission_once(unit_ball, eq_grids, beam_source, monkeypatch):
+    # The grey map is linear in w: the steps invert nothing, and T is read
+    # from the emission table once, after the solve.
+    calls = []
+    invert = spectral.invert_emission_many
+    monkeypatch.setattr(spectral, "invert_emission_many",
+                        lambda *args, **kw: calls.append(1) or invert(*args, **kw))
+    _, T, report = solvers.solve_spectral(unit_ball, grey(1.0), beam_source, eq_grids)
+    assert report.status == "converged" and report.iterations > 1
+    assert len(calls) == 1 and np.min(T) > 0.0
 
 
 def test_grey_rescaled_alpha(unit_ball, eq_grids):
     # A non-unit coefficient runs on internally rescaled coordinates; the
     # equilibrium fixed point is preserved.
     g = BoundarySource.equilibrium(1.0)
-    a, T, _ = solvers.solve_grey(unit_ball, 2.5, g, eq_grids, tol=1e-10)
+    w, T, _ = solvers.solve_spectral(unit_ball, grey(2.5), g, eq_grids, tol=1e-10)
     assert np.max(np.abs(T - 1.0)) <= 1e-6
 
 
 def test_grey_conservation_residual_after_convergence(unit_ball, eq_grids, beam_source):
     tol = 1e-8
-    a, T, report = solvers.solve_grey(unit_ball, 1.0, beam_source, eq_grids, tol=tol)
+    w, T, report = solvers.solve_spectral(unit_ball, grey(1.0), beam_source, eq_grids, tol=tol)
     med = MediumSpec(AbsorptionProfile.constant(1.0), AbsorptionProfile.constant(0.0))
     res, rel = transport.conservation_residual(
         T, beam_source, med, unit_ball, eq_grids.spatial, eq_grids.angular,
@@ -190,9 +218,10 @@ def test_spectral_equilibrium_exact_under_rate_interpolation(unit_ball, eq_grids
 
 
 def test_spectral_reduces_to_grey(unit_ball, eq_grids, beam_source):
-    prof = AbsorptionProfile.constant(1.0)
-    w, T_s, _ = solvers.solve_spectral(unit_ball, prof, beam_source, eq_grids, tol=1e-10)
-    a, T_g, _ = solvers.solve_grey(unit_ball, 1.0, beam_source, eq_grids, tol=1e-10)
+    # A flat table of the same coefficient takes the general, nonlinear step.
+    flat = AbsorptionProfile.table([1.0, 2.0], [1.0, 1.0])
+    w, T_s, _ = solvers.solve_spectral(unit_ball, flat, beam_source, eq_grids, tol=1e-10)
+    w_g, T_g, _ = solvers.solve_spectral(unit_ball, grey(1.0), beam_source, eq_grids, tol=1e-10)
     assert np.max(np.abs(T_s - T_g)) <= 1e-4
 
 
@@ -232,8 +261,8 @@ def _thick_grids(unit_ball, h=0.2):
 
 def test_fixed_point_matches_picard_reference(unit_ball, beam_source, monkeypatch):
     def solve_both():
-        _, T_g, rep_g = solvers.solve_grey(unit_ball, 20.0, beam_source,
-                                           _thick_grids(unit_ball), tol=1e-11, max_iter=5000)
+        _, T_g, rep_g = solvers.solve_spectral(unit_ball, grey(20.0), beam_source,
+                                               _thick_grids(unit_ball), tol=1e-11, max_iter=5000)
         _, T_s, rep_s = solvers.solve_spectral(unit_ball, MILD_PROFILE, beam_source,
                                                _thick_grids(unit_ball, 0.25), tol=1e-11)
         return T_g, T_s, rep_g, rep_s
@@ -252,25 +281,25 @@ def test_fixed_point_safeguard_thick_grey(unit_ball):
     # At alpha R = 50 plain Picard stops at its cap far from the fixed point;
     # the mixed iteration converges within the default cap, and it needs the
     # safeguard: some mixed iterates raise the residual and are rejected.
-    a, T, report = solvers.solve_grey(unit_ball, 50.0, BoundarySource.equilibrium(1.0),
-                                      _thick_grids(unit_ball))
+    w, T, report = solvers.solve_spectral(unit_ball, grey(50.0), BoundarySource.equilibrium(1.0),
+                                          _thick_grids(unit_ball))
     assert report.status == "converged"
     assert report.operator_applies <= 500
     assert report.rejected_steps > 0
     assert report.operator_applies == report.iterations + report.rejected_steps
     hist = report.residual_history
     assert all(b <= a_ * 1.0001 + 1e-12 for a_, b in zip(hist, hist[1:]))
-    assert np.min(a) >= 0.0
+    assert np.min(w) >= 0.0
     assert np.max(np.abs(T - 1.0)) <= 1e-4
 
 
 def test_fixed_point_cap_counts_rejected_applies(unit_ball):
     grids = _thick_grids(unit_ball)
     g = BoundarySource.equilibrium(1.0)
-    _, _, full = solvers.solve_grey(unit_ball, 50.0, g, grids)
+    _, _, full = solvers.solve_spectral(unit_ball, grey(50.0), g, grids)
     assert full.rejected_steps > 0
     for cap in range(1, full.operator_applies):
-        _, _, report = solvers.solve_grey(unit_ball, 50.0, g, grids, max_iter=cap)
+        _, _, report = solvers.solve_spectral(unit_ball, grey(50.0), g, grids, max_iter=cap)
         assert report.status == "max_iter"
         assert report.operator_applies == cap
 
@@ -319,13 +348,15 @@ def test_fixed_point_buffers_match_stacked_history(unit_ball, beam_source, monke
     def solve_all():
         grids = Grids(build_spatial(unit_ball, 0.2), build_angular(4, 8), build_spectral(1.0, 16))
         joint = MediumSpec(MILD_PROFILE, AbsorptionProfile.constant(0.5))
-        a20, _, rep20 = solvers.solve_grey(unit_ball, 20.0, beam_source, _thick_grids(unit_ball))
+        w20, _, rep20 = solvers.solve_spectral(unit_ball, grey(20.0), beam_source,
+                                               _thick_grids(unit_ball))
         w, _, rep_s = solvers.solve_spectral(unit_ball, MILD_PROFILE, beam_source,
                                              _thick_grids(unit_ball, 0.25))
         _, _, _, rep_j, J0 = solvers.solve_combined(unit_ball, joint, beam_source, grids)
-        a50, _, rep50 = solvers.solve_grey(unit_ball, 50.0, BoundarySource.equilibrium(1.0),
-                                           _thick_grids(unit_ball))
-        return [(a20, rep20), (w, rep_s), (J0, rep_j), (a50, rep50)]
+        w50, _, rep50 = solvers.solve_spectral(unit_ball, grey(50.0),
+                                               BoundarySource.equilibrium(1.0),
+                                               _thick_grids(unit_ball))
+        return [(w20, rep20), (w, rep_s), (J0, rep_j), (w50, rep50)]
 
     new = solve_all()
     monkeypatch.setattr(solvers, "_fixed_point", _stacked_fixed_point)
@@ -608,11 +639,9 @@ def test_oracle_grey_agreement(unit_ball):
                   build_spectral(1.0, 8))
     med = MediumSpec(AbsorptionProfile.constant(1.0), AbsorptionProfile.constant(0.0))
     g = BoundarySource.constant(0.3)
-    a, T, _ = solvers.solve_grey(unit_ball, 1.0, g, grids, tol=1e-10)
+    w, T, _ = solvers.solve_spectral(unit_ball, grey(1.0), g, grids, tol=1e-10)
     res = solvers.oracle_solve(unit_ball, med, g, grids)
-    # consistent temperature map: derive both from the emission field
-    T_oracle = (res.w / SIGMA) ** 0.25
-    assert np.max(np.abs(T - T_oracle)) <= 5e-3
+    assert np.max(np.abs(T - res.T)) <= 5e-3
 
 
 def test_oracle_tabulated_kernel_agreement(unit_ball):
