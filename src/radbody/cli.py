@@ -376,9 +376,9 @@ def _relative_head(absorption: AbsorptionProfile, t: float, sgrid) -> float:
 def _spectral_tail(sol: Solution) -> dict | None:
     """How well the spectral grid resolves f(T): the truncated emission tail
     at the hottest node relative to f(T) there, and the head error
-    ``_relative_head`` at the hottest and at the coldest positive node.
-
-    None for scattering runs, which determine no temperature.
+    ``_relative_head`` at the hottest and coldest positive nodes and at an
+    equilibrium source's temperature (0 for other sources).  None for
+    scattering runs, which determine no temperature.
     """
     if sol.T is None:
         return None
@@ -394,6 +394,7 @@ def _spectral_tail(sol: Solution) -> dict | None:
     return {"t_max": t_max, "relative_tail": float(relative), "limit": SPECTRAL_TAIL_LIMIT,
             "t_min": t_min, "relative_head": _relative_head(absorption, t_max, sgrid),
             "relative_head_coldest": _relative_head(absorption, t_min, sgrid),
+            "relative_head_source": _relative_head(absorption, sol.source.temperature, sgrid),
             "head_limit": SPECTRAL_HEAD_LIMIT}
 
 
@@ -553,17 +554,21 @@ def cmd_solve(args) -> int:
         write_field_dump(os.path.join(outdir, "solution.rbf"), sol, cfg)
     if not args.quiet:
         print(f"[radbody] wrote {outdir}/nodes.csv and {outdir}/report.json")
-    if tail is not None and (tail["relative_tail"] > SPECTRAL_TAIL_LIMIT
-                             or tail["relative_head"] > SPECTRAL_HEAD_LIMIT):
-        sgrid = sol.grids.spectral  # a hottest T below its first node misses the Planck peak
-        advice = ("lower it to about the body's temperatures" if tail["t_max"] < sgrid.nodes[0]
+    head = "gets f(T) wrong by {:.3g} (against 64 nodes at T)"
+    faults = [] if tail is None else [
+        (tail["relative_tail"], SPECTRAL_TAIL_LIMIT, "cuts off {:.3g} of f(T)", "the hottest node",
+         tail["t_max"]),
+        (tail["relative_head"], SPECTRAL_HEAD_LIMIT, head, "the hottest node", tail["t_max"]),
+        (tail["relative_head_source"], SPECTRAL_HEAD_LIMIT, head,
+         "the boundary source's temperature", sol.source.temperature)]
+    fault = next((f for f in faults if f[0] > f[1]), None)
+    if fault is not None:
+        value, limit, what, where, t = fault
+        sgrid = sol.grids.spectral  # a T below its first node misses the Planck peak
+        advice = ("lower it to about the body's temperatures" if t < sgrid.nodes[0]
                   else "raise it to at least the largest temperature")
-        what, limit = ((f"cuts off {tail['relative_tail']:.3g} of f(T)", SPECTRAL_TAIL_LIMIT)
-                       if tail["relative_tail"] > SPECTRAL_TAIL_LIMIT else
-                       (f"gets f(T) wrong by {tail['relative_head']:.3g} (against 64 nodes at T)",
-                        SPECTRAL_HEAD_LIMIT))
-        print(f"error: the spectral grid on [{sgrid.nodes[0]:g}, {sgrid.nu_max:g}] {what} at "
-              f"the hottest node (T = {tail['t_max']:.6g}), above {limit:g}; "
+        print(f"error: the spectral grid on [{sgrid.nodes[0]:g}, {sgrid.nu_max:g}] "
+              f"{what.format(value)} at {where} (T = {t:.6g}), above {limit:g}; "
               f"'grids.spectral.t_ref' sets the grid: {advice}", file=sys.stderr)
         return 2
     return 0 if sol.report.status == "converged" else 2

@@ -16,8 +16,9 @@ Each temperature solve takes its boundary term from
 for isotropic sources and raises ``NegativeSource`` on a negative sink, and
 iterates the kernel at the medium's own rates on the original lattice; the
 spectral step's frequency sum runs through ``transport.rate_interpolation``,
-and its boundary term reads the same interpolated row masses.  A constant
-profile makes the map linear, one kernel apply a step.
+and its boundary term reads the same interpolated row masses.  Every kernel
+apply is one ``transport.apply_attenuation_batch``, the only FFT convolution;
+a constant profile makes the map linear, one single-channel apply a step.
 
 The combined regime runs on the same driver with no inner solve.  With
 isotropic scattering, constant coefficients run the grey solve at rate
@@ -158,8 +159,12 @@ def _drive_radiance(sw, step, tol, max_iter, grids, t0):
     report = SolverReport(tolerance=tol, norm="L1(Omega x directions x frequency nodes) of I, "
                           "relative")
     start = sw.rays.boundary_term(sw.beta, sw.gvals)
-    I = _fixed_point(lambda x: step(x.reshape(start.shape)).ravel(), start.ravel(), report, tol,
-                     max_iter, grids.spatial.cell_volume, t0)
+    try:
+        I = _fixed_point(lambda x: step(x.reshape(start.shape)).ravel(), start.ravel(), report,
+                         tol, max_iter, grids.spatial.cell_volume, t0)
+    except MonotonicityError as exc:  # a long ray step can make the sweep expand
+        raise MonotonicityError(f"{exc}; max beta * ray_h is {np.max(sw.beta) * sw.rays.ray_h:.3g}"
+                                ", and 'grids.ray.h' sets ray_h: lower it") from exc
     return I.reshape(start.shape), report
 
 
@@ -181,7 +186,7 @@ def solve_spectral(
     Iterates w <- kernel term + boundary term from w = 0; iterates stay in
     [0, L] where L is derived from the measured maximal kernel row mass.
     A constant profile is the grey regime: there f(f^-1(w)) = w, so the map
-    is linear and a step is one kernel apply K_alpha w + b, with no
+    is linear and a step is one single-channel apply K_alpha w + b, with no
     inversion; T is inverted once, at the end.
     The report's ``extra`` records the rate interpolation of the frequency
     sum (None when it is exact) and the emission table's size and fallbacks.
@@ -219,7 +224,7 @@ def _emission_fixed_point(grid, sgrid, profile, b, tol, max_iter, t0):
     def step(w):
         nonlocal T
         if op is not None:
-            w_new = op.apply(w) + b
+            w_new = transport.apply_attenuation_batch(grid, alphas[:1], w[None])[0] + b
         else:
             T = spectral.invert_emission_many(profile, w, sgrid, t_guess=T)
             B = spectral.planck(sgrid.nodes, T[:, None])  # (M, J)

@@ -6,7 +6,7 @@ balance and used deliberately side by side:
 * a lattice-convolution route: the attenuated volume kernel
   ``(beta/4pi) exp(-beta r)/r^2`` is tabulated as a stencil (with the
   integrable singularity replaced by its exact integral over the
-  volume-equivalent ball) and applied with FFT convolutions;
+  volume-equivalent ball) and applied by ``apply_attenuation_batch`` alone;
 * a ray route: ``RaySweeper`` evaluates the formal solution
   g e^{-beta s} + integral of the attenuated source along backward rays,
   with Simpson weights and trilinear interpolation of nodal fields.  It is
@@ -202,10 +202,6 @@ def _cube_self_weight(beta: float, h: float) -> float:
     return 6.0 / FOUR_PI * (0.25 * h * h) * float(np.sum(W * vals))
 
 
-# Lattice axes of box arrays; leading axes, if any, are channels.
-_BOX_AXES = (-3, -2, -1)
-
-
 def _next_fast_len(n: int) -> int:
     """Smallest 11-smooth integer >= n, the value scipy.fft.next_fast_len
     returns: numpy.fft factors such a length into radix-2 to radix-11 passes."""
@@ -305,8 +301,8 @@ def attenuation_stencil(grid: SpatialGrid, beta: float) -> np.ndarray:
 class AttenuationOperator:
     """f |-> (beta/4pi) * integral over the body of exp(-beta r)/r^2 f.
 
-    Applied by FFT convolution with ``attenuation_stencil``; the operator
-    keeps only the stencil's transform ``kernel_hat``.
+    Holds the transform ``kernel_hat`` of ``attenuation_stencil`` and, once
+    asked for, its row mass; ``apply_attenuation_batch`` applies it.
     """
 
     def __init__(self, grid: SpatialGrid, beta: float):
@@ -316,19 +312,8 @@ class AttenuationOperator:
         # length of 2n - 1 per axis holds every stencil offset, so the crop
         # [n - 1, 2n - 1) of the cyclic convolution sees no wrapped terms.
         self.fshape = tuple(_next_fast_len(2 * n - 1) for n in grid.box_shape)
-        self.kernel_hat = np.fft.rfftn(attenuation_stencil(grid, float(beta)), s=self.fshape,
-                                       axes=_BOX_AXES)
-
-    def apply_box(self, box: np.ndarray) -> np.ndarray:
-        """Convolve box arrays; trailing grid axes, optional leading channels."""
-        fhat = np.fft.rfftn(box, s=self.fshape, axes=_BOX_AXES)
-        return _crop(np.fft.irfftn(fhat * self.kernel_hat, s=self.fshape, axes=_BOX_AXES),
-                     self.grid.box_shape)
-
-    def apply(self, node_values: np.ndarray) -> np.ndarray:
-        box = self.grid.node_values_to_box(node_values)
-        out = self.apply_box(box)
-        return out.reshape(-1)[self.grid.flat_index]
+        self.kernel_hat = np.fft.rfftn(attenuation_stencil(grid, float(beta)), self.fshape,
+                                       (0, 1, 2))
 
     def row_mass(self) -> np.ndarray:
         """Discrete mass (beta/4pi) * integral of the kernel over the body.
@@ -337,15 +322,27 @@ class AttenuationOperator:
         caller shares it.
         """
         if self._row_mass is None:
-            self._row_mass = self.apply(np.ones(self.grid.n_nodes))
+            self._row_mass = _inverse(self, _kernel_product(self, np.ones(self.grid.n_nodes)))
             self._row_mass.flags.writeable = False
         return self._row_mass
 
 
-def _crop(full: np.ndarray, box_shape: tuple) -> np.ndarray:
-    """The box part [n - 1, 2n - 1) of a cyclic convolution with the stencil."""
-    nx, ny, nz = box_shape
-    return full[..., nx - 1:2 * nx - 1, ny - 1:2 * ny - 1, nz - 1:2 * nz - 1]
+def _kernel_product(op: AttenuationOperator, field: np.ndarray) -> np.ndarray:
+    """The transform of the nodal ``field`` on the box times ``op.kernel_hat``."""
+    fhat = np.fft.rfftn(op.grid.node_values_to_box(field), op.fshape, (0, 1, 2))
+    fhat *= op.kernel_hat
+    return fhat
+
+
+def _inverse(op: AttenuationOperator, fhat: np.ndarray) -> np.ndarray:
+    """Nodal values of the convolution whose transform is ``fhat``, inverted in
+    place axis by axis as np.fft.irfftn takes it: its values, in less memory."""
+    for axis in (0, 1):
+        np.fft.ifft(fhat, axis=axis, out=fhat)
+    full = np.fft.irfft(fhat, op.fshape[-1])
+    nx, ny, nz = op.grid.box_shape
+    box = full[nx - 1:2 * nx - 1, ny - 1:2 * ny - 1, nz - 1:2 * nz - 1]
+    return box.reshape(-1)[op.grid.flat_index]
 
 
 _OPERATOR_CACHE: "OrderedDict[tuple, AttenuationOperator]" = OrderedDict()
@@ -519,6 +516,11 @@ def _plan_rates(grid: SpatialGrid, rates: np.ndarray) -> RateInterpolation | Non
                              bound=max(p[3] for p in intervals))
 
 
+def _row_masses(grid: SpatialGrid, rates) -> np.ndarray:
+    """Row masses (M, R) of the kernels of ``rates``, one column per rate."""
+    return np.stack([attenuation_operator(grid, r).row_mass() for r in rates], axis=1)
+
+
 def summed_row_masses(grid: SpatialGrid, rates) -> np.ndarray:
     """Row masses (M, J) of the kernels that weighted frequency sums apply.
 
@@ -529,33 +531,34 @@ def summed_row_masses(grid: SpatialGrid, rates) -> np.ndarray:
     rates = np.asarray(rates, dtype=float)
     plan = rate_interpolation(grid, rates)
     if plan is None:
-        return np.stack([attenuation_operator(grid, r).row_mass() for r in rates], axis=1)
-    node_mass = np.stack([attenuation_operator(grid, b).row_mass() for b in plan.nodes], axis=1)
+        return _row_masses(grid, rates)
     mass = np.zeros((grid.n_nodes, rates.size))
     live = rates > 0.0
-    mass[:, live] = (node_mass @ plan.lagrange)[:, np.searchsorted(plan.rates, rates[live])]
+    mass[:, live] = (_row_masses(grid, plan.nodes) @ plan.lagrange)[
+        :, np.searchsorted(plan.rates, rates[live])]
     return mass
 
 
 def apply_attenuation_batch(grid: SpatialGrid, betas: np.ndarray,
                             fields: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Apply the per-channel attenuation operator to nodal fields (C, M).
+    """Apply the attenuation operator of each channel's rate to nodal fields (C, M).
 
+    The one place a kernel is applied: per channel of positive rate, one
+    forward transform times the operator's ``kernel_hat``, inverted at once
+    and in place, so one transform is held at a time; a zero rate gives 0.
     With ``weights`` (C,) the weighted channel sum  sum_c w_c conv_c(f_c),
     shape (M,), is returned instead: channels sharing a decay rate are
     summed before their transform, and where ``rate_interpolation`` gives an
     interpolation the rates are replaced by its nodes,
     sum_k conv_{nodes[k]}(sum_r lagrange[k, r] f_r), within its Young bound.
-    The products are added into one Fourier-space sum a rate at a time, and
-    one inverse transform, in place, serves all channels.  Per-channel
-    transforms are batched in chunks sized to bound transient FFT memory.
+    The products are then added into one Fourier-space sum, and one inverse
+    serves all channels.
     """
     betas = np.asarray(betas, dtype=float)
-    C, M = fields.shape
-    fshape = tuple(_next_fast_len(2 * n - 1) for n in grid.box_shape)  # as the operators'
+    out = np.zeros(fields.shape) if weights is None else None
     if weights is not None:
         betas, group = np.unique(betas, return_inverse=True)
-        summed = np.zeros((betas.size, M))
+        summed = np.zeros((betas.size, fields.shape[1]))
         # Channel by channel, in order: the sums of np.add.at, without its
         # unbuffered per-element loop.
         for field, r, w in zip(fields, group, np.asarray(weights, dtype=float)):
@@ -564,33 +567,22 @@ def apply_attenuation_batch(grid: SpatialGrid, betas: np.ndarray,
         if plan is not None:
             # The positive rates come last: a view, not a copy of the sums.
             summed, betas = plan.lagrange @ summed[betas.size - plan.rates.size:], plan.nodes
-        acc = np.zeros(fshape[:-1] + (fshape[-1] // 2 + 1,), dtype=complex)
-        for field, b in zip(summed, betas):
-            if b > 0.0:
-                fhat = np.fft.rfftn(grid.node_values_to_box(field), s=fshape, axes=_BOX_AXES)
-                fhat *= attenuation_operator(grid, b).kernel_hat
+        fields = summed
+    acc = op = None
+    for c, b in enumerate(betas):
+        if b > 0.0:
+            op = attenuation_operator(grid, b)
+            fhat = _kernel_product(op, fields[c])
+            if out is not None:
+                out[c] = _inverse(op, fhat)
+            elif acc is None:
+                acc = fhat
+            else:
                 acc += fhat
-                del fhat  # before the next rate's transform
-        # In place, axis by axis as np.fft.irfftn takes it: its values, without
-        # holding two more transforms next to the sum.
-        for axis in _BOX_AXES[:-1]:
-            np.fft.ifft(acc, axis=axis, out=acc)
-        full = np.fft.irfft(acc, fshape[-1], axis=_BOX_AXES[-1])
-        return _crop(full, grid.box_shape).reshape(-1)[grid.flat_index]
-    out = np.zeros((C, M))
-    live = [c for c in range(C) if betas[c] > 0.0]
-    # ~16 bytes/complex sample; keep the batch under ~128 MB.
-    chunk = max(1, int((128 << 20) / (16 * np.prod(fshape))))
-    for lo in range(0, len(live), chunk):
-        sel = live[lo:lo + chunk]
-        boxes = np.zeros((len(sel),) + grid.box_shape)
-        boxes.reshape(len(sel), -1)[:, grid.flat_index] = fields[sel]
-        fhat = np.fft.rfftn(boxes, s=fshape, axes=_BOX_AXES)
-        for k, c in enumerate(sel):
-            fhat[k] *= attenuation_operator(grid, betas[c]).kernel_hat
-        crop = _crop(np.fft.irfftn(fhat, s=fshape, axes=_BOX_AXES), grid.box_shape)
-        out[sel] = crop.reshape(len(sel), -1)[:, grid.flat_index]
-    return out
+            del fhat  # before the next channel's transform
+    if out is not None:
+        return out
+    return np.zeros(grid.n_nodes) if acc is None else _inverse(op, acc)  # any op: one fshape
 
 
 def _node_index(grid: SpatialGrid, x) -> int:
@@ -637,10 +629,7 @@ def boundary_attenuation_nodes(
     """
     if g.is_isotropic:
         gj = g.spectral_values(spectral_grid.nodes)  # (J,)
-        if weights is None:
-            mass = np.stack([attenuation_operator(grid, r).row_mass() for r in rates], axis=1)
-        else:
-            mass = summed_row_masses(grid, rates)
+        mass = _row_masses(grid, rates) if weights is None else summed_row_masses(grid, rates)
         out = gj * (1.0 - mass)
     else:
         out = np.zeros((grid.n_nodes, spectral_grid.n_nodes))

@@ -475,6 +475,46 @@ def test_solve_grey_grid_misses_planck_peak_exit_code(tmp_path, capsys):
     assert tail["relative_tail"] <= cli.SPECTRAL_TAIL_LIMIT
 
 
+def test_solve_grid_emission_underflow_exit_code(tmp_path, capsys):
+    # Regression: at t_ref 1e7 the grid's emission at the boundary's 0.9
+    # underflows, so the boundary term is 0 and T = 0 at every node; with no
+    # positive node the head check read 0 and the run exited 0.  The check at
+    # the source's own temperature reports it.
+    cfg = _edited(BASE_EQ, {"boundary.temperature": 0.9, "grids.spectral.t_ref": 1e7})
+    cfg["output"] = {"dir": str(tmp_path / "out_uf"), "dump_field": False, "entropy": False}
+    assert cli.main(["--quiet", "solve", "--config", write_cfg(tmp_path, cfg)]) == 2
+    assert "grids.spectral.t_ref" in capsys.readouterr().err
+    tail = json.loads((tmp_path / "out_uf" / "report.json").read_text())["spectral_truncation"]
+    assert tail["t_max"] == 0.0
+    assert tail["relative_head_source"] > cli.SPECTRAL_HEAD_LIMIT
+    # A zero boundary on the same grid: T = 0 is the answer, and the run exits 0.
+    cfg["boundary"] = {"kind": "zero"}
+    assert cli.main(["--quiet", "solve", "--config", write_cfg(tmp_path, cfg, "zero.yaml")]) == 0
+
+
+def test_solve_coarse_ray_step_exit_code_names_key(tmp_path, capsys):
+    # At scattering 20 a ray step of 0.125 (beta * ray_h = 2.5) makes the
+    # Simpson sweep expand: the invariant violation (exit 3) names the key
+    # that sets the step and the optical depth of one step.
+    cfg = {
+        "domain": {"shape": "ball", "radius": 1.0},
+        "medium": {"absorption": 0.0, "scattering": 20.0},
+        "boundary": BEAM,
+        "grids": {
+            "spatial": {"h": 0.25},
+            "angular": {"n_polar": 4, "n_azimuth": 8},
+            "spectral": {"n_nodes": 8, "t_ref": 1.0},
+            "ray": {"h": 0.125},
+        },
+        "solver": {"mode": "scattering", "tol": 1.0e-8, "max_iter": 500},
+        "output": {"dir": str(tmp_path / "out_ray"), "dump_field": False, "entropy": False},
+    }
+    assert cli.main(["--quiet", "solve", "--config", write_cfg(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "internal invariant violation" in err
+    assert "grids.ray.h" in err and "max beta * ray_h is 2.5" in err
+
+
 def test_solve_non_convergence_exit_code(tmp_path):
     cfg = json.loads(json.dumps(BASE_EQ))
     cfg["output"]["dir"] = str(tmp_path / "out2")
