@@ -40,6 +40,11 @@ SPECTRAL_TAIL_LIMIT = 1e-8
 # 64-node grid at that temperature by at most this fraction of the reference:
 # beyond it the grid misses the Planck peak (t_ref far above the body).
 SPECTRAL_HEAD_LIMIT = 0.5
+# The largest kernel rate times h may not exceed this: in optically thicker
+# cells the lattice kernel loses its diffusion limit and T goes wrong with
+# exit 0.  Grey equilibrium at T 0.9, h 0.2: beta h 10 is 4.6e-6 off, 20 is
+# 6.7e-3 and 40 is 42 % off.
+BETA_H_LIMIT = 12.5
 
 
 class ConfigInvalid(ValueError):
@@ -398,6 +403,16 @@ def _spectral_tail(sol: Solution) -> dict | None:
             "head_limit": SPECTRAL_HEAD_LIMIT}
 
 
+def _max_beta_h(sol: Solution) -> float | None:
+    """h times the largest rate of the lattice kernel, alpha_a + alpha_s over the
+    spectral nodes; None for scattering runs, which determine no temperature."""
+    if sol.T is None:
+        return None
+    nus = sol.grids.spectral.nodes
+    rates = sol.medium.absorption(nus) + sol.medium.scattering(nus)
+    return float(np.max(rates)) * sol.grids.spatial.h
+
+
 def write_node_table(path: str, sol: Solution):
     grids = sol.grids
     centers = grids.spatial.centers
@@ -538,11 +553,13 @@ def cmd_solve(args) -> int:
     if cfg["output"].get("entropy", True):
         ent_report = entropy_mod.solution_entropy_report(sol)
     tail = _spectral_tail(sol)
+    beta_h = _max_beta_h(sol)
     report = {
         "config": cfg,
         "solver_report": sol.report.as_dict(),
         "entropy_report": ent_report.as_dict() if ent_report else None,
         "spectral_truncation": tail,
+        "max_beta_h": beta_h,
         "n_nodes": sol.grids.spatial.n_nodes,
         "n_angles": sol.grids.angular.n_nodes,
         "n_frequencies": sol.grids.spectral.n_nodes,
@@ -554,22 +571,30 @@ def cmd_solve(args) -> int:
         write_field_dump(os.path.join(outdir, "solution.rbf"), sol, cfg)
     if not args.quiet:
         print(f"[radbody] wrote {outdir}/nodes.csv and {outdir}/report.json")
-    head = "gets f(T) wrong by {:.3g} (against 64 nodes at T)"
-    faults = [] if tail is None else [
-        (tail["relative_tail"], SPECTRAL_TAIL_LIMIT, "cuts off {:.3g} of f(T)", "the hottest node",
-         tail["t_max"]),
-        (tail["relative_head"], SPECTRAL_HEAD_LIMIT, head, "the hottest node", tail["t_max"]),
-        (tail["relative_head_source"], SPECTRAL_HEAD_LIMIT, head,
-         "the boundary source's temperature", sol.source.temperature)]
-    fault = next((f for f in faults if f[0] > f[1]), None)
-    if fault is not None:
-        value, limit, what, where, t = fault
-        sgrid = sol.grids.spectral  # a T below its first node misses the Planck peak
+    sgrid, h = sol.grids.spectral, sol.grids.spatial.h
+
+    def grid_fault(value, limit, what, where, t):
+        # A T below the grid's first node misses the Planck peak.
         advice = ("lower it to about the body's temperatures" if t < sgrid.nodes[0]
                   else "raise it to at least the largest temperature")
-        print(f"error: the spectral grid on [{sgrid.nodes[0]:g}, {sgrid.nu_max:g}] "
-              f"{what.format(value)} at {where} (T = {t:.6g}), above {limit:g}; "
-              f"'grids.spectral.t_ref' sets the grid: {advice}", file=sys.stderr)
+        return (value, limit, f"the spectral grid on [{sgrid.nodes[0]:g}, {sgrid.nu_max:g}] "
+                f"{what.format(value)} at {where} (T = {t:.6g}), above {limit:g}; "
+                f"'grids.spectral.t_ref' sets the grid: {advice}")
+
+    head = "gets f(T) wrong by {:.3g} (against 64 nodes at T)"
+    faults = [] if tail is None else [
+        (beta_h, BETA_H_LIMIT, f"max beta * h is {beta_h:.3g}, above {BETA_H_LIMIT:g}: in cells "
+         f"this optically thick the lattice kernel loses its diffusion limit and T can be far "
+         f"off; divide 'grids.spatial.h' ({h:g}) by {beta_h / BETA_H_LIMIT:.3g} or more"),
+        grid_fault(tail["relative_tail"], SPECTRAL_TAIL_LIMIT, "cuts off {:.3g} of f(T)",
+                   "the hottest node", tail["t_max"]),
+        grid_fault(tail["relative_head"], SPECTRAL_HEAD_LIMIT, head, "the hottest node",
+                   tail["t_max"]),
+        grid_fault(tail["relative_head_source"], SPECTRAL_HEAD_LIMIT, head,
+                   "the boundary source's temperature", sol.source.temperature)]
+    fault = next((message for value, limit, message in faults if value > limit), None)
+    if fault is not None:
+        print(f"error: {fault}", file=sys.stderr)
         return 2
     return 0 if sol.report.status == "converged" else 2
 

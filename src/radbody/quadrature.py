@@ -7,7 +7,7 @@ immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
-import hashlib
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +46,25 @@ class SpectralGrid:
         return self.nodes.shape[0]
 
 
+def _read_only(*arrays):
+    """The arrays, made read-only: rules and grids are shared, never written."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1], ``(nodes, weights)``,
+    computed once per degree."""
+    return _read_only(*leggauss(n))
+
+
 def build_angular(n_polar: int, n_azimuth: int) -> AngularGrid:
     """Product rule: Gauss-Legendre in cos(theta) times uniform azimuth."""
     if n_polar < 2 or n_azimuth < 4:
         raise TooCoarse(f"need n_polar >= 2 and n_azimuth >= 4, got ({n_polar}, {n_azimuth})")
-    mu, wmu = leggauss(n_polar)
+    mu, wmu = gauss_legendre(n_polar)
     phi = (np.arange(n_azimuth) + 0.5) * (2.0 * np.pi / n_azimuth)
     sin_t = np.sqrt(1.0 - mu**2)
     nx = np.outer(sin_t, np.cos(phi)).ravel()
@@ -80,12 +94,11 @@ def build_spectral(T_ref: float, n_nodes: int) -> SpectralGrid:
     nodes_list, weights_list = [], []
     for p in range(n_panels):
         k = base + (1 if p < extra else 0)
-        gx, gw = leggauss(k)
+        gx, gw = gauss_legendre(k)
         a, b = edges[p], edges[p + 1]
         nodes_list.append(0.5 * (b - a) * gx + 0.5 * (a + b))
         weights_list.append(0.5 * (b - a) * gw)
-    nodes = np.concatenate(nodes_list)
-    weights = np.concatenate(weights_list)
+    nodes, weights = _read_only(np.concatenate(nodes_list), np.concatenate(weights_list))
     return SpectralGrid(nodes=nodes, weights=weights, nu_max=nu_max)
 
 
@@ -109,7 +122,7 @@ class SpatialGrid:
     inside: np.ndarray  # bool over the box
     centers: np.ndarray  # (M, 3)
     flat_index: np.ndarray  # (M,) flat box index per node
-    token: str  # fingerprint for kernel caches
+    token: str  # hex of h, origin, box shape and packed mask: the kernel caches' key
 
     @property
     def n_nodes(self) -> int:
@@ -204,9 +217,9 @@ def build_spatial(domain: ConvexDomain, h: float) -> SpatialGrid:
     inside = geometry.contains_many(domain, centers_box)
     flat_index = np.flatnonzero(inside.ravel())
     centers = centers_box.reshape(-1, 3)[flat_index]
-    token = hashlib.sha1(
-        np.array([h, *origin, *box_shape]).tobytes() + np.packbits(inside.ravel()).tobytes()
-    ).hexdigest()
+    # The fingerprint itself, not a digest of it: hashing would load OpenSSL.
+    token = (np.array([h, *origin, *box_shape]).tobytes()
+             + np.packbits(inside.ravel()).tobytes()).hex()
     return SpatialGrid(
         h=h,
         origin=origin,

@@ -26,13 +26,13 @@ from __future__ import annotations
 import itertools
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from radbody import geometry, spectral
 from radbody.geometry import ConvexDomain
-from radbody.quadrature import AngularGrid, SpatialGrid, SpectralGrid
+from radbody.quadrature import AngularGrid, SpatialGrid, SpectralGrid, gauss_legendre
 from radbody.spectral import AbsorptionProfile
 
 FOUR_PI = 4.0 * np.pi
@@ -188,9 +188,7 @@ def _cube_self_weight(beta: float, h: float) -> float:
     """
     global _SELF_WEIGHT_FACE
     if _SELF_WEIGHT_FACE is None:
-        from numpy.polynomial.legendre import leggauss
-
-        gx, gw = leggauss(48)
+        gx, gw = gauss_legendre(48)
         X, Y = np.meshgrid(gx, gx, indexing="ij")
         W = np.outer(gw, gw)
         _SELF_WEIGHT_FACE = (X, Y, W)
@@ -216,7 +214,84 @@ def _next_fast_len(n: int) -> int:
         m += 1
 
 
-def _stencil_parts(grid: SpatialGrid, beta: float):
+# Sign flips of the three axes other than the identity: the offsets mirrored
+# from the stencil's octant, and the reflections that ``RaySweeper`` shares
+# ray designs across.
+_MIRRORS = np.array(list(itertools.product((1, -1), repeat=3))[1:])
+
+
+@dataclass(frozen=True)
+class _StencilGeometry:
+    """The rate-independent parts of a grid's stencils (``_stencil_parts``).
+
+    ``far_r2`` (8, nx, ny, nz): r^2 from the origin to each two-point Gauss
+    point of every octant cell.  ``shells`` per near-field shell d with
+    entries: its octant offsets (K, 3) and r^2 at their subcell points
+    (K, a, a, a), with a = 2 max(2, ceil(NEAR_SUBDIV / 2d)) whatever h.
+    ``mirrored`` per shell, per sign flip with entries: the flipped sample
+    axes, the rows of the shell's offsets it mirrors, and their flat indices
+    in the full stencil.  Nothing keeps it beyond the stencils it serves: a
+    rate plan builds it once for all of its octants and hands its near-field
+    parts on to its nodes' operators (``_CHOSEN_OCTANTS``), and any other
+    stencil builds its own.
+    """
+
+    far_r2: np.ndarray
+    shells: tuple
+    mirrored: tuple
+
+
+def _stencil_geometry(grid: SpatialGrid) -> _StencilGeometry:
+    h = grid.h
+    shape = np.array(grid.box_shape)
+    gauss = 0.5 * h / np.sqrt(3.0)
+    kx, ky, kz = (np.arange(n) * h for n in shape)
+    far_r2 = np.empty((8, *grid.box_shape))
+    for r2, (sx, sy, sz) in zip(far_r2, itertools.product((-gauss, gauss), repeat=3)):
+        r2[...] = ((kx + sx)[:, None, None] ** 2 + (ky + sy)[None, :, None] ** 2
+                   + (kz + sz)[None, None, :] ** 2)
+    reach = np.minimum(NEAR_RANGE, shape - 1)
+    offsets = np.stack(np.meshgrid(*(np.arange(r + 1) for r in reach),
+                                   indexing="ij"), axis=-1).reshape(-1, 3)
+    cheb = np.max(offsets, axis=1)
+    shells, mirrored = [], []
+    for d in range(1, NEAR_RANGE + 1):
+        o = offsets[cheb == d]
+        if o.size == 0:
+            continue
+        q = max(2, int(np.ceil(NEAR_SUBDIV / (2 * d))))
+        cell = ((np.arange(q) + 0.5) / q - 0.5) * h
+        pts = (cell[:, None] + np.array([-1.0, 1.0]) * (h / (2 * q * np.sqrt(3.0)))).ravel()
+        p = o[:, :, None] * h + pts  # (K, 3, points per axis)
+        shells.append((o, p[:, 0, :, None, None] ** 2 + p[:, 1, None, :, None] ** 2
+                       + p[:, 2, None, None, :] ** 2))
+        flips = []
+        for signs in _MIRRORS:
+            neg = signs < 0
+            rows = np.flatnonzero(np.all(o[:, neg] > 0, axis=1))
+            if rows.size:
+                idx = shape - 1 + signs * o[rows]
+                flips.append((tuple(1 + np.flatnonzero(neg)), rows,
+                              np.ravel_multi_index(idx.T, 2 * shape - 1)))
+        mirrored.append(tuple(flips))
+    return _StencilGeometry(far_r2, tuple(shells), tuple(mirrored))
+
+
+def _near_samples(geom: _StencilGeometry, beta: float) -> list:
+    """Per near-field shell, e^{-beta r}/r^2 at its subcell points (K, a, a, a)."""
+    out = []
+    for _, rr2 in geom.shells:
+        # In place, to bound transient memory: the d = 1 shell holds
+        # 7 x 16^3 points.
+        kern = np.sqrt(rr2)
+        kern *= -beta
+        np.exp(kern, out=kern)
+        kern /= rr2
+        out.append(kern)
+    return out
+
+
+def _stencil_parts(grid: SpatialGrid, beta: float, geom: _StencilGeometry):
     """``(octant, near)``: the stencil of rate ``beta`` on the lattice offsets
     >= 0, shape ``box_shape``, and the near-field samples it was summed from.
 
@@ -225,76 +300,53 @@ def _stencil_parts(grid: SpatialGrid, beta: float):
     stencil.  Far field: tensor two-point Gauss rule per source cell (4th
     order).  Near field: composite two-point Gauss on subcells, the subcell
     count graded by the Chebyshev distance d of the offset; offsets beyond
-    the box extent (thin bodies) have no entry.  ``near`` holds per shell d
-    the octant offsets (K, 3) and their kernel samples (K, a, a, a).  Self
-    entry: the exact integral over the cubic cell (``_cube_self_weight``).
+    the box extent (thin bodies) have no entry.  ``near`` holds per shell
+    with entries the kernel samples (K, a, a, a) of its octant offsets.
+    Self entry: the exact integral over the cubic cell
+    (``_cube_self_weight``).  The distances come from ``geom``, the grid's
+    ``_stencil_geometry``: only the kernel and its sums depend on ``beta``.
     """
     h = grid.h
-    nx, ny, nz = grid.box_shape
-    gauss = 0.5 * h / np.sqrt(3.0)
-    kx, ky, kz = (np.arange(n) * h for n in (nx, ny, nz))
-    octant = np.zeros((nx, ny, nz))
-    for sx in (-gauss, gauss):
-        for sy in (-gauss, gauss):
-            for sz in (-gauss, gauss):
-                r2 = (
-                    (kx + sx)[:, None, None] ** 2
-                    + (ky + sy)[None, :, None] ** 2
-                    + (kz + sz)[None, None, :] ** 2
-                )
-                octant += np.exp(-beta * np.sqrt(r2)) / r2
+    octant = np.zeros(grid.box_shape)
+    for r2 in geom.far_r2:
+        octant += np.exp(-beta * np.sqrt(r2)) / r2
     octant *= beta / FOUR_PI * h**3 / 8.0
-    reach = np.minimum(NEAR_RANGE, np.array(grid.box_shape) - 1)
-    offsets = np.stack(np.meshgrid(*(np.arange(r + 1) for r in reach),
-                                   indexing="ij"), axis=-1).reshape(-1, 3)
-    cheb = np.max(offsets, axis=1)
-    near = []
-    for d in range(1, NEAR_RANGE + 1):
-        o = offsets[cheb == d]
-        q = max(2, int(np.ceil(NEAR_SUBDIV / (2 * d))))
-        cell = ((np.arange(q) + 0.5) / q - 0.5) * h
-        pts = (cell[:, None] + np.array([-1.0, 1.0]) * (h / (2 * q * np.sqrt(3.0)))).ravel()
-        p = o[:, :, None] * h + pts  # (K, 3, points per axis)
-        rr2 = (p[:, 0, :, None, None] ** 2 + p[:, 1, None, :, None] ** 2
-               + p[:, 2, None, None, :] ** 2)
-        # In place, to bound transient memory: the d = 1 shell holds
-        # 7 x 16^3 points.
-        kern = np.sqrt(rr2)
-        kern *= -beta
-        np.exp(kern, out=kern)
-        kern /= rr2
+    near = _near_samples(geom, beta)
+    for (o, _), kern in zip(geom.shells, near):
         octant[o[:, 0], o[:, 1], o[:, 2]] = beta / FOUR_PI * np.mean(kern, axis=(1, 2, 3)) * h**3
-        near.append((o, kern))
     octant[0, 0, 0] = _cube_self_weight(beta, h)
     return octant, near
 
 
-# Sign flips of the three axes other than the identity: the offsets mirrored
-# from the stencil's octant, and the reflections that ``RaySweeper`` shares
-# ray designs across.
-_MIRRORS = np.array(list(itertools.product((1, -1), repeat=3))[1:])
+# The last rate plan's nodes (``_plan_rates``), keyed by grid token and
+# rate, each with its octant and the near-field parts of the plan's
+# geometry: the first build of the node's stencil takes them.
+_CHOSEN_OCTANTS: dict = {}
 
 
 def attenuation_stencil(grid: SpatialGrid, beta: float) -> np.ndarray:
     """The stencil of rate ``beta`` over the lattice offsets, 2n - 1 per box
-    axis with offset 0 at n - 1: its octant (``_stencil_parts``) mirrored."""
-    octant, near = _stencil_parts(grid, beta)
+    axis with offset 0 at n - 1: its octant (``_stencil_parts``) mirrored.
+    A rate plan's node takes the plan's octant and evaluates only the
+    near-field samples of its mirrored entries."""
+    chosen = _CHOSEN_OCTANTS.pop((grid.token, beta), None)
+    if chosen is None:
+        geom = _stencil_geometry(grid)
+        octant, near = _stencil_parts(grid, beta, geom)
+    else:
+        octant, geom = chosen
+        near = _near_samples(geom, beta)
     stencil = octant[np.ix_(*(np.abs(np.arange(1 - n, n)) for n in grid.box_shape))]
     # A near-field entry with negative offset components has the samples
     # of its octant entry reversed along those axes (the subcell points
     # are symmetric to the last bit); summed in that order, it is the
     # value of a direct evaluation at the signed offset.
-    center = np.array(grid.box_shape) - 1
-    for o, kern in near:
-        for signs in _MIRRORS:
-            neg = signs < 0
-            sel = np.all(o[:, neg] > 0, axis=1)
-            if np.any(sel):
-                # Selecting rows copies them, in the mirrored order.
-                samples = np.flip(kern, axis=tuple(1 + np.flatnonzero(neg)))[sel]
-                idx = center + signs * o[sel]
-                stencil[idx[:, 0], idx[:, 1], idx[:, 2]] = (
-                    beta / FOUR_PI * np.mean(samples, axis=(1, 2, 3)) * grid.h**3)
+    flat = stencil.reshape(-1)
+    for flips, kern in zip(geom.mirrored, near):
+        for axes, rows, idx in flips:
+            # Selecting rows copies them, in the mirrored order.
+            samples = np.flip(kern, axis=axes)[rows]
+            flat[idx] = beta / FOUR_PI * np.mean(samples, axis=(1, 2, 3)) * grid.h**3
     return stencil
 
 
@@ -441,13 +493,16 @@ def _plan_rates(grid: SpatialGrid, rates: np.ndarray) -> RateInterpolation | Non
     search starts from a radial estimate: a far-field entry at distance
     r = h sqrt(n) is close to (h/4pi) beta e^{-beta r} / n, so interpolating
     that function of beta over the multiset of n predicts the bound with no
-    stencil evaluation.  Trials are evaluated as octants only; the chosen
-    nodes' operators are built when first applied.
+    stencil evaluation.  Every octant is evaluated on one
+    ``_stencil_geometry``, and the chosen nodes' octants wait with its
+    near-field parts in ``_CHOSEN_OCTANTS`` for their operators, built when
+    first applied: no rate's octant is evaluated twice.
     """
     nx, ny, nz = grid.box_shape
     ix, iy, iz = np.ogrid[:nx, :ny, :nz]
     mult = 2.0 ** ((ix > 0).astype(int) + (iy > 0) + (iz > 0))  # mirror images
-    exact = [_stencil_parts(grid, r)[0] for r in rates]
+    geom = _stencil_geometry(grid)
+    exact = [_stencil_parts(grid, r, geom)[0] for r in rates]
     n2 = (ix**2 + iy**2 + iz**2).ravel()
     density = np.bincount(n2, weights=mult.ravel() / np.maximum(n2, 1))
     shells = np.nonzero(density)[0][1:]  # without the self entry, n = 0
@@ -460,15 +515,15 @@ def _plan_rates(grid: SpatialGrid, rates: np.ndarray) -> RateInterpolation | Non
         return float(np.max(np.abs(_lagrange(nodes, sub).T @ g(nodes) - g(sub)) @ density))
 
     def trial(idx, k):
-        """(nodes, lagrange, Young bound) of k Chebyshev rates."""
+        """(nodes, lagrange, Young bound, octants) of k Chebyshev rates."""
         sub = rates[idx]
         nodes = _chebyshev_rates(sub[0], sub[-1], k)
         L = _lagrange(nodes, sub)
-        octants = np.stack([_stencil_parts(grid, b)[0] for b in nodes])
+        octants = np.stack([_stencil_parts(grid, b, geom)[0] for b in nodes])
         bound = max(float(np.sum(mult * np.abs(np.tensordot(L[:, c], octants, axes=1)
                                                - exact[r])))
                     for c, r in enumerate(idx))
-        return nodes, L, bound
+        return nodes, L, bound, octants
 
     def fit(idx):
         """The smallest passing trial on rates[idx] with fewer nodes than rates."""
@@ -491,7 +546,7 @@ def _plan_rates(grid: SpatialGrid, rates: np.ndarray) -> RateInterpolation | Non
         return None
 
     def pieces(idx):
-        """Interpolated or exact pieces (idx, nodes, lagrange, bound)."""
+        """Interpolated or exact pieces (idx, nodes, lagrange, bound, octants)."""
         if idx.size > 2:
             fitted = fit(idx)
             if fitted is not None:
@@ -500,15 +555,19 @@ def _plan_rates(grid: SpatialGrid, rates: np.ndarray) -> RateInterpolation | Non
             split = pieces(idx[rates[idx] <= mid]) + pieces(idx[rates[idx] > mid])
             if sum(p[1].size for p in split) < idx.size:
                 return split
-        return [(idx, rates[idx], np.eye(idx.size), 0.0)]
+        return [(idx, rates[idx], np.eye(idx.size), 0.0, [exact[r] for r in idx])]
 
     intervals = pieces(np.arange(rates.size))
     nodes = np.concatenate([p[1] for p in intervals])
     if nodes.size >= rates.size:
         return None
+    _CHOSEN_OCTANTS.clear()
+    near = replace(geom, far_r2=None)  # all that their operators read
+    _CHOSEN_OCTANTS.update(((grid.token, float(b)), (octant, near))
+                           for p in intervals for b, octant in zip(p[1], p[4]))
     lagrange = np.zeros((nodes.size, rates.size))
     row = 0
-    for idx, part_nodes, L, _ in intervals:
+    for idx, part_nodes, L, *_ in intervals:
         lagrange[row:row + part_nodes.size, idx] = L
         row += part_nodes.size
     return RateInterpolation(rates=rates, nodes=nodes, lagrange=lagrange,

@@ -369,13 +369,15 @@ from radbody import cli
 for cfg, out in zip(sys.argv[1:3], sys.argv[4:6]):
     assert cli.main(["--quiet", "solve", "--config", cfg, "--output", out]) == 0
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
+print(sorted(m for m in sys.modules if m in ("hashlib", "_hashlib")))
 print(cli.main(["--quiet", "solve", "--config", sys.argv[3], "--output", sys.argv[6]]))
 """
 
 
 def test_ray_free_solves_import_no_scipy(tmp_path):
     # Only the ray sweeps need scipy (scipy.sparse); a grey or spectral solve
-    # without the entropy report loads no scipy module at all.
+    # without the entropy report loads no scipy module at all, nor hashlib,
+    # whose _hashlib maps OpenSSL's libcrypto.
     small = _edited(BASE_EQ, {"grids.spatial.h": 0.25, "output.dump_field": False,
                               "output.entropy": False})
     cfgs = [small,
@@ -383,7 +385,7 @@ def test_ray_free_solves_import_no_scipy(tmp_path):
             _edited(small, {"output.entropy": True})]
     paths = [write_cfg(tmp_path, c, f"run{k}.yaml") for k, c in enumerate(cfgs)]
     outs = [str(tmp_path / f"out{k}") for k in range(len(cfgs))]
-    assert _run_python(IMPORT_PROBE, *paths, *outs) == ["[]", "0"]
+    assert _run_python(IMPORT_PROBE, *paths, *outs) == ["[]", "[]", "0"]
 
 
 def test_solve_reports_own_peak_rss(tmp_path):
@@ -513,6 +515,22 @@ def test_solve_coarse_ray_step_exit_code_names_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "internal invariant violation" in err
     assert "grids.ray.h" in err and "max beta * ray_h is 2.5" in err
+
+
+@pytest.mark.parametrize("alpha, code", [(200.0, 2), (100.0, 2), (50.0, 0)])
+def test_solve_thick_cells_exit_code(tmp_path, capsys, alpha, code):
+    # Regression: at alpha 200 and h 0.2 (beta h = 40) the lattice kernel has
+    # lost its diffusion limit; the solve stopped after 3 iterations with T
+    # 0.526-0.821 against the exact 0.9 and exited 0.  beta h 20 was 0.67 %
+    # off; beta h 10 is within 5e-6 and still runs.
+    cfg = _edited(BASE_EQ, {"medium.absorption": alpha, "boundary.temperature": 0.9,
+                            "grids.spectral.n_nodes": 16, "solver.tol": 1.0e-8})
+    cfg["output"] = {"dir": str(tmp_path / "out"), "dump_field": False, "entropy": False}
+    assert cli.main(["--quiet", "solve", "--config", write_cfg(tmp_path, cfg)]) == code
+    assert ("grids.spatial.h" in capsys.readouterr().err) == (code == 2)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["max_beta_h"] == pytest.approx(alpha * 0.2, rel=1e-12)
+    assert (report["max_beta_h"] > cli.BETA_H_LIMIT) == (code == 2)
 
 
 def test_solve_non_convergence_exit_code(tmp_path):

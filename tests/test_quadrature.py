@@ -59,6 +59,24 @@ def test_spectral_refinement_consistency():
     assert abs(v64 - v128) <= 1e-9 * abs(v128)
 
 
+def test_gauss_rules_computed_once_and_read_only(monkeypatch):
+    # Each degree's Gauss-Legendre rule is computed once and shared, so the
+    # rule and the spectral grids built from it are read-only.
+    calls = []
+    leggauss = quadrature.leggauss
+    monkeypatch.setattr(quadrature, "leggauss", lambda n: calls.append(n) or leggauss(n))
+    quadrature.gauss_legendre.cache_clear()
+    a, b = build_spectral(1.0, 32), build_spectral(1.0, 32)
+    assert calls == [8]  # four panels of eight nodes, twice
+    rule = quadrature.gauss_legendre(8)
+    assert rule is quadrature.gauss_legendre(8)
+    for x, y in zip((a.nodes, a.weights, *rule), (b.nodes, b.weights, *leggauss(8))):
+        assert np.array_equal(x, y)
+        assert not x.flags.writeable
+    build_angular(8, 16)
+    assert calls == [8]
+
+
 def test_spectral_too_coarse():
     with pytest.raises(TooCoarse):
         build_spectral(1.0, 7)

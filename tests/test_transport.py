@@ -437,6 +437,37 @@ def test_rate_plan_memory_peak(unit_ball, monkeypatch):
     assert not transport._OPERATOR_CACHE
 
 
+def test_rate_plan_setup_counted(unit_ball, monkeypatch):
+    # The plan builds the stencil geometry once and evaluates every distinct
+    # rate's octant and every trial node's octant once on it; the chosen
+    # nodes' operators take the plan's octants and geometry, so building
+    # them evaluates no octant again (the 10 chosen nodes were evaluated
+    # twice before, and every evaluation rebuilt its geometry).
+    grid = build_spatial(unit_ball, 0.125)
+    alphas = AbsorptionProfile.table(*RATE_TABLES["mild"])(build_spectral(1.0, 32).nodes)
+    for cache in ("_PLAN_CACHE", "_OPERATOR_CACHE"):
+        monkeypatch.setattr(transport, cache, OrderedDict())
+    monkeypatch.setattr(transport, "_CHOSEN_OCTANTS", {})
+    builds, evaluated = [], []
+    build, parts = transport._stencil_geometry, transport._stencil_parts
+    monkeypatch.setattr(transport, "_stencil_geometry",
+                        lambda g: builds.append(g.token) or build(g))
+    monkeypatch.setattr(transport, "_stencil_parts",
+                        lambda g, b, geom: evaluated.append(float(b)) or parts(g, b, geom))
+    first = transport.summed_row_masses(grid, alphas)
+    plan = transport.rate_interpolation(grid, alphas)
+    assert builds == [grid.token]
+    assert len(set(evaluated)) == len(evaluated)
+    assert set(np.unique(alphas).tolist()) <= set(evaluated)
+    assert set(plan.nodes.tolist()) <= set(evaluated)
+    assert len(evaluated) > np.unique(alphas).size + plan.nodes.size  # some trials failed
+    assert all((grid.token, b) in transport._OPERATOR_CACHE for b in plan.nodes.tolist())
+    assert not transport._CHOSEN_OCTANTS
+    count = len(evaluated)
+    assert np.array_equal(transport.summed_row_masses(grid, alphas), first)
+    assert len(evaluated) == count and builds == [grid.token]
+
+
 def _sample_reference(grid, box, points):
     """Eight-gather trilinear interpolation of a box array, clamped to the hull."""
     n = np.array(grid.box_shape)
