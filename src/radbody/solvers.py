@@ -370,14 +370,11 @@ def duhamel_theta(alpha_a, alpha_s, D: float):
 
 @dataclass
 class HCertificate:
-    """Accumulated absorption response and its a-priori geometric bound."""
+    """Angular integral of the absorption response and its a-priori geometric bound."""
 
-    values: np.ndarray  # (M, A, J)
     angular_integral: np.ndarray  # (M, J)
     terms_used: int
-    term_bounds: list
     theta_bound: np.ndarray  # (J,)
-    eps_trunc: float
 
 
 def compute_H(
@@ -410,7 +407,6 @@ def compute_H(
     H = term.copy()
     angint = sw.angle_integral(H)
     reach = 1.0 - np.exp(-beta * D)
-    term_bounds = [list(alphas_a / beta * reach)]
     terms = 1
     while terms < max_terms:
         next_bound = alphas_a * alphas_s**terms / beta ** (terms + 1) * reach ** (terms + 1)
@@ -422,16 +418,9 @@ def compute_H(
         if np.any(new_angint < angint - 1e-12):
             raise MonotonicityError("partial sums of the response series decreased")
         angint = new_angint
-        term_bounds.append([float(x) for x in next_bound])
         terms += 1
-    return HCertificate(
-        values=H,
-        angular_integral=angint,
-        terms_used=terms,
-        term_bounds=term_bounds,
-        theta_bound=duhamel_theta(alphas_a, alphas_s, D),
-        eps_trunc=eps_trunc,
-    )
+    return HCertificate(angular_integral=angint, terms_used=terms,
+                        theta_bound=duhamel_theta(alphas_a, alphas_s, D))
 
 
 # ---------------------------------------------------------------------------

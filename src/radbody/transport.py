@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -169,9 +169,6 @@ def _table(pairs, name: str):
 # Attenuated volume kernel on the lattice
 # ---------------------------------------------------------------------------
 
-_SELF_WEIGHT_FACE: tuple | None = None
-
-
 def _cube_self_weight(beta: float, h: float) -> float:
     """Self-cell weight: (beta/4pi) * integral of e^{-beta r}/r^2 over the
     cubic cell itself.
@@ -186,18 +183,11 @@ def _cube_self_weight(beta: float, h: float) -> float:
     The volume-equivalent-ball shortcut would leave a first-order mass
     defect on the cube; this form is exact to quadrature precision.
     """
-    global _SELF_WEIGHT_FACE
-    if _SELF_WEIGHT_FACE is None:
-        gx, gw = gauss_legendre(48)
-        X, Y = np.meshgrid(gx, gx, indexing="ij")
-        W = np.outer(gw, gw)
-        _SELF_WEIGHT_FACE = (X, Y, W)
-    X, Y, W = _SELF_WEIGHT_FACE
-    x = 0.5 * h * X  # face coordinates in [-h/2, h/2], Jacobian (h/2)^2
-    y = 0.5 * h * Y
-    R = np.sqrt(x * x + y * y + 0.25 * h * h)
+    gx, gw = gauss_legendre(48)
+    x = 0.5 * h * gx  # face coordinates in [-h/2, h/2], Jacobian (h/2)^2
+    R = np.sqrt(x[:, None] ** 2 + x[None, :] ** 2 + 0.25 * h * h)
     vals = -np.expm1(-beta * R) * (0.5 * h) / R**3
-    return 6.0 / FOUR_PI * (0.25 * h * h) * float(np.sum(W * vals))
+    return 6.0 / FOUR_PI * (0.25 * h * h) * float(np.sum(np.outer(gw, gw) * vals))
 
 
 def _next_fast_len(n: int) -> int:
@@ -214,9 +204,8 @@ def _next_fast_len(n: int) -> int:
         m += 1
 
 
-# Sign flips of the three axes other than the identity: the offsets mirrored
-# from the stencil's octant, and the reflections that ``RaySweeper`` shares
-# ray designs across.
+# Sign flips of the three axes other than the identity: the reflections
+# that ``RaySweeper`` shares ray designs across.
 _MIRRORS = np.array(list(itertools.product((1, -1), repeat=3))[1:])
 
 
@@ -228,17 +217,12 @@ class _StencilGeometry:
     point of every octant cell.  ``shells`` per near-field shell d with
     entries: its octant offsets (K, 3) and r^2 at their subcell points
     (K, a, a, a), with a = 2 max(2, ceil(NEAR_SUBDIV / 2d)) whatever h.
-    ``mirrored`` per shell, per sign flip with entries: the flipped sample
-    axes, the rows of the shell's offsets it mirrors, and their flat indices
-    in the full stencil.  Nothing keeps it beyond the stencils it serves: a
-    rate plan builds it once for all of its octants and hands its near-field
-    parts on to its nodes' operators (``_CHOSEN_OCTANTS``), and any other
-    stencil builds its own.
+    Nothing keeps it beyond the octants it serves: a rate plan builds it
+    once for all of its octants, and any other stencil builds its own.
     """
 
     far_r2: np.ndarray
     shells: tuple
-    mirrored: tuple
 
 
 def _stencil_geometry(grid: SpatialGrid) -> _StencilGeometry:
@@ -254,7 +238,7 @@ def _stencil_geometry(grid: SpatialGrid) -> _StencilGeometry:
     offsets = np.stack(np.meshgrid(*(np.arange(r + 1) for r in reach),
                                    indexing="ij"), axis=-1).reshape(-1, 3)
     cheb = np.max(offsets, axis=1)
-    shells, mirrored = [], []
+    shells = []
     for d in range(1, NEAR_RANGE + 1):
         o = offsets[cheb == d]
         if o.size == 0:
@@ -265,89 +249,53 @@ def _stencil_geometry(grid: SpatialGrid) -> _StencilGeometry:
         p = o[:, :, None] * h + pts  # (K, 3, points per axis)
         shells.append((o, p[:, 0, :, None, None] ** 2 + p[:, 1, None, :, None] ** 2
                        + p[:, 2, None, None, :] ** 2))
-        flips = []
-        for signs in _MIRRORS:
-            neg = signs < 0
-            rows = np.flatnonzero(np.all(o[:, neg] > 0, axis=1))
-            if rows.size:
-                idx = shape - 1 + signs * o[rows]
-                flips.append((tuple(1 + np.flatnonzero(neg)), rows,
-                              np.ravel_multi_index(idx.T, 2 * shape - 1)))
-        mirrored.append(tuple(flips))
-    return _StencilGeometry(far_r2, tuple(shells), tuple(mirrored))
+    return _StencilGeometry(far_r2, tuple(shells))
 
 
-def _near_samples(geom: _StencilGeometry, beta: float) -> list:
-    """Per near-field shell, e^{-beta r}/r^2 at its subcell points (K, a, a, a)."""
-    out = []
-    for _, rr2 in geom.shells:
-        # In place, to bound transient memory: the d = 1 shell holds
-        # 7 x 16^3 points.
-        kern = np.sqrt(rr2)
-        kern *= -beta
-        np.exp(kern, out=kern)
-        kern /= rr2
-        out.append(kern)
-    return out
+def _stencil_parts(grid: SpatialGrid, beta: float, geom: _StencilGeometry) -> np.ndarray:
+    """The octant of the stencil of rate ``beta``: its entries on the lattice
+    offsets >= 0, shape ``box_shape``.
 
-
-def _stencil_parts(grid: SpatialGrid, beta: float, geom: _StencilGeometry):
-    """``(octant, near)``: the stencil of rate ``beta`` on the lattice offsets
-    >= 0, shape ``box_shape``, and the near-field samples it was summed from.
-
-    Every quadrature point sits symmetrically in its cell, so each entry
-    depends on |offset| per axis only and the octant determines the full
-    stencil.  Far field: tensor two-point Gauss rule per source cell (4th
-    order).  Near field: composite two-point Gauss on subcells, the subcell
-    count graded by the Chebyshev distance d of the offset; offsets beyond
-    the box extent (thin bodies) have no entry.  ``near`` holds per shell
-    with entries the kernel samples (K, a, a, a) of its octant offsets.
-    Self entry: the exact integral over the cubic cell
-    (``_cube_self_weight``).  The distances come from ``geom``, the grid's
-    ``_stencil_geometry``: only the kernel and its sums depend on ``beta``.
+    The kernel depends on |x - y| only, so the octant determines the full
+    stencil (``attenuation_stencil``).  Far field: tensor two-point Gauss
+    rule per source cell (4th order).  Near field: composite two-point Gauss
+    on subcells, the subcell count graded by the Chebyshev distance d of the
+    offset; offsets beyond the box extent (thin bodies) have no entry.  Self
+    entry: the exact integral over the cubic cell (``_cube_self_weight``).
+    The distances come from ``geom``, the grid's ``_stencil_geometry``: only
+    the kernel and its sums depend on ``beta``.
     """
     h = grid.h
     octant = np.zeros(grid.box_shape)
     for r2 in geom.far_r2:
         octant += np.exp(-beta * np.sqrt(r2)) / r2
     octant *= beta / FOUR_PI * h**3 / 8.0
-    near = _near_samples(geom, beta)
-    for (o, _), kern in zip(geom.shells, near):
+    for o, rr2 in geom.shells:
+        # In place, to bound transient memory: the d = 1 shell holds
+        # 7 x 16^3 points.
+        kern = np.sqrt(rr2)
+        kern *= -beta
+        np.exp(kern, out=kern)
+        kern /= rr2
         octant[o[:, 0], o[:, 1], o[:, 2]] = beta / FOUR_PI * np.mean(kern, axis=(1, 2, 3)) * h**3
     octant[0, 0, 0] = _cube_self_weight(beta, h)
-    return octant, near
+    return octant
 
 
 # The last rate plan's nodes (``_plan_rates``), keyed by grid token and
-# rate, each with its octant and the near-field parts of the plan's
-# geometry: the first build of the node's stencil takes them.
+# rate, each with its octant: the first build of the node's stencil takes it.
 _CHOSEN_OCTANTS: dict = {}
 
 
 def attenuation_stencil(grid: SpatialGrid, beta: float) -> np.ndarray:
     """The stencil of rate ``beta`` over the lattice offsets, 2n - 1 per box
-    axis with offset 0 at n - 1: its octant (``_stencil_parts``) mirrored.
-    A rate plan's node takes the plan's octant and evaluates only the
-    near-field samples of its mirrored entries."""
-    chosen = _CHOSEN_OCTANTS.pop((grid.token, beta), None)
-    if chosen is None:
-        geom = _stencil_geometry(grid)
-        octant, near = _stencil_parts(grid, beta, geom)
-    else:
-        octant, geom = chosen
-        near = _near_samples(geom, beta)
-    stencil = octant[np.ix_(*(np.abs(np.arange(1 - n, n)) for n in grid.box_shape))]
-    # A near-field entry with negative offset components has the samples
-    # of its octant entry reversed along those axes (the subcell points
-    # are symmetric to the last bit); summed in that order, it is the
-    # value of a direct evaluation at the signed offset.
-    flat = stencil.reshape(-1)
-    for flips, kern in zip(geom.mirrored, near):
-        for axes, rows, idx in flips:
-            # Selecting rows copies them, in the mirrored order.
-            samples = np.flip(kern, axis=axes)[rows]
-            flat[idx] = beta / FOUR_PI * np.mean(samples, axis=(1, 2, 3)) * grid.h**3
-    return stencil
+    axis with offset 0 at n - 1: its octant (``_stencil_parts``) mirrored,
+    so it equals its own axis flips to the last bit.  A rate plan's node
+    takes the plan's octant and evaluates nothing."""
+    octant = _CHOSEN_OCTANTS.pop((grid.token, beta), None)
+    if octant is None:
+        octant = _stencil_parts(grid, beta, _stencil_geometry(grid))
+    return octant[np.ix_(*(np.abs(np.arange(1 - n, n)) for n in grid.box_shape))]
 
 
 class AttenuationOperator:
@@ -494,15 +442,15 @@ def _plan_rates(grid: SpatialGrid, rates: np.ndarray) -> RateInterpolation | Non
     r = h sqrt(n) is close to (h/4pi) beta e^{-beta r} / n, so interpolating
     that function of beta over the multiset of n predicts the bound with no
     stencil evaluation.  Every octant is evaluated on one
-    ``_stencil_geometry``, and the chosen nodes' octants wait with its
-    near-field parts in ``_CHOSEN_OCTANTS`` for their operators, built when
-    first applied: no rate's octant is evaluated twice.
+    ``_stencil_geometry``, and the chosen nodes' octants wait in
+    ``_CHOSEN_OCTANTS`` for their operators, built when first applied: no
+    rate's octant is evaluated twice.
     """
     nx, ny, nz = grid.box_shape
     ix, iy, iz = np.ogrid[:nx, :ny, :nz]
     mult = 2.0 ** ((ix > 0).astype(int) + (iy > 0) + (iz > 0))  # mirror images
     geom = _stencil_geometry(grid)
-    exact = [_stencil_parts(grid, r, geom)[0] for r in rates]
+    exact = [_stencil_parts(grid, r, geom) for r in rates]
     n2 = (ix**2 + iy**2 + iz**2).ravel()
     density = np.bincount(n2, weights=mult.ravel() / np.maximum(n2, 1))
     shells = np.nonzero(density)[0][1:]  # without the self entry, n = 0
@@ -519,7 +467,7 @@ def _plan_rates(grid: SpatialGrid, rates: np.ndarray) -> RateInterpolation | Non
         sub = rates[idx]
         nodes = _chebyshev_rates(sub[0], sub[-1], k)
         L = _lagrange(nodes, sub)
-        octants = np.stack([_stencil_parts(grid, b, geom)[0] for b in nodes])
+        octants = np.stack([_stencil_parts(grid, b, geom) for b in nodes])
         bound = max(float(np.sum(mult * np.abs(np.tensordot(L[:, c], octants, axes=1)
                                                - exact[r])))
                     for c, r in enumerate(idx))
@@ -562,8 +510,7 @@ def _plan_rates(grid: SpatialGrid, rates: np.ndarray) -> RateInterpolation | Non
     if nodes.size >= rates.size:
         return None
     _CHOSEN_OCTANTS.clear()
-    near = replace(geom, far_r2=None)  # all that their operators read
-    _CHOSEN_OCTANTS.update(((grid.token, float(b)), (octant, near))
+    _CHOSEN_OCTANTS.update(((grid.token, float(b)), octant)
                            for p in intervals for b, octant in zip(p[1], p[4]))
     lagrange = np.zeros((nodes.size, rates.size))
     row = 0

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from entropy_probe import max_entropy_probe
 from radbody import entropy, geometry, solvers, spectral, transport
 from radbody.geometry import ConvexDomain
 from radbody.quadrature import (
@@ -207,7 +208,7 @@ def test_criterion_08_entropy_nonnegativity(ball):
 
 
 def test_criterion_09_max_entropy_probe():
-    ok, margin = entropy.max_entropy_probe(10.0, T0, 100, seed=20260810, amplitude=0.1)
+    ok, margin = max_entropy_probe(10.0, T0, 100, seed=20260810, amplitude=0.1)
     _report(9, "max_entropy_probe_margin", margin, 0.0, ok and margin > 0.0, cmp=">")
 
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from radbody import entropy, geometry, solvers, spectral
+from entropy_probe import max_entropy_probe
 from radbody.entropy import (
     boundary_flows,
     entropy_density,
-    max_entropy_probe,
     production_density,
     solution_entropy_report,
 )

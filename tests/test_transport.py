@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from collections import OrderedDict
 
@@ -214,7 +215,8 @@ def test_fft_matches_direct_sum(unit_ball, ellipsoid_211):
 
 def _near_field_reference(grid, beta, near_range=transport.NEAR_RANGE,
                           near_subdiv=transport.NEAR_SUBDIV):
-    """Per-offset loop over the near-field entries that lie inside the stencil."""
+    """Per-offset loop over the near-field entries that lie inside the stencil,
+    each evaluated at its |offset| per axis: the kernel depends on |x - y| only."""
     h = grid.h
     n = np.array(grid.box_shape)
     out = {}
@@ -226,28 +228,43 @@ def _near_field_reference(grid, beta, near_range=transport.NEAR_RANGE,
         q = max(2, int(np.ceil(near_subdiv / (2 * dist))))
         cell = ((np.arange(q) + 0.5) / q - 0.5) * h
         pts = (cell[:, None] + np.array([-1.0, 1.0]) * (h / (2 * q * np.sqrt(3.0)))).ravel()
-        px = o[0] * h + pts[:, None, None]
-        py = o[1] * h + pts[None, :, None]
-        pz = o[2] * h + pts[None, None, :]
+        a = np.abs(o)
+        px = a[0] * h + pts[:, None, None]
+        py = a[1] * h + pts[None, :, None]
+        pz = a[2] * h + pts[None, None, :]
         rr2 = px**2 + py**2 + pz**2
         val = np.mean(np.exp(-beta * np.sqrt(rr2)) / rr2)
         out[tuple(n - 1 + o)] = beta / transport.FOUR_PI * val * h**3
     return out
 
 
-def test_near_field_matches_loop_reference(unit_ball, ellipsoid_211):
-    # The stencil evaluates the near-field samples on the octant of offsets
-    # >= 0 only and sums each signed offset's mirrored samples in the loop's
-    # order, so every entry is the loop's to the last bit.
+def _near_field_grids(unit_ball, ellipsoid_211):
     thin = build_spatial(thin_ellipsoid(), 0.125)
     assert min(np.array(thin.box_shape) - 1) < transport.NEAR_RANGE
-    for grid in (build_spatial(unit_ball, 0.125), build_spatial(ellipsoid_211, 0.25), thin):
+    return build_spatial(unit_ball, 0.125), build_spatial(ellipsoid_211, 0.25), thin
+
+
+def test_near_field_matches_loop_reference(unit_ball, ellipsoid_211):
+    # The stencil evaluates the near-field samples on the octant of offsets
+    # >= 0 in the loop's order, so every entry is the loop's to the last bit.
+    for grid in _near_field_grids(unit_ball, ellipsoid_211):
         for beta in (0.3, 1.7, 20.0):
             stencil = transport.attenuation_stencil(grid, beta)
             ref = _near_field_reference(grid, beta)
             assert len(ref) > 0
             for index, value in ref.items():
                 assert stencil[index] == value
+
+
+def test_stencil_equals_its_axis_flips(unit_ball, ellipsoid_211):
+    # The stencil is its octant mirrored, so I - K is symmetric to the last
+    # bit on every grid.
+    flips = [axes for k in (1, 2, 3) for axes in itertools.combinations(range(3), k)]
+    for grid in _near_field_grids(unit_ball, ellipsoid_211):
+        for beta in (0.3, 1.7, 20.0):
+            stencil = transport.attenuation_stencil(grid, beta)
+            for axes in flips:
+                assert np.array_equal(stencil, np.flip(stencil, axes)), (beta, axes)
 
 
 def _far_field_reference(grid, beta):
