@@ -80,85 +80,102 @@ def production_density(nu, T, I, kappa, B_T=None):
     if np.any(I_arr < 0.0):
         raise NegativeIntensity("production_density requires I >= 0")
     BT = spectral.planck(nu_arr, T_arr) if B_T is None else B_T
+    # Two full-size buffers: the result, which starts as 1/T_nu, and B(T) - I.
+    out = np.empty(np.broadcast_shapes(nu_arr.shape, T_arr.shape, I_arr.shape,
+                                       kappa_arr.shape, np.shape(BT)))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inv_Tnu = 1.0 / (nu_arr / np.log1p(2.0 * nu_arr**3 / I_arr))
-        out = kappa_arr * (inv_Tnu - 1.0 / T_arr) * (BT - I_arr)
-    # Off the live set (T > 0 and a finite 1/T_nu) the value is 0, except
-    # emission into exact vacuum (I = 0, T > 0), whose limit diverges.
-    live = (T_arr > 0.0) & np.isfinite(inv_Tnu)
+        np.divide(2.0 * nu_arr**3, I_arr, out=out)
+        np.log1p(out, out=out)
+        np.divide(nu_arr, out, out=out)
+        np.divide(1.0, out, out=out)
+        # Off the live set (T > 0 and a finite 1/T_nu) the value is 0, except
+        # emission into exact vacuum (I = 0, T > 0), whose limit diverges.
+        live = (T_arr > 0.0) & np.isfinite(out)
+        np.subtract(out, 1.0 / T_arr, out=out)
+        np.multiply(kappa_arr, out, out=out)
+        out *= np.subtract(BT, I_arr)
     if not np.all(live):
         vacuum = (T_arr > 0.0) & (I_arr == 0.0) & (kappa_arr > 0.0)
-        out = np.where(live, out, np.where(vacuum, np.inf, 0.0))
+        np.copyto(out, np.where(vacuum, np.inf, 0.0), where=~live)
     if np.isscalar(nu) and np.isscalar(T) and np.isscalar(I) and np.isscalar(kappa):
         return float(out)
     return out
 
 
-def boundary_flows(radiance, surface_weights: np.ndarray, normals: np.ndarray,
-                   angular, spectral_grid) -> dict:
+def boundary_flows(ent: np.ndarray, rad: np.ndarray, surface_weights: np.ndarray,
+                   normals: np.ndarray, angular) -> dict:
     """Entropy and radiation flows through the boundary.
 
-    ``radiance`` yields, for directions 0, 1, ... of ``angular`` in turn, the
-    radiance (S, J) at the S surface nodes and the frequencies, so that no
-    more than one direction's is held.  Outgoing/incoming split by the sign
-    of n . n_x; incoming integrals keep their negative sign.
+    ``ent`` and ``rad`` (S, A) hold, per surface node and direction of
+    ``angular``, the entropy density and the radiance summed over
+    frequency.  Outgoing/incoming split by the sign of n . n_x; incoming
+    integrals keep their negative sign.
     """
     mu = normals @ angular.nodes.T  # (S, A)
     flux_w = surface_weights[:, None] * angular.weights[None, :] * mu  # (S, A)
     out_mask = mu > 0.0
-    ent = np.empty(mu.shape)
-    rad = np.empty(mu.shape)
-    for i, I_i in enumerate(radiance):
-        ent[:, i] = np.einsum("kj,j->k", entropy_density(spectral_grid.nodes, I_i),
-                              spectral_grid.weights)
-        rad[:, i] = np.einsum("kj,j->k", I_i, spectral_grid.weights)
-    phi_out = float(np.sum(flux_w[out_mask] * ent[out_mask]))
-    phi_in = float(np.sum(flux_w[~out_mask] * ent[~out_mask]))
-    i_out = float(np.sum(flux_w[out_mask] * rad[out_mask]))
-    i_in = float(np.sum(flux_w[~out_mask] * rad[~out_mask]))
-    return {"phi_out": phi_out, "phi_in": phi_in, "i_out": i_out, "i_in": i_in}
+    return {"phi_out": float(np.sum(flux_w[out_mask] * ent[out_mask])),
+            "phi_in": float(np.sum(flux_w[~out_mask] * ent[~out_mask])),
+            "i_out": float(np.sum(flux_w[out_mask] * rad[out_mask])),
+            "i_in": float(np.sum(flux_w[~out_mask] * rad[~out_mask]))}
+
+
+def _interior_terms(solution, i: int, B: np.ndarray):
+    """Direction i's production, its least pointwise value and its absorption
+    per node: ``(sum_j q_j sigma_j dV, min sigma, sum_j q_j alpha_j I_ij)``."""
+    sgrid = solution.grids.spectral
+    alphas_a = solution.angular_sweep.alphas_a
+    I_i = solution.interior_radiance(i)
+    absorbed = I_i @ (sgrid.weights * alphas_a)
+    dens = production_density(sgrid.nodes[None, :], solution.T[:, None], I_i,
+                              alphas_a[None, :], B_T=B)
+    least = float(np.min(dens))
+    dens *= sgrid.weights
+    return float(np.sum(dens) * solution.grids.spatial.cell_volume), least, absorbed
 
 
 def solution_entropy_report(solution) -> EntropyReport:
     """Full entropy accounting of a converged solve, on the solve's own grids.
 
-    Streams over directions through the solution's ``AngularSweep``: interior
-    radiance is reconstructed one direction at a time, in its rays' orbit
-    order, for the production integral, and boundary radiance one direction
-    at a time, on the surface quadrature that the angular grid induces.
+    One pass over the directions of the solution's ``AngularSweep``, in its
+    rays' orbit order, so that each orbit's ray data is built once: per
+    direction the interior radiance gives the production and absorption
+    integrals, and the boundary radiance, on the surface quadrature that the
+    angular grid induces, the entropy and radiation flows.  No more than one
+    direction's radiance is held at a time.
     """
     grids = solution.grids
     grid, angular, sgrid = grids.spatial, grids.angular, grids.spectral
     sw = solution.angular_sweep
     alphas_a = sw.alphas_a
+    interior = solution.T is not None and np.max(alphas_a) > 0.0
     production = 0.0
-    min_pointwise = np.inf
+    min_pointwise = np.inf if interior else 0.0
     residual_term = 0.0
-    if solution.T is not None and np.max(alphas_a) > 0.0:
+    if interior:
         T = solution.T
         B = spectral.planck(sgrid.nodes, T[:, None])  # (M, J), shared by every direction
         absorbed = np.zeros(grid.n_nodes)
-        for i in sw.rays.orbit_order():
-            I_i = solution.interior_radiance(i)
-            dens = production_density(sgrid.nodes[None, :], T[:, None], I_i,
-                                      alphas_a[None, :], B_T=B)
-            min_pointwise = min(min_pointwise, float(np.min(dens)))
-            production += angular.weights[i] * float(
-                np.sum(sgrid.weights * dens) * grid.cell_volume
-            )
-            absorbed += angular.weights[i] * (I_i @ (sgrid.weights * alphas_a))
+    pts, wts, normals = geometry.surface_quadrature(solution.domain, angular.nodes,
+                                                    angular.weights)
+    ent = np.empty((pts.shape[0], angular.n_nodes))
+    rad = np.empty(ent.shape)
+    for i in sw.rays.orbit_order():
+        if interior:
+            prod_i, least, absorbed_i = _interior_terms(solution, i, B)
+            min_pointwise = min(min_pointwise, least)
+            production += angular.weights[i] * prod_i
+            absorbed += angular.weights[i] * absorbed_i
+        I_b = solution.boundary_radiance(i, pts, normals)
+        ent[:, i] = np.einsum("kj,j->k", entropy_density(sgrid.nodes, I_b), sgrid.weights)
+        rad[:, i] = np.einsum("kj,j->k", I_b, sgrid.weights)
+    if interior:
         emission = FOUR_PI * np.sum(sgrid.weights * alphas_a * B, axis=1)
         live = T > 0.0
         residual_term = float(
             np.sum((emission[live] - absorbed[live]) / T[live]) * grid.cell_volume
         )
-    else:
-        min_pointwise = 0.0
-
-    pts, wts, normals = geometry.surface_quadrature(solution.domain, angular.nodes,
-                                                    angular.weights)
-    flows = boundary_flows((solution.boundary_radiance(i, pts, normals)
-                            for i in range(angular.n_nodes)), wts, normals, angular, sgrid)
+    flows = boundary_flows(ent, rad, wts, normals, angular)
     return EntropyReport(
         production_volume_integral=production,
         min_pointwise_production=min_pointwise,

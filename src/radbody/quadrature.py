@@ -8,6 +8,8 @@ immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import functools
+import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,40 +134,33 @@ class SpatialGrid:
     def cell_volume(self) -> float:
         return self.h**3
 
-    def node_values_to_box(self, values: np.ndarray, outside: float = 0.0) -> np.ndarray:
-        """Scatter node values into the bounding box (outside cells filled)."""
+    def node_values_to_box(self, values: np.ndarray) -> np.ndarray:
+        """Scatter node values into the bounding box (outside cells 0)."""
         values = np.asarray(values, dtype=float)
-        box = np.full(self.box_shape + values.shape[1:], outside)
+        box = np.zeros(self.box_shape + values.shape[1:])
         box.reshape(-1, *values.shape[1:])[self.flat_index] = values
         return box
 
-    def embed(self, values: np.ndarray, halo_passes: int = 3) -> np.ndarray:
+    def embed(self, values: np.ndarray) -> np.ndarray:
         """Box array of node values with a nearest-neighbor halo outside.
 
         Ray samples clamped to the node hull read the halo; averaging
-        neighbor values never overshoots the range of interior values.
+        neighbor values never overshoots the range of interior values.  Each
+        of the ``HALO_PASSES`` passes fills the cells next to the known ones
+        with the mean of their known face neighbors (``_halo_plan``); cells
+        still unknown after the last pass hold 0.
         """
-        box = self.node_values_to_box(values, outside=np.nan)
-        for _ in range(halo_passes):
-            hole = np.isnan(box)
-            if not np.any(hole):
-                break
-            acc = np.zeros(box.shape)
-            counts = np.zeros(box.shape)
-            for axis in range(3):
-                for shift in (1, -1):
-                    rolled = np.roll(box, shift, axis=axis)
-                    # Blank the wrapped slab so the fill never crosses the box.
-                    sl = [slice(None)] * 3
-                    sl[axis] = slice(0, 1) if shift == 1 else slice(-1, None)
-                    rolled[tuple(sl)] = np.nan
-                    good = ~np.isnan(rolled)
-                    acc[good] += rolled[good]
-                    counts += good
-            fill = hole & (counts > 0)
-            box[fill] = acc[fill] / counts[fill]
-        box[np.isnan(box)] = 0.0
-        return box
+        values = np.asarray(values, dtype=float)
+        tail = values.shape[1:]
+        # One zero cell past the box stands for every absent neighbor.
+        flat = np.zeros((self.inside.size + 1,) + tail)
+        flat[self.flat_index] = values
+        for cells, neighbors, counts in _halo_plan(self):
+            acc = np.zeros((cells.size,) + tail)
+            for nb in neighbors:
+                acc += flat[nb]
+            flat[cells] = acc / counts.reshape((-1,) + (1,) * len(tail))
+        return flat[:-1].reshape(self.box_shape + tail)
 
     def sample(self, points: np.ndarray):
         """Trilinear stencils at points (P, 3): ``(indices, weights)``, each (P, 8).
@@ -189,6 +184,58 @@ class SpatialGrid:
         tt = np.stack([1.0 - t, t])  # (2, 3, P)
         weights = tt[:, None, None, 0] * tt[None, :, None, 1] * tt[None, None, :, 2]
         return np.ascontiguousarray(indices.T), np.ascontiguousarray(weights.reshape(8, -1).T)
+
+
+# Passes of the halo that ``SpatialGrid.embed`` puts around the nodes.
+HALO_PASSES = 3
+
+# Halo plans by grid token, most recently built last.
+_HALO_PLANS: OrderedDict = OrderedDict()
+_HALO_PLANS_MAX = 8
+
+
+def _halo_plan(grid: SpatialGrid) -> tuple:
+    """Per halo pass ``(cells, neighbors, counts)``, built at a grid's first
+    ``embed`` and cached by its token.
+
+    ``cells`` (F,) are the flat box indices of the cells the pass fills: the
+    unknown cells with a known face neighbor, where the nodes are known and a
+    pass makes its cells known.  ``neighbors`` (6, F) holds their face
+    neighbors in the order (axis 0, -1), (axis 0, +1), (axis 1, -1), ...,
+    with ``grid.inside.size``, a zero cell past the box, where the neighbor
+    is unknown or off the box; ``counts`` (F,) is the number of known
+    neighbors, as a float.  The zero cell adds exact zeros, so summing all
+    six from 0 gives, bit for bit, the sum of the known neighbors alone.
+    """
+    plan = _HALO_PLANS.get(grid.token)
+    if plan is not None:
+        return plan
+    size = grid.inside.size
+    index = np.arange(size).reshape(grid.box_shape)
+    known = grid.inside.copy()
+    plan = []
+    for _ in range(HALO_PASSES):
+        neighbors = np.full((6,) + grid.box_shape, size)
+        for nb, (axis, step) in zip(neighbors, itertools.product(range(3), (-1, 1))):
+            cut = [slice(None)] * 3
+            cut[axis] = slice(1, None) if step < 0 else slice(None, -1)
+            here = tuple(cut)
+            cut[axis] = slice(None, -1) if step < 0 else slice(1, None)
+            there = tuple(cut)
+            nb[here] = np.where(known[there], index[there], size)
+        counts = np.count_nonzero(neighbors < size, axis=0)
+        fill = ~known & (counts > 0)
+        if not np.any(fill):
+            break
+        cells = np.flatnonzero(fill)
+        plan.append((cells, neighbors.reshape(6, -1)[:, cells],
+                     counts.reshape(-1)[cells].astype(float)))
+        known |= fill
+    plan = tuple(plan)
+    _HALO_PLANS[grid.token] = plan
+    while len(_HALO_PLANS) > _HALO_PLANS_MAX:
+        _HALO_PLANS.popitem(last=False)
+    return plan
 
 
 def check_spacing(domain: ConvexDomain, h: float):

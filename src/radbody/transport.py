@@ -654,6 +654,29 @@ def boundary_attenuation_nodes(
 # ---------------------------------------------------------------------------
 
 
+# Rays per block of a summed operator (``RaySweeper._summed_operator``) and
+# samples per call of ``SpatialGrid.sample`` in a design (``RaySweeper._ray_design``).
+RAY_BLOCK = 512
+SAMPLE_BLOCK = 4096
+
+
+def _match_points(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray | None:
+    """``perm`` with every ``a[k]`` within ``tol`` of ``b[perm[k]]``, or None.
+
+    Points are paired by sorting on a generic projection, O(n log n): two
+    points whose keys nearly tie may be paired wrongly, which returns None.
+    """
+    if a.shape != b.shape:
+        return None
+    probe = np.array([1.0, np.sqrt(2.0), np.pi])
+    ka, kb = np.argsort(a @ probe, kind="stable"), np.argsort(b @ probe, kind="stable")
+    if a.size and np.max(np.abs(a[ka] - b[kb])) > tol:
+        return None
+    perm = np.empty(ka.size, dtype=int)
+    perm[ka] = kb
+    return perm
+
+
 def _mirror_orbits(grid: SpatialGrid, angular: AngularGrid):
     """Orbits of the directions under the reflections of the lattice.
 
@@ -667,11 +690,6 @@ def _mirror_orbits(grid: SpatialGrid, angular: AngularGrid):
     ``order`` lists the directions orbit by orbit, each representative first.
     """
     nodes = angular.nodes
-    # Nodes are matched by sorting on a generic projection, O(A log A): two
-    # nodes whose keys nearly tie may be paired wrongly, which fails the
-    # check below and only drops that flip from the group.
-    probe = np.array([1.0, np.sqrt(2.0), np.pi])
-    by_key = np.argsort(nodes @ probe, kind="stable")
     node_of = np.full(grid.inside.shape, -1)
     node_of.reshape(-1)[grid.flat_index] = np.arange(grid.n_nodes)
     group = []
@@ -679,13 +697,9 @@ def _mirror_orbits(grid: SpatialGrid, angular: AngularGrid):
         axes = tuple(int(a) for a in np.flatnonzero(signs < 0))
         if not np.array_equal(np.flip(grid.inside, axes), grid.inside):
             continue
-        flipped = nodes * signs
-        f_key = np.argsort(flipped @ probe, kind="stable")
-        if np.max(np.abs(nodes[by_key] - flipped[f_key])) > geometry.UNIT_TOL:
-            continue
-        image = np.empty(nodes.shape[0], dtype=int)
-        image[f_key] = by_key  # nodes[image[i]] is nodes[i] flipped
-        group.append((image, (axes, np.flip(node_of, axes).reshape(-1)[grid.flat_index])))
+        image = _match_points(nodes * signs, nodes, geometry.UNIT_TOL)
+        if image is not None:  # nodes[image[i]] is nodes[i] flipped
+            group.append((image, (axes, np.flip(node_of, axes).reshape(-1)[grid.flat_index])))
     rep = np.full(nodes.shape[0], -1)
     mirror = [None] * nodes.shape[0]
     for i in range(nodes.shape[0]):
@@ -718,9 +732,10 @@ class RaySweeper:
     flipped source box, with its nodes permuted.  A direction with no
     mirror partner is its own orbit.  Designs are cached per representative
     up to a memory budget.  What was built for the last representative
-    asked for (its lengths, its design if uncached, and its operator at a
-    rate that every channel shares) is held until another one is asked for,
-    so a sweep in ``orbit_order`` builds each once per orbit.
+    asked for (its lengths, its design if uncached, its operator at a rate
+    that every channel shares, and its boundary chords' design) is held
+    until another one is asked for, so a sweep in ``orbit_order`` builds
+    each once per orbit.
     """
 
     def __init__(self, domain: ConvexDomain, grid: SpatialGrid, angular: AngularGrid,
@@ -787,10 +802,10 @@ class RaySweeper:
         Returns ``(s, starts, (corners, corner_w), base_w, depth)``: the
         lengths, the first sample of each ray, the trilinear stencils of the
         samples (``SpatialGrid.sample``), and per sample its Simpson weight
-        and distance to the ray's end.
+        and distance to the ray's end.  The stencils are taken
+        ``SAMPLE_BLOCK`` samples at a time, which bounds the working set.
         """
-        n_int = np.maximum(np.ceil(s / self.ray_h).astype(int), 2)
-        n_int += n_int % 2
+        n_int = _simpson_intervals(s, self.ray_h)
         counts = n_int + 1
         starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
         k = np.arange(int(np.sum(counts))) - np.repeat(starts, counts)
@@ -801,23 +816,52 @@ class RaySweeper:
         coeff[starts] = coeff[starts + n_int] = 1.0
         base_w = coeff * s_of / (3.0 * nn)
         depth = s_of - s_of * (k / nn)
-        # Sample positions per axis, (3, P), handed over as a (P, 3) view.
-        pos = end_points.T[:, np.repeat(np.arange(s.size), counts)] - direction[:, None] * depth
-        return s, starts, self.grid.sample(pos.T), base_w, depth
+        ray = np.repeat(np.arange(s.size), counts)
+        corners = np.empty((depth.size, 8), dtype=np.int32)
+        corner_w = np.empty((depth.size, 8))
+        for a in range(0, depth.size, SAMPLE_BLOCK):
+            b = a + SAMPLE_BLOCK
+            # Sample positions per axis, (3, B), handed over as a (B, 3) view.
+            pos = end_points.T[:, ray[a:b]] - direction[:, None] * depth[a:b]
+            corners[a:b], corner_w[a:b] = self.grid.sample(pos.T)
+        return s, starts, (corners, corner_w), base_w, depth
 
-    def _operator(self, design, rate: float):
-        """The sweep of a design at one decay rate as a sparse (rays, N_box)
-        matrix  W = R diag(base_w e^{-rate depth}) G,  with G the trilinear
-        stencils of the samples and R the sum over each ray's samples, built
-        in CSR form straight from the stencils: one row per ray holding its
-        samples' corners, repeated corner columns unsummed."""
+    def _operator(self, design, rate: float, lo: int = 0, hi: int | None = None):
+        """The sweep of a design's rays ``lo:hi`` (all by default) at one decay
+        rate as a sparse (rays, N_box) matrix  W = R diag(base_w e^{-rate depth}) G,
+        with G the trilinear stencils of the samples and R the sum over each
+        ray's samples, built in CSR form straight from the stencils: one row
+        per ray holding its samples' corners, repeated corner columns unsummed."""
         from scipy import sparse
 
         s, starts, (corners, corner_w), base_w, depth = design
-        data = corner_w * (base_w * np.exp(-rate * depth))[:, None]
-        return sparse.csr_matrix((data.reshape(-1), corners.reshape(-1),
-                                  8 * np.append(starts, base_w.size)),
-                                 shape=(s.size, self.grid.inside.size))
+        hi = s.size if hi is None else min(hi, s.size)
+        a, b = starts[lo], starts[hi] if hi < s.size else base_w.size
+        data = corner_w[a:b] * (base_w[a:b] * np.exp(-rate * depth[a:b]))[:, None]
+        return sparse.csr_matrix((data.reshape(-1), corners[a:b].reshape(-1),
+                                  8 * (np.append(starts[lo:hi], b) - a)),
+                                 shape=(hi - lo, self.grid.inside.size))
+
+    def _summed_operator(self, design, rate: float):
+        """``_operator`` with the repeated corners of each row summed (which
+        cuts the nonzeros by two fifths to two thirds), each row's columns
+        in increasing order.
+
+        Blocks of ``RAY_BLOCK`` rays are summed in CSC form, where each
+        column lists its rows in order, so that each entry adds its
+        duplicates in sample order; each block returns to CSR and the blocks
+        are stacked, so neither the full raw matrix nor a copy of it is ever
+        held.  A CSR product adds a row's terms in increasing column order,
+        as a CSC product does.
+        """
+        from scipy import sparse
+
+        blocks = []
+        for lo in range(0, design[0].size, RAY_BLOCK):
+            W = self._operator(design, rate, lo, lo + RAY_BLOCK).tocsc()
+            W.sum_duplicates()
+            blocks.append(W.tocsr())
+        return sparse.vstack(blocks, format="csr")
 
     def _integrate(self, operator, rays: int, box: np.ndarray, rates):
         """Per-ray integral of exp(-rate depth) * source over ``rays`` rays:
@@ -846,18 +890,14 @@ class RaySweeper:
         uniq = np.unique(rates)
         if uniq.size == 1:
             if held.get("rate") != uniq[0]:
-                # Held for the orbit, so an uncached design is let go first.
-                W = self._operator(self._design(r, held), uniq[0])
+                # The operator is held for the orbit, so an uncached design
+                # is let go as soon as it exists.  Summing the repeated
+                # corners costs about 20 one-column products: it pays when
+                # the orbit reuses the operator on several channels.
+                build = (self._summed_operator if held["images"]
+                         and box.size > self.grid.inside.size else self._operator)
+                held.update(rate=uniq[0], W=build(self._design(r, held), uniq[0]))
                 held.pop("design", None)
-                if held["images"] and box.size > self.grid.inside.size:
-                    # Summing the repeated corners of each row cuts the
-                    # nonzeros by a half to two thirds, at the cost of about
-                    # 20 one-column products: it pays when the orbit reuses
-                    # the operator on several channels.  In CSC form each
-                    # column lists its rows in order, so no sort is needed.
-                    W = W.tocsc()
-                    W.sum_duplicates()
-                held.update(rate=uniq[0], W=W)
             operator = lambda u: held["W"]
         else:
             design = self._design(r, held)
@@ -900,13 +940,45 @@ class RaySweeper:
         """Formal solution at boundary points where direction i leaves the body.
 
         Each ray starts on the boundary and spans the full chord ending at
-        its point; returns (points, C).
+        its point; returns (points, C).  A direction with no flip from its
+        orbit representative builds its chords' design and holds it for the
+        orbit.  Another direction of the orbit reads the held design on its
+        flipped source box, as ``line_integrals`` reads the rays from the
+        nodes, when its points, mirrored, are the held ones (up to order,
+        within ``geometry.UNIT_TOL`` of the diameter) and its own chords get
+        the same Simpson counts; otherwise it builds its own.
         """
+        r, mirror, held = self._orbit(i)
         n = self.angular.nodes[i]
         chords = geometry.boundary_chord(self.domain, points, n)
-        design = self._ray_design(points, chords, n)
+        perm = None
+        if mirror is not None and "chord" in held:
+            axes = list(mirror[0])
+            c = self.domain.center[axes]
+            frame = points.copy()
+            frame[:, axes] = c - (points[:, axes] - c)
+            held_points, held_chords, design = held["chord"]
+            perm = _match_points(frame, held_points,
+                                 geometry.UNIT_TOL * geometry.diameter(self.domain))
+            if perm is not None and np.array_equal(_simpson_intervals(chords, self.ray_h),
+                                                   _simpson_intervals(held_chords, self.ray_h)[perm]):
+                box, chords = np.flip(box, mirror[0]), held_chords
+            else:
+                perm = None
+        if perm is None:
+            design = self._ray_design(points, chords, n)
+            if mirror is None:
+                held["chord"] = (points, chords, design)
         contrib = self._integrate(lambda u: self._operator(design, u), chords.size, box, rates)
-        return _attenuated(g, chords, rates) + contrib
+        out = _attenuated(g, chords, rates) + contrib
+        return out if perm is None else out[perm]
+
+
+def _simpson_intervals(s: np.ndarray, ray_h: float) -> np.ndarray:
+    """Simpson intervals per ray of length s: the least even number >= 2
+    that keeps them at most ``ray_h`` long."""
+    n_int = np.maximum(np.ceil(s / ray_h).astype(int), 2)
+    return n_int + n_int % 2
 
 
 def _attenuated(g, s: np.ndarray, rates, weight: float = 1.0) -> np.ndarray:

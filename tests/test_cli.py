@@ -586,19 +586,34 @@ def test_dump_round_trip(tmp_path):
 def test_node_table_and_entropy_report_share_one_sweep(tmp_path, monkeypatch, edits, built):
     # The node table's residual and the entropy report rebuild radiance with
     # the solution's one AngularSweep; the grey run's kernel residual builds
-    # the only other ray sweeper, for its anisotropic boundary term.
+    # the only other ray sweeper, for its anisotropic boundary term.  The
+    # report's one pass builds one chord design per mirror orbit, and one
+    # node design where it integrates the production (not in pure
+    # scattering, which has no temperature): 8 for the 4 orbits of the 4x8
+    # grid, where a chord design per direction made 36.
     cfg = _edited(BASE_EQ, {"grids.spatial.h": 0.25, "boundary": BEAM, **edits})
     sol = cli.run_solver(cli.load_config(write_cfg(tmp_path, cfg)), quiet=True)
     init, built_now = transport.RaySweeper.__init__, []
+    ray_design, designs = transport.RaySweeper._ray_design, []
 
     def counting_init(self, *args, **kwargs):
         built_now.append(self)
         init(self, *args, **kwargs)
 
+    def counting_design(self, *args):
+        designs.append(args[0].shape[0])
+        return ray_design(self, *args)
+
     monkeypatch.setattr(transport.RaySweeper, "__init__", counting_init)
+    monkeypatch.setattr(transport.RaySweeper, "_ray_design", counting_design)
     cli.write_node_table(str(tmp_path / "nodes.csv"), sol)
+    designs.clear()
     entropy.solution_entropy_report(sol)
     assert len(built_now) == built
+    orbits = np.unique(sol.angular_sweep.rays._mirror_orbits()[0]).size
+    nodes = orbits if sol.T is not None else 0
+    assert orbits == 4 and len(designs) == orbits + nodes
+    assert designs.count(sol.grids.spatial.n_nodes) == nodes
 
 
 def test_validate_passes(capsys):

@@ -129,6 +129,50 @@ def _interpolate(grid, points, box):
         (points.shape[0],) + box.shape[3:])
 
 
+def _embed_reference(grid, values):
+    """``SpatialGrid.embed`` as NaN-marked holes filled by rolled copies of
+    the whole box, one masked sum per face neighbor and pass."""
+    box = np.full(grid.box_shape + values.shape[1:], np.nan)
+    box.reshape(-1, *values.shape[1:])[grid.flat_index] = values
+    for _ in range(quadrature.HALO_PASSES):
+        hole = np.isnan(box)
+        if not np.any(hole):
+            break
+        acc = np.zeros(box.shape)
+        counts = np.zeros(box.shape)
+        for axis in range(3):
+            for shift in (1, -1):
+                rolled = np.roll(box, shift, axis=axis)
+                # Blank the wrapped slab so the fill never crosses the box.
+                sl = [slice(None)] * 3
+                sl[axis] = slice(0, 1) if shift == 1 else slice(-1, None)
+                rolled[tuple(sl)] = np.nan
+                good = ~np.isnan(rolled)
+                acc[good] += rolled[good]
+                counts += good
+        fill = hole & (counts > 0)
+        box[fill] = acc[fill] / counts[fill]
+    box[np.isnan(box)] = 0.0
+    return box
+
+
+def test_embed_matches_reference(unit_ball, ellipsoid_211):
+    # The halo plan's gathers add the same neighbors in the same order as
+    # the masked sums: equal to the last bit, for every value shape.
+    rng = np.random.default_rng(17)
+    off_centre = geometry.ConvexDomain.ball([0.13, -0.21, 0.07], 1.0)
+    for domain in (unit_ball, off_centre, ellipsoid_211):
+        for h in (0.25, 0.15, 1 / 6, 0.1):
+            grid = build_spatial(domain, h)
+            for tail in ((), (3,), (32,)):
+                values = rng.normal(size=(grid.n_nodes,) + tail)
+                box = grid.embed(values)
+                assert box.shape == grid.box_shape + tail
+                assert np.array_equal(box, _embed_reference(grid, values))
+            # One plan per grid, kept under its token.
+            assert quadrature._halo_plan(build_spatial(domain, h)) is quadrature._halo_plan(grid)
+
+
 def test_embed_and_sample(unit_ball):
     g = build_spatial(unit_ball, 0.125)
     rng = np.random.default_rng(0)
