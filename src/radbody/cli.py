@@ -78,19 +78,20 @@ _DEFAULTS = {
 def _merge(defaults, user, path=""):
     if not isinstance(user, dict):
         raise ConfigInvalid(f"config key '{path or '<root>'}' must be a mapping")
+    prefix = f"{path}." if path else ""
     out = {}
     for key, dval in defaults.items():
         if key in user:
             uval = user[key]
             if isinstance(dval, dict) and key != "boundary":
-                out[key] = _merge(dval, uval, f"{path}{key}.")
+                out[key] = _merge(dval, uval, prefix + key)
             else:
                 out[key] = uval
         else:
             out[key] = dval
     for key in user:
         if key not in defaults:
-            raise ConfigInvalid(f"unknown config key '{path}{key}'")
+            raise ConfigInvalid(f"unknown config key '{prefix}{key}'")
     return out
 
 

@@ -138,10 +138,11 @@ def solution_entropy_report(solution) -> EntropyReport:
     """Full entropy accounting of a converged solve, on the solve's own grids.
 
     One pass over the directions of the solution's ``AngularSweep``, in its
-    rays' orbit order, so that each orbit's ray data is built once: per
-    direction the interior radiance gives the production and absorption
-    integrals, and the boundary radiance, on the surface quadrature that the
-    angular grid induces, the entropy and radiation flows.  No more than one
+    rays' orbit order, so that each orbit's node design and summed sweep are
+    built once: per direction the interior radiance gives the production and
+    absorption integrals, and the boundary radiance, on the surface
+    quadrature that the angular grid induces and from the direction's own
+    chord design, the entropy and radiation flows.  No more than one
     direction's radiance is held at a time.
     """
     grids = solution.grids

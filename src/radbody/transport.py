@@ -654,9 +654,7 @@ def boundary_attenuation_nodes(
 # ---------------------------------------------------------------------------
 
 
-# Rays per block of a summed operator (``RaySweeper._summed_operator``) and
-# samples per call of ``SpatialGrid.sample`` in a design (``RaySweeper._ray_design``).
-RAY_BLOCK = 512
+# Samples per call of ``SpatialGrid.sample`` in a design (``RaySweeper._ray_design``).
 SAMPLE_BLOCK = 4096
 
 
@@ -666,8 +664,6 @@ def _match_points(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray | None
     Points are paired by sorting on a generic projection, O(n log n): two
     points whose keys nearly tie may be paired wrongly, which returns None.
     """
-    if a.shape != b.shape:
-        return None
     probe = np.array([1.0, np.sqrt(2.0), np.pi])
     ka, kb = np.argsort(a @ probe, kind="stable"), np.argsort(b @ probe, kind="stable")
     if a.size and np.max(np.abs(a[ka] - b[kb])) > tol:
@@ -721,21 +717,24 @@ class RaySweeper:
 
     one value per channel with its own decay rate.  The integral uses
     uniform Simpson nodes xi on [0, s]; sources are box arrays read through
-    the grid's trilinear stencils (``SpatialGrid.sample``).
+    the grid's trilinear stencils (``SpatialGrid.sample``).  A set of rays
+    is a design: its samples' stencils form the rate-free (samples, N_box)
+    matrix G, and ``_weights`` gives R_u, the (rays, samples) matrix of
+    Simpson weight times e^{-u depth}, so that a channel f at rate u sums to
+    R_u G f along the rays.
 
     Rays from the nodes are static across iterations and shared across
     mirror images: the directions fall into orbits under the sign flips of
     the axes that map the lattice and the angular nodes onto themselves
     (``_mirror_orbits``, found at the first sweep), and a direction reads
-    its orbit representative's path lengths and design (Simpson weights,
-    depths and the stencils of the samples) through its flip, on the
-    flipped source box, with its nodes permuted.  A direction with no
-    mirror partner is its own orbit.  Designs are cached per representative
-    up to a memory budget.  What was built for the last representative
-    asked for (its lengths, its design if uncached, its operator at a rate
-    that every channel shares, and its boundary chords' design) is held
-    until another one is asked for, so a sweep in ``orbit_order`` builds
-    each once per orbit.
+    its orbit representative's path lengths and design through its flip,
+    on the flipped source box, with its nodes permuted.  A direction with
+    no mirror partner is its own orbit.  Designs are cached per
+    representative up to a memory budget.  What was built for the last
+    representative asked for (its lengths, its design if uncached, and its
+    summed sweep R_u G at a rate that every channel shares) is held until
+    another one is asked for, so a sweep in ``orbit_order`` builds each once
+    per orbit.  Boundary chords build a design per direction.
     """
 
     def __init__(self, domain: ConvexDomain, grid: SpatialGrid, angular: AngularGrid,
@@ -765,7 +764,7 @@ class RaySweeper:
         rep, mirror, _ = self._mirror_orbits()
         r = int(rep[i])
         if self._held.get("rep") != r:
-            self._held = {"rep": r, "images": int(np.count_nonzero(rep == r)) - 1}
+            self._held = {"rep": r}
         return r, mirror[i], self._held
 
     def _lengths(self, r: int, held: dict) -> np.ndarray:
@@ -787,8 +786,8 @@ class RaySweeper:
             return design
         design = self._ray_design(self.grid.centers, self._lengths(r, held),
                                   self.angular.nodes[r])
-        s, starts, (corners, corner_w), base_w, depth = design
-        nbytes = sum(a.nbytes for a in (s, starts, corners, corner_w, base_w, depth))
+        s, starts, G, base_w, depth = design
+        nbytes = sum(a.nbytes for a in (s, starts, G.data, G.indices, G.indptr, base_w, depth))
         if self._cache_used + nbytes <= self._cache_budget:
             self._cache[r] = design
             self._cache_used += nbytes
@@ -799,13 +798,18 @@ class RaySweeper:
     def _ray_design(self, end_points: np.ndarray, s: np.ndarray, direction: np.ndarray):
         """Simpson samples of the rays of lengths ``s`` ending at ``end_points``.
 
-        Returns ``(s, starts, (corners, corner_w), base_w, depth)``: the
-        lengths, the first sample of each ray, the trilinear stencils of the
-        samples (``SpatialGrid.sample``), and per sample its Simpson weight
-        and distance to the ray's end.  The stencils are taken
-        ``SAMPLE_BLOCK`` samples at a time, which bounds the working set.
+        Returns ``(s, starts, G, base_w, depth)``: the lengths, the first
+        sample of each ray, the trilinear stencils of the samples
+        (``SpatialGrid.sample``) as a sparse (samples, N_box) CSR matrix, and
+        per sample its Simpson weight and distance to the ray's end.  The
+        stencils are taken ``SAMPLE_BLOCK`` samples at a time, which bounds
+        the working set.
         """
-        n_int = _simpson_intervals(s, self.ray_h)
+        from scipy import sparse
+
+        # The least even number >= 2 of Simpson intervals at most ray_h long.
+        n_int = np.maximum(np.ceil(s / self.ray_h).astype(int), 2)
+        n_int += n_int % 2
         counts = n_int + 1
         starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
         k = np.arange(int(np.sum(counts))) - np.repeat(starts, counts)
@@ -824,61 +828,38 @@ class RaySweeper:
             # Sample positions per axis, (3, B), handed over as a (B, 3) view.
             pos = end_points.T[:, ray[a:b]] - direction[:, None] * depth[a:b]
             corners[a:b], corner_w[a:b] = self.grid.sample(pos.T)
-        return s, starts, (corners, corner_w), base_w, depth
+        G = sparse.csr_matrix((corner_w.reshape(-1), corners.reshape(-1),
+                               np.arange(0, corners.size + 1, 8)),
+                              shape=(depth.size, self.grid.inside.size))
+        return s, starts, G, base_w, depth
 
-    def _operator(self, design, rate: float, lo: int = 0, hi: int | None = None):
-        """The sweep of a design's rays ``lo:hi`` (all by default) at one decay
-        rate as a sparse (rays, N_box) matrix  W = R diag(base_w e^{-rate depth}) G,
-        with G the trilinear stencils of the samples and R the sum over each
-        ray's samples, built in CSR form straight from the stencils: one row
-        per ray holding its samples' corners, repeated corner columns unsummed."""
+    def _weights(self, design, u: float):
+        """R_u: the sparse (rays, samples) CSR matrix of each ray's samples'
+        Simpson weights times e^{-u depth}, so that R_u G sums a design's
+        rays at decay rate u."""
         from scipy import sparse
 
-        s, starts, (corners, corner_w), base_w, depth = design
-        hi = s.size if hi is None else min(hi, s.size)
-        a, b = starts[lo], starts[hi] if hi < s.size else base_w.size
-        data = corner_w[a:b] * (base_w[a:b] * np.exp(-rate * depth[a:b]))[:, None]
-        return sparse.csr_matrix((data.reshape(-1), corners[a:b].reshape(-1),
-                                  8 * (np.append(starts[lo:hi], b) - a)),
-                                 shape=(hi - lo, self.grid.inside.size))
+        s, starts, _, base_w, depth = design
+        return sparse.csr_matrix((base_w * np.exp(-u * depth), np.arange(base_w.size),
+                                  np.append(starts, base_w.size)),
+                                 shape=(s.size, base_w.size))
 
-    def _summed_operator(self, design, rate: float):
-        """``_operator`` with the repeated corners of each row summed (which
-        cuts the nonzeros by two fifths to two thirds), each row's columns
-        in increasing order.
-
-        Blocks of ``RAY_BLOCK`` rays are summed in CSC form, where each
-        column lists its rows in order, so that each entry adds its
-        duplicates in sample order; each block returns to CSR and the blocks
-        are stacked, so neither the full raw matrix nor a copy of it is ever
-        held.  A CSR product adds a row's terms in increasing column order,
-        as a CSC product does.
-        """
-        from scipy import sparse
-
-        blocks = []
-        for lo in range(0, design[0].size, RAY_BLOCK):
-            W = self._operator(design, rate, lo, lo + RAY_BLOCK).tocsc()
-            W.sum_duplicates()
-            blocks.append(W.tocsr())
-        return sparse.vstack(blocks, format="csr")
-
-    def _integrate(self, operator, rays: int, box: np.ndarray, rates):
-        """Per-ray integral of exp(-rate depth) * source over ``rays`` rays:
-        ``operator(u)``, the sweep W_u at rate u (``_operator``), applied to
-        the box.  Channels sharing a rate share one product."""
+    def _integrate(self, design, box: np.ndarray, rates):
+        """Per-ray integral of exp(-rate depth) * source over a design's rays:
+        R_u G f for the channels f of the box at each rate u, as (R_u G) f
+        where several channels share u (the sparse product sums each ray's
+        repeated corners) and as R_u (G f) for a single channel."""
+        G = design[2]
         flat_box = box.reshape(self.grid.inside.size, -1)
         rates_arr = np.broadcast_to(np.asarray(rates, dtype=float), flat_box.shape[1:])
         uniq = np.unique(rates_arr)
-        if uniq.size == 1:  # one product over the whole box, no column copies
-            contrib = operator(uniq[0]) @ flat_box
-        else:
-            contrib = np.empty((rays, flat_box.shape[1]))
-            for u in uniq:
-                contrib[:, rates_arr == u] = operator(u) @ flat_box[:, rates_arr == u]
-        if np.ndim(rates) == 0:
-            return contrib[:, 0]
-        return contrib
+        contrib = np.empty((design[0].size, flat_box.shape[1]))
+        for u in uniq:
+            cols = rates_arr == u if uniq.size > 1 else slice(None)  # one rate: no column copies
+            f = flat_box[:, cols]
+            R = self._weights(design, u)
+            contrib[:, cols] = (R @ G) @ f if f.shape[1] > 1 else R @ (G @ f)
+        return contrib[:, 0] if np.ndim(rates) == 0 else contrib
 
     def line_integrals(self, i: int, box: np.ndarray, rates: np.ndarray):
         """Per-node integral of exp(-rate (s - xi)) * source(xi) per channel.
@@ -887,26 +868,23 @@ class RaySweeper:
         decay rate per channel.  Returns ``(values (M, C) or (M,), s (M,))``.
         """
         r, mirror, held = self._orbit(i)
+        if mirror is not None:
+            box = np.flip(box, mirror[0])
         uniq = np.unique(rates)
         if uniq.size == 1:
             if held.get("rate") != uniq[0]:
-                # The operator is held for the orbit, so an uncached design
-                # is let go as soon as it exists.  Summing the repeated
-                # corners costs about 20 one-column products: it pays when
-                # the orbit reuses the operator on several channels.
-                build = (self._summed_operator if held["images"]
-                         and box.size > self.grid.inside.size else self._operator)
-                held.update(rate=uniq[0], W=build(self._design(r, held), uniq[0]))
+                # Held for the orbit, so an uncached design is let go as
+                # soon as the summed sweep exists.
+                design = self._design(r, held)
+                held.update(rate=uniq[0], W=self._weights(design, uniq[0]) @ design[2])
                 held.pop("design", None)
-            operator = lambda u: held["W"]
+            contrib = held["W"] @ box.reshape((self.grid.inside.size,) + box.shape[3:])
         else:
-            design = self._design(r, held)
-            operator = lambda u: self._operator(design, u)
+            contrib = self._integrate(self._design(r, held), box, rates)
         s = self._lengths(r, held)
         if mirror is None:
-            return self._integrate(operator, s.size, box, rates), s
-        axes, perm = mirror
-        return self._integrate(operator, s.size, np.flip(box, axes), rates)[perm], s[perm]
+            return contrib, s
+        return contrib[mirror[1]], s[mirror[1]]
 
     def radiance(self, i: int, box: np.ndarray, rates: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Formal solution at every node for direction i, (M, C).
@@ -940,45 +918,12 @@ class RaySweeper:
         """Formal solution at boundary points where direction i leaves the body.
 
         Each ray starts on the boundary and spans the full chord ending at
-        its point; returns (points, C).  A direction with no flip from its
-        orbit representative builds its chords' design and holds it for the
-        orbit.  Another direction of the orbit reads the held design on its
-        flipped source box, as ``line_integrals`` reads the rays from the
-        nodes, when its points, mirrored, are the held ones (up to order,
-        within ``geometry.UNIT_TOL`` of the diameter) and its own chords get
-        the same Simpson counts; otherwise it builds its own.
+        its point; returns (points, C).
         """
-        r, mirror, held = self._orbit(i)
         n = self.angular.nodes[i]
         chords = geometry.boundary_chord(self.domain, points, n)
-        perm = None
-        if mirror is not None and "chord" in held:
-            axes = list(mirror[0])
-            c = self.domain.center[axes]
-            frame = points.copy()
-            frame[:, axes] = c - (points[:, axes] - c)
-            held_points, held_chords, design = held["chord"]
-            perm = _match_points(frame, held_points,
-                                 geometry.UNIT_TOL * geometry.diameter(self.domain))
-            if perm is not None and np.array_equal(_simpson_intervals(chords, self.ray_h),
-                                                   _simpson_intervals(held_chords, self.ray_h)[perm]):
-                box, chords = np.flip(box, mirror[0]), held_chords
-            else:
-                perm = None
-        if perm is None:
-            design = self._ray_design(points, chords, n)
-            if mirror is None:
-                held["chord"] = (points, chords, design)
-        contrib = self._integrate(lambda u: self._operator(design, u), chords.size, box, rates)
-        out = _attenuated(g, chords, rates) + contrib
-        return out if perm is None else out[perm]
-
-
-def _simpson_intervals(s: np.ndarray, ray_h: float) -> np.ndarray:
-    """Simpson intervals per ray of length s: the least even number >= 2
-    that keeps them at most ``ray_h`` long."""
-    n_int = np.maximum(np.ceil(s / ray_h).astype(int), 2)
-    return n_int + n_int % 2
+        contrib = self._integrate(self._ray_design(points, chords, n), box, rates)
+        return _attenuated(g, chords, rates) + contrib
 
 
 def _attenuated(g, s: np.ndarray, rates, weight: float = 1.0) -> np.ndarray:

@@ -258,6 +258,7 @@ def _edited(cfg, edits):
      "medium.kernel.phase_table"),
     ({"grids.spatial.h": 1.0}, "grids.spatial.h"),
     ({"grids.spectral.t_ref": 1e308}, "grids.spectral.t_ref"),
+    ({"grids.ray": None}, "grids.ray"),
 ])
 def test_solve_bad_config_value_rejected(tmp_path, capsys, edits, key):
     # Regression: each of these used to run on (to a wrong answer or to the
@@ -587,10 +588,9 @@ def test_node_table_and_entropy_report_share_one_sweep(tmp_path, monkeypatch, ed
     # The node table's residual and the entropy report rebuild radiance with
     # the solution's one AngularSweep; the grey run's kernel residual builds
     # the only other ray sweeper, for its anisotropic boundary term.  The
-    # report's one pass builds one chord design per mirror orbit, and one
-    # node design where it integrates the production (not in pure
-    # scattering, which has no temperature): 8 for the 4 orbits of the 4x8
-    # grid, where a chord design per direction made 36.
+    # report's one pass builds one chord design per direction, and one node
+    # design per mirror orbit where it integrates the production (not in
+    # pure scattering, which has no temperature): 36 on the 4x8 grid.
     cfg = _edited(BASE_EQ, {"grids.spatial.h": 0.25, "boundary": BEAM, **edits})
     sol = cli.run_solver(cli.load_config(write_cfg(tmp_path, cfg)), quiet=True)
     init, built_now = transport.RaySweeper.__init__, []
@@ -612,7 +612,7 @@ def test_node_table_and_entropy_report_share_one_sweep(tmp_path, monkeypatch, ed
     assert len(built_now) == built
     orbits = np.unique(sol.angular_sweep.rays._mirror_orbits()[0]).size
     nodes = orbits if sol.T is not None else 0
-    assert orbits == 4 and len(designs) == orbits + nodes
+    assert orbits == 4 and len(designs) == sol.grids.angular.n_nodes + nodes
     assert designs.count(sol.grids.spatial.n_nodes) == nodes
 
 

@@ -252,8 +252,7 @@ def _report_reference(solution):
         if np.any(outgoing):
             chords = geometry.boundary_chord(solution.domain, pts[outgoing], n)
             design = rays._ray_design(pts[outgoing], chords, n)
-            contrib = rays._integrate(lambda u: rays._operator(design, u), chords.size,
-                                      solution.source_box_for_angle(i), sw.beta)
+            contrib = rays._integrate(design, solution.source_box_for_angle(i), sw.beta)
             I_b[outgoing] = transport._attenuated(g, chords, sw.beta) + contrib
         ent[:, i] = entropy_density(sgrid.nodes, I_b) @ sgrid.weights
         rad[:, i] = I_b @ sgrid.weights
@@ -283,10 +282,8 @@ ELLIPSOID = geometry.ConvexDomain.ellipsoid([0.0, 0.0, 0.0], [2.0, 1.0, 1.0])
     "grey-ball", "grey-off-centre", "grey-off-centre-mirrored", "grey-ellipsoid",
     "spectral-mild", "scattering"])
 def test_streaming_report_matches_two_pass_reference(unit_ball, case):
-    # One pass in orbit order, with each orbit's chords built once and read
-    # through the flips, gives every field of the two-pass report to 1e-13.
-    # Off the origin the mirrored points round differently, and a chord of
-    # one case there sits within rounding of a Simpson count boundary.  The
+    # One pass in orbit order, with each orbit's node design read through
+    # the flips, gives every field of the two-pass report to 1e-13.  The
     # beam is one-sided and off every axis, so that no flip maps the source
     # onto itself and a box read without its flip shows.
     beam = BoundarySource.tabulated(
@@ -306,7 +303,7 @@ def test_streaming_report_matches_two_pass_reference(unit_ball, case):
                      "grey-off-centre-mirrored": {(1,), (2,), (1, 2)},
                      "grey-ellipsoid": {(1,), (2,), (1, 2)}}.get(case, flips)
     if case == "spectral-mild":
-        # 16 distinct rates: the many-rate operators of the interior sweep.
+        # 16 distinct rates: one R_u per rate in the interior sweep.
         med = MediumSpec(AbsorptionProfile.table([0.01, 5.0, 60.0], [1.25, 1.0, 0.75]),
                          AbsorptionProfile.constant(0.0))
         w, T, report = solvers.solve_spectral(domain, med.absorption, beam, grids, tol=1e-9)
@@ -334,9 +331,8 @@ def test_streaming_report_matches_two_pass_reference(unit_ball, case):
 
 def test_entropy_report_memory_peak(unit_ball, two_sided_beam):
     # Grey beam at h = 0.125 with 32 frequencies: the report's traced peak
-    # stays within 6 source boxes.  It measures 4.9 here, set by one
-    # orbit's design and its summed operator; holding the full raw matrix
-    # with its CSC copy, or filling the halo with rolled boxes, reads 7.2.
+    # stays within 6 source boxes.  It measures 4.7 here, set by one
+    # orbit's design and its summed sweep R_u G.
     grids = Grids(build_spatial(unit_ball, 0.125), build_angular(4, 8),
                   build_spectral(1.0, 32), ray_h=0.125)
     sol = _grey_solution(unit_ball, grids, two_sided_beam)

@@ -612,6 +612,22 @@ def test_line_integrals_same_with_and_without_design_cache(unit_ball):
     assert len(cached._cache) == ang.n_nodes // 8 and not one_pass._cache
 
 
+def test_rate_change_rebuilds_held_sweep(unit_ball):
+    # Two shared rates, several channels each, alternate within every orbit:
+    # the orbit's held sweep R_u G is rebuilt at each change of rate, as a
+    # fresh sweeper's first call builds it.
+    rng = np.random.default_rng(29)
+    ang = build_angular(4, 8)
+    grid = build_spatial(unit_ball, 0.25)
+    sweeper = RaySweeper(unit_ball, grid, ang, ray_h=0.1, cache_bytes=0)
+    box = grid.embed(rng.random((grid.n_nodes, 3)))
+    for i in sweeper.orbit_order():
+        for rates in (np.full(3, 0.4), np.full(3, 2.5), np.full(3, 0.4)):
+            got, _ = sweeper.line_integrals(i, box, rates)
+            want, _ = RaySweeper(unit_ball, grid, ang, ray_h=0.1).line_integrals(i, box, rates)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
 def test_sweep_matches_direction_loop(unit_ball, ellipsoid_211):
     rng = np.random.default_rng(17)
     ang = build_angular(4, 8)
