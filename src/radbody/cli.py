@@ -423,14 +423,11 @@ def write_node_table(path: str, sol: Solution):
                       sol.radiation) / FOUR_PI
     else:
         T, w = sol.T, sol.w
-    resid = _node_residual(sol)
+    table = np.column_stack([centers, T, w, _node_residual(sol)])
+    # One format string for the whole table; %.17g of a float is its f"{:.17g}".
+    text = ("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(table)) % tuple(table.ravel().tolist())
     with open(path, "w") as fh:
-        fh.write("x,y,z,T,w,conservation_residual\n")
-        for m in range(centers.shape[0]):
-            fh.write(
-                f"{centers[m, 0]:.17g},{centers[m, 1]:.17g},{centers[m, 2]:.17g},"
-                f"{T[m]:.17g},{w[m]:.17g},{resid[m]:.17g}\n"
-            )
+        fh.write("x,y,z,T,w,conservation_residual\n" + text)
 
 
 def write_field_dump(path: str, sol: Solution, cfg: dict):

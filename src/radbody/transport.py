@@ -4,9 +4,10 @@ Two equivalent evaluation routes are provided for the emission/absorption
 balance and used deliberately side by side:
 
 * a lattice-convolution route: the attenuated volume kernel
-  ``(beta/4pi) exp(-beta r)/r^2`` is tabulated as a stencil (with the
-  integrable singularity replaced by its exact integral over the
-  volume-equivalent ball) and applied by ``apply_attenuation_batch`` alone;
+  ``(beta/4pi) exp(-beta r)/r^2`` is tabulated as a stencil octant (with
+  the integrable singularity replaced by its exact integral over the cubic
+  cell), held as the real, even octant of its transform and applied by
+  ``apply_attenuation_batch`` alone;
 * a ray route: ``RaySweeper`` evaluates the formal solution
   g e^{-beta s} + integral of the attenuated source along backward rays,
   with Simpson weights and trilinear interpolation of nodal fields.  It is
@@ -257,8 +258,8 @@ def _stencil_parts(grid: SpatialGrid, beta: float, geom: _StencilGeometry) -> np
     offsets >= 0, shape ``box_shape``.
 
     The kernel depends on |x - y| only, so the octant determines the full
-    stencil (``attenuation_stencil``).  Far field: tensor two-point Gauss
-    rule per source cell (4th order).  Near field: composite two-point Gauss
+    stencil and its transform (``AttenuationOperator``).  Far field: tensor
+    two-point Gauss rule per source cell (4th order).  Near field: composite two-point Gauss
     on subcells, the subcell count graded by the Chebyshev distance d of the
     offset; offsets beyond the box extent (thin bodies) have no entry.  Self
     entry: the exact integral over the cubic cell (``_cube_self_weight``).
@@ -283,37 +284,53 @@ def _stencil_parts(grid: SpatialGrid, beta: float, geom: _StencilGeometry) -> np
 
 
 # The last rate plan's nodes (``_plan_rates``), keyed by grid token and
-# rate, each with its octant: the first build of the node's stencil takes it.
+# rate, each with its octant: the first build of the node's operator takes it.
 _CHOSEN_OCTANTS: dict = {}
 
 
-def attenuation_stencil(grid: SpatialGrid, beta: float) -> np.ndarray:
-    """The stencil of rate ``beta`` over the lattice offsets, 2n - 1 per box
-    axis with offset 0 at n - 1: its octant (``_stencil_parts``) mirrored,
-    so it equals its own axis flips to the last bit.  A rate plan's node
-    takes the plan's octant and evaluates nothing."""
-    octant = _CHOSEN_OCTANTS.pop((grid.token, beta), None)
-    if octant is None:
-        octant = _stencil_parts(grid, beta, _stencil_geometry(grid))
-    return octant[np.ix_(*(np.abs(np.arange(1 - n, n)) for n in grid.box_shape))]
+def _cosine_matrix(n: int, length: int) -> np.ndarray:
+    """The (length//2 + 1, n) matrix 2 cos(2 pi k d / length), 1 at d = 0:
+    the DFT at frequencies k of an even sequence given by its offsets d >= 0."""
+    kd = np.outer(np.arange(length // 2 + 1), np.arange(n)) % length
+    cos = np.cos(2.0 * np.pi / length * kd)
+    cos[:, 1:] *= 2.0
+    return cos
+
+
+def _halves(length: int):
+    """(frequency slice, kernel_hat slice) pairs along one axis: frequencies
+    k <= length//2 read kernel_hat at k, the others at length - k."""
+    return ((slice(0, length // 2 + 1), slice(None)),
+            (slice(length // 2 + 1, None), slice((length - 1) // 2, 0, -1)))
 
 
 class AttenuationOperator:
     """f |-> (beta/4pi) * integral over the body of exp(-beta r)/r^2 f.
 
-    Holds the transform ``kernel_hat`` of ``attenuation_stencil`` and, once
-    asked for, its row mass; ``apply_attenuation_batch`` applies it.
+    The stencil is even in every axis, so its transform at the cyclic shape
+    ``fshape`` is real and even: the operator holds only the octant of
+    frequencies k <= L//2 per axis, ``kernel_hat`` of shape
+    (L_x//2 + 1, L_y//2 + 1, L_z//2 + 1), computed from the stencil octant
+    by one cosine matrix per axis, and, once asked for, its row mass;
+    ``apply_attenuation_batch`` applies it.
     """
 
     def __init__(self, grid: SpatialGrid, beta: float):
         self.grid = grid
         self._row_mass = None
-        # FFT of the stencil at the cyclic shape, computed once.  A cyclic
-        # length of 2n - 1 per axis holds every stencil offset, so the crop
-        # [n - 1, 2n - 1) of the cyclic convolution sees no wrapped terms.
+        # A cyclic length of 2n - 1 per axis holds every stencil offset at
+        # d mod L, so the crop [0, n) of the cyclic convolution sees no
+        # wrapped terms.
         self.fshape = tuple(_next_fast_len(2 * n - 1) for n in grid.box_shape)
-        self.kernel_hat = np.fft.rfftn(attenuation_stencil(grid, float(beta)), self.fshape,
-                                       (0, 1, 2))
+        beta = float(beta)
+        octant = _CHOSEN_OCTANTS.pop((grid.token, beta), None)
+        if octant is None:
+            octant = _stencil_parts(grid, beta, _stencil_geometry(grid))
+        cx, cy, cz = (_cosine_matrix(n, length)
+                      for n, length in zip(grid.box_shape, self.fshape))
+        nx, ny, nz = grid.box_shape
+        hat = (cx @ octant.reshape(nx, ny * nz)).reshape(-1, ny, nz)
+        self.kernel_hat = np.matmul(cy, hat) @ cz.T
 
     def row_mass(self) -> np.ndarray:
         """Discrete mass (beta/4pi) * integral of the kernel over the body.
@@ -328,21 +345,28 @@ class AttenuationOperator:
 
 
 def _kernel_product(op: AttenuationOperator, field: np.ndarray) -> np.ndarray:
-    """The transform of the nodal ``field`` on the box times ``op.kernel_hat``."""
+    """The transform of the nodal ``field`` on the box times the operator's
+    even transform, multiplied in place quadrant by quadrant of the (x, y)
+    frequencies: k and L - k share a value."""
     fhat = np.fft.rfftn(op.grid.node_values_to_box(field), op.fshape, (0, 1, 2))
-    fhat *= op.kernel_hat
+    for fx, kx in _halves(op.fshape[0]):
+        for fy, ky in _halves(op.fshape[1]):
+            quadrant = fhat[fx, fy]
+            quadrant *= op.kernel_hat[kx, ky]
     return fhat
 
 
 def _inverse(op: AttenuationOperator, fhat: np.ndarray) -> np.ndarray:
     """Nodal values of the convolution whose transform is ``fhat``, inverted in
-    place axis by axis as np.fft.irfftn takes it: its values, in less memory."""
-    for axis in (0, 1):
-        np.fft.ifft(fhat, axis=axis, out=fhat)
-    full = np.fft.irfft(fhat, op.fshape[-1])
+    place axis by axis as np.fft.irfftn takes it: its values, in less memory.
+    The kernel sits at offset 0 of the cycle, so the box is the crop [0, n)
+    of each axis, and each pass inverts only the lines that reach it."""
     nx, ny, nz = op.grid.box_shape
-    box = full[nx - 1:2 * nx - 1, ny - 1:2 * ny - 1, nz - 1:2 * nz - 1]
-    return box.reshape(-1)[op.grid.flat_index]
+    np.fft.ifft(fhat, axis=0, out=fhat)
+    rows = fhat[:nx]
+    np.fft.ifft(rows, axis=1, out=rows)
+    box = np.fft.irfft(rows[:, :ny], op.fshape[-1])
+    return box[:, :, :nz].reshape(-1)[op.grid.flat_index]
 
 
 _OPERATOR_CACHE: "OrderedDict[tuple, AttenuationOperator]" = OrderedDict()

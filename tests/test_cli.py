@@ -5,6 +5,8 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -554,6 +556,47 @@ def test_node_table_deterministic(tmp_path):
     assert cli.main(["--quiet", "solve", "--config", path, "--output", str(out1)]) == 0
     assert cli.main(["--quiet", "solve", "--config", path, "--output", str(out2)]) == 0
     assert (out1 / "nodes.csv").read_bytes() == (out2 / "nodes.csv").read_bytes()
+
+
+def test_node_table_matches_per_field_format(tmp_path, monkeypatch):
+    # The table is formatted in one pass; every field reads as the per-field
+    # f"{v:.17g}" did, signed zeros and tiny values included.
+    cfg = _edited(BASE_EQ, {"grids.spatial.h": 0.25, "output.entropy": False})
+    sol = cli.run_solver(cli.load_config(write_cfg(tmp_path, cfg)), quiet=True)
+    sol.T = sol.T.copy()
+    sol.T[:4] = [-0.0, 1e-300, 5e-324, 1.0 / 3.0]
+    resid = np.linspace(-1.0, 1.0, sol.grids.spatial.n_nodes) ** 3
+    resid[:3] = [-0.0, 1e-300, -2.5e-310]
+    monkeypatch.setattr(cli, "_node_residual", lambda s: resid)
+    cli.write_node_table(str(tmp_path / "nodes.csv"), sol)
+    c = sol.grids.spatial.centers
+    expected = "x,y,z,T,w,conservation_residual\n" + "".join(
+        f"{c[m, 0]:.17g},{c[m, 1]:.17g},{c[m, 2]:.17g},"
+        f"{sol.T[m]:.17g},{sol.w[m]:.17g},{resid[m]:.17g}\n" for m in range(c.shape[0]))
+    assert (tmp_path / "nodes.csv").read_text() == expected
+    assert ",-0," in expected and ",1e-300," in expected
+
+
+def test_spectral_solve_memory_peak(tmp_path, monkeypatch):
+    # Operators hold the real even octant of their transforms: the traced
+    # peak of a cold spectral solve at h = 0.125 with 32 frequencies, its
+    # rate plan and operators included, was 7.6 MiB with complex half-spectra.
+    cfg = _edited(BASE_EQ, {"grids.spatial.h": 0.125, "grids.angular.n_polar": 8,
+                            "grids.angular.n_azimuth": 16, "boundary.temperature": 0.9,
+                            "medium.absorption": {"table": MILD_TABLE},
+                            "solver.mode": "spectral", "output.entropy": False})
+    cfg = cli.load_config(write_cfg(tmp_path, cfg))
+    for cache in ("_PLAN_CACHE", "_OPERATOR_CACHE"):
+        monkeypatch.setattr(transport, cache, OrderedDict())
+    monkeypatch.setattr(transport, "_CHOSEN_OCTANTS", {})
+    tracemalloc.start()
+    try:
+        sol = cli.run_solver(cfg, quiet=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.report.status == "converged"
+    assert peak < 6 << 20, peak / 2**20
 
 
 def test_dump_round_trip(tmp_path):

@@ -15,6 +15,7 @@ from radbody.quadrature import (
     single_frequency_grid,
 )
 from radbody.spectral import AbsorptionProfile
+from lattice_stencil import attenuation_stencil
 from radbody.transport import (
     AttenuationOperator,
     BoundarySource,
@@ -200,7 +201,7 @@ def test_fft_matches_direct_sum(unit_ball, ellipsoid_211):
         grid = build_spatial(domain, h)
         op = attenuation_operator(grid, 1.3)
         assert all(f >= 2 * n - 1 for f, n in zip(op.fshape, grid.box_shape))
-        stencil = transport.attenuation_stencil(grid, 1.3)
+        stencil = attenuation_stencil(grid, 1.3)
         vals = rng.random(grid.n_nodes)
         out = _apply(grid, 1.3, vals)
         nx, ny, nz = grid.box_shape
@@ -211,6 +212,36 @@ def test_fft_matches_direct_sum(unit_ball, ellipsoid_211):
             entries = stencil[d[:, 0] + nx - 1, d[:, 1] + ny - 1, d[:, 2] + nz - 1]
             direct[a] = np.sum(entries * vals)
         assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def _circular_stencil_transform(grid, beta, fshape):
+    """np.fft.rfftn of the literal stencil placed circularly, offset d at d mod L."""
+    placed = np.zeros(fshape)
+    placed[tuple(slice(0, 2 * n - 1) for n in grid.box_shape)] = attenuation_stencil(grid, beta)
+    return np.fft.rfftn(np.roll(placed, [1 - n for n in grid.box_shape], axis=(0, 1, 2)))
+
+
+def test_kernel_hat_is_the_even_octant_of_the_stencil_transform(unit_ball, ellipsoid_211):
+    # The stencil is even in every axis, so its circular transform is real
+    # and takes one value at k and L - k: kernel_hat is its octant k <= L//2,
+    # on odd and even cyclic lengths (n = 7 gives L = 14) and at zero rate,
+    # where both are exactly 0.
+    cases = ((unit_ball, 0.31), (ellipsoid_211, 0.31), (thin_ellipsoid(), 0.125),
+             (unit_ball, 0.4))
+    assert transport._next_fast_len(2 * 7 - 1) == 14
+    assert build_spatial(unit_ball, 0.4).box_shape == (7, 7, 7)
+    for domain, h in cases:
+        grid = build_spatial(domain, h)
+        for beta in (0.0, 1.3, 20.0):
+            op = AttenuationOperator(grid, beta)
+            full = _circular_stencil_transform(grid, beta, op.fshape)
+            assert op.kernel_hat.dtype == np.float64
+            assert op.kernel_hat.shape == tuple(L // 2 + 1 for L in op.fshape)
+            # |transform| <= the stencil's L1 norm, which is its DC value.
+            scale = full[0, 0, 0].real
+            assert np.max(np.abs(full.imag)) <= 1e-14 * scale, (h, beta)
+            mirror = np.ix_(*(np.minimum(np.arange(L), L - np.arange(L)) for L in op.fshape[:2]))
+            assert np.max(np.abs(full.real - op.kernel_hat[mirror])) <= 1e-14 * scale, (h, beta)
 
 
 def _near_field_reference(grid, beta, near_range=transport.NEAR_RANGE,
@@ -249,7 +280,7 @@ def test_near_field_matches_loop_reference(unit_ball, ellipsoid_211):
     # >= 0 in the loop's order, so every entry is the loop's to the last bit.
     for grid in _near_field_grids(unit_ball, ellipsoid_211):
         for beta in (0.3, 1.7, 20.0):
-            stencil = transport.attenuation_stencil(grid, beta)
+            stencil = attenuation_stencil(grid, beta)
             ref = _near_field_reference(grid, beta)
             assert len(ref) > 0
             for index, value in ref.items():
@@ -262,7 +293,7 @@ def test_stencil_equals_its_axis_flips(unit_ball, ellipsoid_211):
     flips = [axes for k in (1, 2, 3) for axes in itertools.combinations(range(3), k)]
     for grid in _near_field_grids(unit_ball, ellipsoid_211):
         for beta in (0.3, 1.7, 20.0):
-            stencil = transport.attenuation_stencil(grid, beta)
+            stencil = attenuation_stencil(grid, beta)
             for axes in flips:
                 assert np.array_equal(stencil, np.flip(stencil, axes)), (beta, axes)
 
@@ -292,7 +323,7 @@ def test_far_field_octant_matches_full_box_reference(unit_ball, ellipsoid_211):
         far = np.max(offsets, axis=0) > transport.NEAR_RANGE
         assert np.count_nonzero(far) > 0
         for beta in (0.3, 1.0, 20.0):
-            stencil = transport.attenuation_stencil(grid, beta)
+            stencil = attenuation_stencil(grid, beta)
             ref = _far_field_reference(grid, beta)
             assert np.all(np.abs(stencil[far] - ref[far]) <= 1e-13 * ref[far])
 
@@ -362,13 +393,16 @@ def _grouped_weighted_reference(grid, betas, fields, weights):
     ops = [attenuation_operator(grid, u) for u in uniq[live]]
     boxes = np.zeros((len(ops),) + grid.box_shape)
     boxes.reshape(len(ops), -1)[:, grid.flat_index] = summed[live]
-    fhat = np.fft.rfftn(boxes, s=ops[0].fshape, axes=(-3, -2, -1))
+    fshape = ops[0].fshape
+    fhat = np.fft.rfftn(boxes, s=fshape, axes=(-3, -2, -1))
+    # The kernel's transform is even: frequency k reads kernel_hat at min(k, L - k).
+    mirror = np.ix_(*(np.minimum(np.arange(L), L - np.arange(L)) for L in fshape[:2]))
     for k, op in enumerate(ops):
-        fhat[k] *= op.kernel_hat
-    full = np.fft.irfftn(0.0 + fhat.sum(axis=0), s=ops[0].fshape, axes=(-3, -2, -1))
+        fhat[k] *= op.kernel_hat[mirror]
+    full = np.fft.irfftn(0.0 + fhat.sum(axis=0), s=fshape, axes=(-3, -2, -1))
+    # The kernel sits at offset 0 of the cycle: the box is the crop [0, n).
     nx, ny, nz = grid.box_shape
-    box = full[nx - 1:2 * nx - 1, ny - 1:2 * ny - 1, nz - 1:2 * nz - 1]
-    return box.reshape(-1)[grid.flat_index]
+    return full[:nx, :ny, :nz].reshape(-1)[grid.flat_index]
 
 
 def test_weighted_apply_one_or_two_rates_is_exact(unit_ball):
@@ -399,15 +433,22 @@ def test_operator_holds_only_its_transform(unit_ball):
     grid = build_spatial(unit_ball, 0.125)
     op = AttenuationOperator(grid, 1.3)
     held = sum(v.nbytes for v in vars(op).values() if isinstance(v, np.ndarray))
-    nx, ny, nz = op.fshape
-    assert held == op.kernel_hat.nbytes == 16 * nx * ny * (nz // 2 + 1)
+    Lx, Ly, Lz = op.fshape
+    assert held == op.kernel_hat.nbytes == 8 * (Lx // 2 + 1) * (Ly // 2 + 1) * (Lz // 2 + 1)
+
+
+def _half_spectrum_bytes(op):
+    """The unit of the apply peaks: one complex half-spectrum at the cyclic shape,
+    what np.fft.rfftn of a field returns."""
+    Lx, Ly, Lz = op.fshape
+    return 16 * Lx * Ly * (Lz // 2 + 1)
 
 
 def test_weighted_apply_memory_peak(unit_ball):
     # Each rate node's product is added into one Fourier-space sum, inverted
     # in place: besides the (K, M) node sums the traced peak stays below
-    # three transforms, whatever K (transforming all K nodes at once peaked
-    # at 17 transforms here).
+    # three half-spectra, whatever K (transforming all K nodes at once peaked
+    # at 17 here).
     grid = build_spatial(unit_ball, 0.125)
     sgrid = build_spectral(1.0, 32)
     alphas = AbsorptionProfile.table(*RATE_TABLES["mild"])(sgrid.nodes)
@@ -416,7 +457,7 @@ def test_weighted_apply_memory_peak(unit_ball):
     first = apply_attenuation_batch(grid, alphas, fields, weights=weights)  # fills the caches
     plan = transport.rate_interpolation(grid, alphas)
     assert plan.nodes.size >= 8
-    transform = attenuation_operator(grid, plan.nodes[0]).kernel_hat.nbytes
+    transform = _half_spectrum_bytes(attenuation_operator(grid, plan.nodes[0]))
     out = []
     peak = _traced_peak(lambda: out.append(
         apply_attenuation_batch(grid, alphas, fields, weights=weights)))
@@ -426,14 +467,14 @@ def test_weighted_apply_memory_peak(unit_ball):
 
 def test_per_channel_apply_memory_peak(unit_ball):
     # Each channel's product is inverted at once, in place: besides the
-    # (C, M) output the traced peak stays within three transforms, whatever
+    # (C, M) output the traced peak stays within three half-spectra, whatever
     # C (transforming a chunk of all C channels at once held C of them).
     grid = build_spatial(unit_ball, 0.125)
     sgrid = build_spectral(1.0, 32)
     alphas = AbsorptionProfile.table(*RATE_TABLES["mild"])(sgrid.nodes)
     fields = np.random.default_rng(31).random((alphas.size, grid.n_nodes))
     first = apply_attenuation_batch(grid, alphas, fields)  # fills the operator cache
-    transform = attenuation_operator(grid, alphas[0]).kernel_hat.nbytes
+    transform = _half_spectrum_bytes(attenuation_operator(grid, alphas[0]))
     out = []
     peak = _traced_peak(lambda: out.append(apply_attenuation_batch(grid, alphas, fields)))
     assert np.array_equal(out[0], first)
@@ -733,8 +774,8 @@ def test_stencil_matches_scaled_unit_rate_reference(request, body, alpha):
     # The rate-alpha stencil is the unit-rate stencil of the lattice scaled
     # by alpha: (alpha/4pi) e^{-alpha r}/r^2 h^3 with r, h in original units.
     grid = build_spatial(request.getfixturevalue(body), 0.25)
-    ref = transport.attenuation_stencil(_scaled_spatial(grid, alpha), 1.0)
-    np.testing.assert_allclose(transport.attenuation_stencil(grid, alpha), ref, rtol=1e-13,
+    ref = attenuation_stencil(_scaled_spatial(grid, alpha), 1.0)
+    np.testing.assert_allclose(attenuation_stencil(grid, alpha), ref, rtol=1e-13,
                                atol=0.0)
 
 
