@@ -283,11 +283,6 @@ def _stencil_parts(grid: SpatialGrid, beta: float, geom: _StencilGeometry) -> np
     return octant
 
 
-# The last rate plan's nodes (``_plan_rates``), keyed by grid token and
-# rate, each with its octant: the first build of the node's operator takes it.
-_CHOSEN_OCTANTS: dict = {}
-
-
 def _cosine_matrix(n: int, length: int) -> np.ndarray:
     """The (length//2 + 1, n) matrix 2 cos(2 pi k d / length), 1 at d = 0:
     the DFT at frequencies k of an even sequence given by its offsets d >= 0."""
@@ -312,20 +307,19 @@ class AttenuationOperator:
     frequencies k <= L//2 per axis, ``kernel_hat`` of shape
     (L_x//2 + 1, L_y//2 + 1, L_z//2 + 1), computed from the stencil octant
     by one cosine matrix per axis, and, once asked for, its row mass;
-    ``apply_attenuation_batch`` applies it.
+    ``apply_attenuation_batch`` applies it.  ``octant`` is the stencil
+    octant of ``beta`` (``_stencil_parts``) where the caller has it.
     """
 
-    def __init__(self, grid: SpatialGrid, beta: float):
+    def __init__(self, grid: SpatialGrid, beta: float, octant: np.ndarray | None = None):
         self.grid = grid
         self._row_mass = None
         # A cyclic length of 2n - 1 per axis holds every stencil offset at
         # d mod L, so the crop [0, n) of the cyclic convolution sees no
         # wrapped terms.
         self.fshape = tuple(_next_fast_len(2 * n - 1) for n in grid.box_shape)
-        beta = float(beta)
-        octant = _CHOSEN_OCTANTS.pop((grid.token, beta), None)
         if octant is None:
-            octant = _stencil_parts(grid, beta, _stencil_geometry(grid))
+            octant = _stencil_parts(grid, float(beta), _stencil_geometry(grid))
         cx, cy, cz = (_cosine_matrix(n, length)
                       for n, length in zip(grid.box_shape, self.fshape))
         nx, ny, nz = grid.box_shape
@@ -373,12 +367,14 @@ _OPERATOR_CACHE: "OrderedDict[tuple, AttenuationOperator]" = OrderedDict()
 _OPERATOR_CACHE_MAX = 80
 
 
-def attenuation_operator(grid: SpatialGrid, beta: float) -> AttenuationOperator:
-    """Cached stencil operator, keyed by grid fingerprint and decay rate."""
+def attenuation_operator(grid: SpatialGrid, beta: float,
+                         octant: np.ndarray | None = None) -> AttenuationOperator:
+    """Cached stencil operator, keyed by grid fingerprint and decay rate; a
+    build takes the rate's ``octant`` where given."""
     key = (grid.token, float(beta))
     op = _OPERATOR_CACHE.get(key)
     if op is None:
-        op = AttenuationOperator(grid, beta)
+        op = AttenuationOperator(grid, beta, octant)
         _OPERATOR_CACHE[key] = op
         while len(_OPERATOR_CACHE) > _OPERATOR_CACHE_MAX:
             _OPERATOR_CACHE.popitem(last=False)
@@ -429,7 +425,8 @@ def rate_interpolation(grid: SpatialGrid, rates) -> RateInterpolation | None:
     """The cached interpolation of the kernels of the distinct positive ``rates``.
 
     None when no interpolation needs fewer kernels than there are distinct
-    rates; weighted sums then group channels by rate, exactly.
+    rates; weighted sums then group channels by rate, exactly.  A new plan
+    frees its search's octants before it builds its nodes' operators.
     """
     # Sorted and deduplicated by hand: np.unique without an index output
     # imports numpy.ma, about 40 ms on first use.
@@ -457,6 +454,39 @@ def _lagrange(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     return L
 
 
+def _radial_bound(sub: np.ndarray, k: int, radii: np.ndarray, density: np.ndarray) -> float:
+    """The Young bound of k Chebyshev rates on ``sub`` by ``_plan_rates``'s radial model."""
+    nodes = _chebyshev_rates(sub[0], sub[-1], k)
+    at_nodes, at_sub = (b[:, None] * np.exp(-np.outer(b, radii)) for b in (nodes, sub))
+    return float(np.max(np.abs(_lagrange(nodes, sub).T @ at_nodes - at_sub) @ density))
+
+
+def _fit(grid: SpatialGrid, geom: _StencilGeometry, mult: np.ndarray,
+         sub: np.ndarray, exact: list, radial: tuple):
+    """(nodes, lagrange, Young bound, octants) of the fewest Chebyshev rates,
+    fewer than ``sub``, that pass ``RATE_L1_TOL`` against its ``exact``
+    octants, searched from the ``_radial_bound`` estimate; None if none does."""
+    kmax = min(sub.size - 1, RATE_MAX_NODES)
+    k = next((k for k in range(2, kmax + 1) if _radial_bound(sub, k, *radial) <= RATE_L1_TOL),
+             kmax)
+    best = down = None
+    while 2 <= k <= kmax:
+        nodes = _chebyshev_rates(sub[0], sub[-1], k)
+        L = _lagrange(nodes, sub)
+        octants = np.stack([_stencil_parts(grid, b, geom) for b in nodes])
+        bound = max(float(np.sum(mult * np.abs(np.tensordot(L[:, c], octants, axes=1) - octant)))
+                    for c, octant in enumerate(exact))
+        passed = bound <= RATE_L1_TOL
+        if passed:
+            best = nodes, L, bound, octants
+        if down is None:  # from a passing start look for fewer nodes, else for more
+            down = passed
+        elif passed != down:
+            break
+        k += -1 if down else 1
+    return best
+
+
 def _plan_rates(grid: SpatialGrid, rates: np.ndarray) -> RateInterpolation | None:
     """Fit Chebyshev rates to ``rates``, splitting intervals where needed.
 
@@ -465,10 +495,10 @@ def _plan_rates(grid: SpatialGrid, rates: np.ndarray) -> RateInterpolation | Non
     search starts from a radial estimate: a far-field entry at distance
     r = h sqrt(n) is close to (h/4pi) beta e^{-beta r} / n, so interpolating
     that function of beta over the multiset of n predicts the bound with no
-    stencil evaluation.  Every octant is evaluated on one
-    ``_stencil_geometry``, and the chosen nodes' octants wait in
-    ``_CHOSEN_OCTANTS`` for their operators, built when first applied: no
-    rate's octant is evaluated twice.
+    stencil evaluation (``_radial_bound``).  An interval no fit serves is
+    split at its mid-rate if that saves kernels.  Every octant is evaluated
+    once on one ``_stencil_geometry``; the geometry and unkept exact octants
+    are freed before the chosen nodes' operators are built from theirs.
     """
     nx, ny, nz = grid.box_shape
     ix, iy, iz = np.ogrid[:nx, :ny, :nz]
@@ -479,71 +509,41 @@ def _plan_rates(grid: SpatialGrid, rates: np.ndarray) -> RateInterpolation | Non
     density = np.bincount(n2, weights=mult.ravel() / np.maximum(n2, 1))
     shells = np.nonzero(density)[0][1:]  # without the self entry, n = 0
     radii, density = grid.h * np.sqrt(shells), density[shells] * grid.h / FOUR_PI
-
-    def estimate(sub, k):
-        def g(b):
-            return b[:, None] * np.exp(-np.outer(b, radii))
-        nodes = _chebyshev_rates(sub[0], sub[-1], k)
-        return float(np.max(np.abs(_lagrange(nodes, sub).T @ g(nodes) - g(sub)) @ density))
-
-    def trial(idx, k):
-        """(nodes, lagrange, Young bound, octants) of k Chebyshev rates."""
+    # Pieces (idx, nodes, lagrange, bound, octants) in rate order.  A split
+    # interval is pushed back under its halves, with its first piece's index.
+    pieces, work = [], [(np.arange(rates.size), None)]
+    while work:
+        idx, start = work.pop()
         sub = rates[idx]
-        nodes = _chebyshev_rates(sub[0], sub[-1], k)
-        L = _lagrange(nodes, sub)
-        octants = np.stack([_stencil_parts(grid, b, geom) for b in nodes])
-        bound = max(float(np.sum(mult * np.abs(np.tensordot(L[:, c], octants, axes=1)
-                                               - exact[r])))
-                    for c, r in enumerate(idx))
-        return nodes, L, bound, octants
-
-    def fit(idx):
-        """The smallest passing trial on rates[idx] with fewer nodes than rates."""
-        kmax = min(idx.size - 1, RATE_MAX_NODES)
-        k = next((k for k in range(2, kmax + 1) if estimate(rates[idx], k) <= RATE_L1_TOL),
-                 kmax)
-        best = trial(idx, k)
-        if best[2] <= RATE_L1_TOL:
-            while k > 2:
-                lower = trial(idx, k - 1)
-                if lower[2] > RATE_L1_TOL:
-                    break
-                k, best = k - 1, lower
-            return best
-        while k < kmax:
-            k += 1
-            best = trial(idx, k)
-            if best[2] <= RATE_L1_TOL:
-                return best
-        return None
-
-    def pieces(idx):
-        """Interpolated or exact pieces (idx, nodes, lagrange, bound, octants)."""
-        if idx.size > 2:
-            fitted = fit(idx)
+        if start is None and idx.size > 2:
+            fitted = _fit(grid, geom, mult, sub, [exact[r] for r in idx], (radii, density))
             if fitted is not None:
-                return [(idx, *fitted)]
-            mid = 0.5 * (rates[idx[0]] + rates[idx[-1]])
-            split = pieces(idx[rates[idx] <= mid]) + pieces(idx[rates[idx] > mid])
-            if sum(p[1].size for p in split) < idx.size:
-                return split
-        return [(idx, rates[idx], np.eye(idx.size), 0.0, [exact[r] for r in idx])]
-
-    intervals = pieces(np.arange(rates.size))
-    nodes = np.concatenate([p[1] for p in intervals])
+                pieces.append((idx, *fitted))
+                continue
+            mid = 0.5 * (sub[0] + sub[-1])
+            work += [(idx, len(pieces)), (idx[sub > mid], None), (idx[sub <= mid], None)]
+        elif start is None or sum(p[1].size for p in pieces[start:]) >= idx.size:
+            # Two rates or fewer, or halves that save no kernel: exact.
+            if start is not None:
+                del pieces[start:]
+            pieces.append((idx, sub, np.eye(idx.size), 0.0, [exact[r] for r in idx]))
+    del exact, geom
+    nodes = np.concatenate([p[1] for p in pieces])
     if nodes.size >= rates.size:
         return None
-    _CHOSEN_OCTANTS.clear()
-    _CHOSEN_OCTANTS.update(((grid.token, float(b)), octant)
-                           for p in intervals for b, octant in zip(p[1], p[4]))
     lagrange = np.zeros((nodes.size, rates.size))
     row = 0
-    for idx, part_nodes, L, *_ in intervals:
+    for idx, part_nodes, L, *_ in pieces:
         lagrange[row:row + part_nodes.size, idx] = L
         row += part_nodes.size
-    return RateInterpolation(rates=rates, nodes=nodes, lagrange=lagrange,
-                             nodes_per_interval=tuple(p[1].size for p in intervals),
-                             bound=max(p[3] for p in intervals))
+    plan = RateInterpolation(rates=rates, nodes=nodes, lagrange=lagrange,
+                             nodes_per_interval=tuple(p[1].size for p in pieces),
+                             bound=max(p[3] for p in pieces))
+    while pieces:  # each interval's octants are freed once its operators are built
+        _, part_nodes, _, _, octants = pieces.pop(0)
+        for b, octant in zip(part_nodes, octants):
+            attenuation_operator(grid, b, octant)
+    return plan
 
 
 def _row_masses(grid: SpatialGrid, rates) -> np.ndarray:

@@ -588,7 +588,6 @@ def test_spectral_solve_memory_peak(tmp_path, monkeypatch):
     cfg = cli.load_config(write_cfg(tmp_path, cfg))
     for cache in ("_PLAN_CACHE", "_OPERATOR_CACHE"):
         monkeypatch.setattr(transport, cache, OrderedDict())
-    monkeypatch.setattr(transport, "_CHOSEN_OCTANTS", {})
     tracemalloc.start()
     try:
         sol = cli.run_solver(cfg, quiet=True)

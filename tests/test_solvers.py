@@ -1,5 +1,9 @@
+import gc
+import os
 import time
 import tracemalloc
+import types
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -384,6 +388,51 @@ def test_fixed_point_memory_peak():
         tracemalloc.stop()
     assert report.iterations > transport.ANDERSON_DEPTH + 2
     assert peak <= 20 * 8 * n, peak / (8 * n)
+
+
+def _from_radbody(obj) -> bool:
+    """Whether ``obj`` is a function, code object, frame, class or instance of radbody."""
+    if isinstance(obj, types.FrameType):
+        obj = obj.f_code
+    if isinstance(obj, types.CodeType):
+        return os.path.basename(os.path.dirname(obj.co_filename)) == "radbody"
+    owner = obj if isinstance(obj, (types.FunctionType, type)) else type(obj)
+    return (getattr(owner, "__module__", None) or "").startswith("radbody")
+
+
+def test_solves_leave_no_reference_cycles(unit_ball, beam_source, monkeypatch):
+    # Everything a solve builds is freed by reference counting alone: a cycle
+    # would keep its arrays alive until the cyclic collector next runs, as the
+    # rate plan's recursive closure once kept every exact octant and the
+    # stencil geometry.
+    for cache in ("_PLAN_CACHE", "_OPERATOR_CACHE"):
+        monkeypatch.setattr(transport, cache, OrderedDict())
+    grids = Grids(build_spatial(unit_ball, 0.25), build_angular(4, 8), build_spectral(1.0, 16))
+    scatter = Grids(build_spatial(unit_ball, 0.25), build_angular(4, 8),
+                    single_frequency_grid(1.0), ray_h=0.125)
+    enabled, debug, saved = gc.isenabled(), gc.get_debug(), gc.garbage[:]
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.garbage.clear()
+        _, _, report = solvers.solve_spectral(unit_ball, MILD_PROFILE, beam_source, grids)
+        assert report.extra["rate_interpolation"] is not None
+        solvers.solve_spectral(unit_ball, grey(1.0), BoundarySource.equilibrium(0.9), grids)
+        joint = MediumSpec(MILD_PROFILE, AbsorptionProfile.constant(0.5))
+        assert solvers.solve_combined(unit_ball, joint, beam_source,
+                                      grids)[3].extra["route"] == "joint"
+        solvers.solve_scattering(unit_ball, MediumSpec(AbsorptionProfile.constant(0.0),
+                                                       AbsorptionProfile.constant(1.0)),
+                                 beam_source, scatter, tol=1e-7)
+        gc.collect()
+        leaked = sorted({repr(obj)[:80] for obj in gc.garbage if _from_radbody(obj)})
+    finally:
+        gc.set_debug(debug)
+        gc.garbage[:] = saved
+        if enabled:
+            gc.enable()
+    assert not leaked, leaked
 
 
 # ---------------------------------------------------------------------------

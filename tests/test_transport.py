@@ -483,29 +483,35 @@ def test_per_channel_apply_memory_peak(unit_ball):
 
 def test_rate_plan_memory_peak(unit_ball, monkeypatch):
     # Trial nodes are evaluated as octants, without keeping near-field
-    # samples or building operators: seeding operators from kept samples
-    # peaked at 12.2 MB here.
+    # samples, and only the chosen nodes' operators are built, after the
+    # exact octants are freed: seeding operators from kept samples peaked at
+    # 12.2 MB here.
     grid = build_spatial(unit_ball, 0.125)
     alphas = AbsorptionProfile.table(*RATE_TABLES["mild"])(build_spectral(1.0, 32).nodes)
     monkeypatch.setattr(transport, "_PLAN_CACHE", OrderedDict())
     monkeypatch.setattr(transport, "_OPERATOR_CACHE", OrderedDict())
     peak = _traced_peak(lambda: transport.rate_interpolation(grid, alphas))
     assert peak < 4 << 20, peak / 1e6
-    assert transport.rate_interpolation(grid, alphas).nodes.size == 10
-    assert not transport._OPERATOR_CACHE
+    plan = transport.rate_interpolation(grid, alphas)
+    assert plan.nodes.size == 10
+    assert list(transport._OPERATOR_CACHE) == [(grid.token, b) for b in plan.nodes.tolist()]
+    # The plan builds its operators from its own octants, bit for bit those
+    # of a cold build.
+    for b in plan.nodes:
+        cold = transport.AttenuationOperator(grid, b)
+        assert np.array_equal(transport._OPERATOR_CACHE[grid.token, b].kernel_hat, cold.kernel_hat)
 
 
 def test_rate_plan_setup_counted(unit_ball, monkeypatch):
     # The plan builds the stencil geometry once and evaluates every distinct
-    # rate's octant and every trial node's octant once on it; the chosen
-    # nodes' operators take the plan's octants and geometry, so building
-    # them evaluates no octant again (the 10 chosen nodes were evaluated
-    # twice before, and every evaluation rebuilt its geometry).
+    # rate's octant and every trial node's octant once on it; it builds the
+    # chosen nodes' operators from its octants, so no octant is evaluated
+    # again (the 10 chosen nodes were evaluated twice before, and every
+    # evaluation rebuilt its geometry).
     grid = build_spatial(unit_ball, 0.125)
     alphas = AbsorptionProfile.table(*RATE_TABLES["mild"])(build_spectral(1.0, 32).nodes)
     for cache in ("_PLAN_CACHE", "_OPERATOR_CACHE"):
         monkeypatch.setattr(transport, cache, OrderedDict())
-    monkeypatch.setattr(transport, "_CHOSEN_OCTANTS", {})
     builds, evaluated = [], []
     build, parts = transport._stencil_geometry, transport._stencil_parts
     monkeypatch.setattr(transport, "_stencil_geometry",
@@ -520,7 +526,6 @@ def test_rate_plan_setup_counted(unit_ball, monkeypatch):
     assert set(plan.nodes.tolist()) <= set(evaluated)
     assert len(evaluated) > np.unique(alphas).size + plan.nodes.size  # some trials failed
     assert all((grid.token, b) in transport._OPERATOR_CACHE for b in plan.nodes.tolist())
-    assert not transport._CHOSEN_OCTANTS
     count = len(evaluated)
     assert np.array_equal(transport.summed_row_masses(grid, alphas), first)
     assert len(evaluated) == count and builds == [grid.token]
